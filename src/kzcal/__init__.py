@@ -13,11 +13,9 @@ from .core import (
     DEFAULT_DIM_CAP,
     RATIONAL,
     TRIGONOMETRIC,
-    BasisIndex,
     ModelParams,
     StateVector,
     WeightVector,
-    enumerate_basis,
     get_basis,
     omega_pairing,
     weight_of,
@@ -38,12 +36,8 @@ from .errors import (
     UnsupportedRelationError,
 )
 from .operators import (
-    LinearOperator,
     TermOperator,
-    apply_permutation,
     apply_site_matrix,
-    apply_T,
-    apply_twist,
     gaudin_derivative,
     gaudin_hamiltonian,
     weight_operator,
@@ -53,7 +47,6 @@ from .kz import (
     PathSpec,
     covariant_power,
     integrate_path,
-    kz_rhs,
     mc_derivatives,
     mc_wavefunction,
 )

@@ -28,10 +28,12 @@ from .core import (
     StateVector,
     WeightVector,
     get_basis,
+    max_or_nan,
     min_pairwise_gap,
 )
 from .errors import DegenerateSpectrumError, SingularConfigurationError
-from .operators import materialize_hamiltonian
+from .kernel import PairKernel, site_terms
+from .operators import gaudin_hamiltonian
 
 __all__ = [
     "LaxMatrix",
@@ -90,10 +92,7 @@ def lax_matrix(x, p, params: ModelParams) -> LaxMatrix:
         raise SingularConfigurationError("Lax matrix needs pairwise-distinct coordinates")
     dx = x[:, None] - x[None, :]
     np.fill_diagonal(dx, 1.0)
-    if params.kind == RATIONAL:
-        off = params.kappa / dx
-    else:
-        off = params.kappa * params.gamma / np.sinh(params.gamma * dx)
+    off = PairKernel(params).lax(dx)
     np.fill_diagonal(off, 0.0)
     entries = off.astype(np.complex128)
     entries[np.diag_indices(n)] = p
@@ -152,96 +151,74 @@ def _attempt_joint_diagonalization(mats, dim, n, rng, symmetric):
     return p, vecs, residuals, worst
 
 
-def _dense_hamiltonian_longdouble(i: int, params: ModelParams, weight: WeightVector):
-    """H_i with every kernel coefficient evaluated in extended precision.
+def _add_dense(terms, out: np.ndarray, scale=1) -> np.ndarray:
+    """Add scale times the matrix of the terms into the dense array out, term by term.
 
-    The float64 materialization rounds each kappa/(x_i - x_j) entry; that
-    alone perturbs the joint eigenvalues by ~1e-15, which the defective Lax
-    spectrum amplifies to ~3e-8.  Rebuilding the entries in longdouble keeps
-    the refined momenta consistent with the exact instance.
+    Arrays stay left of scalars: an mpf on the left of an object array would
+    first try to convert the whole array.
     """
-    basis = get_basis(weight)
-    dim = basis.dim
-    i0 = i - 1
-    g = np.asarray(params.g, dtype=np.longdouble)
-    x = np.asarray(params.x, dtype=np.longdouble)
-    kappa = np.longdouble(params.kappa)
-    gamma = np.longdouble(params.gamma)
-    H = np.zeros((dim, dim), dtype=np.longdouble)
-    rows = np.arange(dim)
-    H[rows, rows] = g[basis.letters(i0) - 1]
-    for j0 in range(basis.n):
-        if j0 == i0:
-            continue
-        dx = x[i0] - x[j0]
-        perm, sign = basis.swap_table(min(i0, j0), max(i0, j0))
-        if i0 > j0:
-            sign = -sign
-        if params.kind == RATIONAL:
-            np.add.at(H, (rows, perm), kappa / dx)
+    rows = np.arange(out.shape[0])
+    for term in terms:
+        if term[0] == "diag":
+            out[rows, rows] += term[1] * scale
+        elif term[0] == "swap":
+            np.add.at(out, (rows, term[1]), scale * term[2])
         else:
-            np.add.at(H, (rows, perm), kappa * gamma / np.tanh(gamma * dx))
-            np.add.at(H, (rows, perm), kappa * gamma * sign.astype(np.longdouble))
-    return H
+            np.add.at(out, (rows, term[1]), term[2] * (scale * term[3]))
+    return out
 
 
 def _refine_longdouble(params, weight, vecs, real_vectors: bool) -> np.ndarray:
-    """Rayleigh quotients against the extended-precision Hamiltonians.
+    """Rayleigh quotients against the Hamiltonians rebuilt in longdouble.
 
-    The float64 eigenvector error enters the symmetric Rayleigh quotient only
-    quadratically, so with exactly-rebuilt entries the momentum error drops
-    to longdouble rounding (~1e-17).
+    The float64 materialization rounds each kappa/(x_i - x_j) entry; that
+    alone perturbs the joint eigenvalues by ~1e-15, which the defective Lax
+    spectrum amplifies to ~3e-8.  The float64 eigenvector error enters the
+    symmetric Rayleigh quotient only quadratically, so with exactly-rebuilt
+    entries the momentum error drops to longdouble rounding (~1e-17).
     """
+    basis = get_basis(weight)
+    kern = PairKernel(params, np.longdouble)
+    g = np.asarray(params.g, dtype=np.longdouble)
+    x = np.asarray(params.x, dtype=np.longdouble)
     scalar = np.longdouble if real_vectors else np.clongdouble
     V = vecs.real.astype(np.longdouble) if real_vectors else vecs.astype(np.clongdouble)
     norms = np.einsum("ij,ij->j", V.conj(), V)
     n = params.n
     p = np.empty((n, vecs.shape[1]), dtype=scalar)
-    for i in range(1, n + 1):
-        dense = _dense_hamiltonian_longdouble(i, params, weight)
-        mv = dense @ V
-        p[i - 1] = np.einsum("ij,ij->j", V.conj(), mv) / norms
+    for i0 in range(n):
+        dense = np.zeros((basis.dim, basis.dim), dtype=np.longdouble)
+        mv = _add_dense(site_terms(basis, i0, kern, g, x), dense) @ V
+        p[i0] = np.einsum("ij,ij->j", V.conj(), mv) / norms
     return p
 
 
-def _mp_hamiltonian_terms(i: int, params: ModelParams, basis):
-    """(diag, pair terms) of H_i with mpmath coefficients; exact float inputs."""
-    i0 = i - 1
-    g = [mpmath.mpf(v) for v in params.g]
-    kappa = mpmath.mpf(params.kappa)
-    gamma = mpmath.mpf(params.gamma)
-    diag = [g[a - 1] for a in basis.letters(i0)]
-    pairs = []
-    for j0 in range(basis.n):
-        if j0 == i0:
-            continue
-        dx = mpmath.mpf(params.x[i0]) - mpmath.mpf(params.x[j0])
-        perm, sign = basis.swap_table(min(i0, j0), max(i0, j0))
-        if i0 > j0:
-            sign = -sign
-        if params.kind == RATIONAL:
-            pairs.append((perm, None, kappa / dx))
-        else:
-            pairs.append((perm, None, kappa * gamma / mpmath.tanh(gamma * dx)))
-            pairs.append((perm, sign, kappa * gamma))
-    return diag, pairs
+def _mp_terms(i0: int, params: ModelParams, basis):
+    """Terms of H_i with mpmath coefficients; exact float inputs."""
+    g = np.array([mpmath.mpf(v) for v in params.g], dtype=object)
+    x = [mpmath.mpf(v) for v in params.x]
+    return site_terms(basis, i0, PairKernel(params, mpmath.mpf), g, x)
 
 
-def _mp_apply(diag, pairs, v):
+def _mp_apply(terms, v: list) -> list:
+    """The terms applied to a list of mpf, in term order (the mpf form of apply_terms)."""
+    (_, diag), *pairs = terms
     out = [diag[k] * v[k] for k in range(len(v))]
-    for perm, sign, coeff in pairs:
-        if sign is None:
+    for term in pairs:
+        perm, coeff = term[1], term[-1]
+        if term[0] == "swap":
             for k in range(len(v)):
                 out[k] += coeff * v[perm[k]]
         else:
+            sign = term[2]
             for k in range(len(v)):
                 if sign[k]:
                     out[k] += coeff * int(sign[k]) * v[perm[k]]
     return out
 
 
-def _mp_rayleigh(diag, pairs, v):
-    mv = _mp_apply(diag, pairs, v)
+def _mp_rayleigh(terms, v: list):
+    mv = _mp_apply(terms, v)
     num = mpmath.fsum(v[k] * mv[k] for k in range(len(v)))
     den = mpmath.fsum(v[k] ** 2 for k in range(len(v)))
     return num / den
@@ -261,23 +238,13 @@ def _refine_mpmath(params, weight, vecs, invit: bool) -> np.ndarray:
     n, dim = params.n, vecs.shape[1]
     p = np.empty((n, dim), dtype=object)
     with mpmath.workdps(60):
-        ham_terms = [_mp_hamiltonian_terms(i, params, basis) for i in range(1, n + 1)]
-        combo_dense = None
-        combo_coeffs = None
+        ham_terms = [_mp_terms(i0, params, basis) for i0 in range(n)]
         if invit:
             rng = np.random.Generator(np.random.Philox(12345))
-            combo_coeffs = [mpmath.mpf(c) for c in rng.standard_normal(n)]
-            combo_dense = mpmath.zeros(dim, dim)
-            rows = np.arange(dim)
-            for c, (diag, prs) in zip(combo_coeffs, ham_terms):
-                for k in range(dim):
-                    combo_dense[k, k] += c * diag[k]
-                for perm, sign, coeff in prs:
-                    for k in range(dim):
-                        if sign is None:
-                            combo_dense[k, perm[k]] += c * coeff
-                        elif sign[k]:
-                            combo_dense[k, perm[k]] += c * coeff * int(sign[k])
+            combo = np.full((dim, dim), mpmath.mpf(0), dtype=object)
+            for c, terms in zip(rng.standard_normal(n), ham_terms):
+                _add_dense(terms, combo, mpmath.mpf(c))
+            combo_dense = mpmath.matrix(combo.tolist())
         for col in range(dim):
             v = [mpmath.mpf(float(vecs[k, col].real)) for k in range(vecs.shape[0])]
             if invit:
@@ -298,7 +265,7 @@ def _refine_mpmath(params, weight, vecs, invit: bool) -> np.ndarray:
                         for k in range(dim)
                     )
             for i in range(n):
-                p[i, col] = _mp_rayleigh(*ham_terms[i], v)
+                p[i, col] = _mp_rayleigh(ham_terms[i], v)
     return p
 
 
@@ -331,7 +298,7 @@ def gaudin_joint_spectrum(
     """
     basis = get_basis(weight)
     n, dim = params.n, basis.dim
-    mats = [materialize_hamiltonian(i, params, weight) for i in range(1, n + 1)]
+    mats = [gaudin_hamiltonian(i, params, weight).materialize() for i in range(1, n + 1)]
     symmetric = params.kind == RATIONAL
 
     if dim > DENSE_DIM_LIMIT:
@@ -380,7 +347,10 @@ def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
     )
     coeffs = rng.standard_normal(n)
     combo = sum(c * m for c, m in zip(coeffs, mats))
-    _, vecs = scipy.sparse.linalg.eigs(combo.tocsc(), k=n_partial, which="LM")
+    try:
+        _, vecs = scipy.sparse.linalg.eigs(combo.tocsc(), k=n_partial, which="LM")
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise DegenerateSpectrumError(f"partial eigensolve failed: {exc}") from exc
     items = []
     for k in range(vecs.shape[1]):
         v = vecs[:, k] / np.linalg.norm(vecs[:, k])
@@ -417,8 +387,7 @@ def _lax_eigenvalues_hp(x, p_hp, params: ModelParams, dps: int = 40) -> np.ndarr
     n = len(x)
     with mpmath.workdps(dps):
         A = mpmath.zeros(n, n)
-        kappa = mpmath.mpf(params.kappa)
-        gamma = mpmath.mpf(params.gamma)
+        kern = PairKernel(params, mpmath.mpf)
         for i in range(n):
             pi = p_hp[i]
             if np.iscomplexobj(p_hp):
@@ -430,11 +399,7 @@ def _lax_eigenvalues_hp(x, p_hp, params: ModelParams, dps: int = 40) -> np.ndarr
             for j in range(n):
                 if i == j:
                     continue
-                dx = mpmath.mpf(x[i]) - mpmath.mpf(x[j])
-                if params.kind == RATIONAL:
-                    A[i, j] = kappa / dx
-                else:
-                    A[i, j] = kappa * gamma / mpmath.sinh(gamma * dx)
+                A[i, j] = kern.lax(mpmath.mpf(x[i]) - mpmath.mpf(x[j]))
         eigs = mpmath.eig(A, left=False, right=False)
         return np.array([complex(e) for e in eigs])
 
@@ -491,8 +456,8 @@ def qc_check(
     mismatch = float(np.max(np.abs(eigs - target)))
     traces = classical_hamiltonians(L, kmax)
     trace_targets = [string_energy(weight, params, k) for k in range(1, kmax + 1)]
-    trace_err = max(
-        abs(t - s) / max(abs(s), 1e-30) for t, s in zip(traces, trace_targets)
+    trace_err = max_or_nan(
+        [abs(t - s) / max(abs(s), 1e-30) for t, s in zip(traces, trace_targets)]
     )
     return QcReport(
         kind=params.kind,

@@ -36,10 +36,6 @@ DEFAULT_DIM_CAP = 200_000
 #: coordinates closer than this are treated as coincident
 DEFAULT_EPSILON_X = 1e-8
 
-#: one multi-index (j_1, ..., j_n), letters 1..N
-BasisIndex = tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """All continuous parameters of one problem instance.
@@ -104,6 +100,15 @@ class ModelParams:
         from dataclasses import replace as _replace
 
         return _replace(self, **changes)
+
+
+def max_or_nan(values) -> float:
+    """Largest of the values, NaN when any of them is NaN.
+
+    The builtin max compares with <, so max(1e-15, nan) returns 1e-15 and a
+    failed sub-check would pass unnoticed.
+    """
+    return float(np.max(np.asarray(values, dtype=float)))
 
 
 def min_pairwise_gap(x: Sequence[float]) -> float:
@@ -248,15 +253,6 @@ def _cached_basis(weight: WeightVector, dim_cap: int) -> WeightBasis:
 def get_basis(weight: WeightVector, dim_cap: int = DEFAULT_DIM_CAP) -> WeightBasis:
     """Memoized basis for the weight subspace (bases are immutable)."""
     return _cached_basis(weight, dim_cap)
-
-
-def enumerate_basis(
-    n: int, weight: WeightVector, dim_cap: int = DEFAULT_DIM_CAP
-) -> list[BasisIndex]:
-    """All multi-indices of the weight subspace, lexicographic, 1-based letters."""
-    weight.validate_for(n)
-    basis = get_basis(weight, dim_cap)
-    return [tuple(int(v) for v in row) for row in basis.states]
 
 
 def weight_of(J: Sequence[int], N: int) -> WeightVector:

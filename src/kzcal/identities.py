@@ -22,6 +22,7 @@ from .core import (
     ModelParams,
     WeightVector,
     get_basis,
+    max_or_nan,
 )
 from .operators import t_operator
 
@@ -89,7 +90,7 @@ def rational_scalar_identity_report(x) -> dict[str, IdentityResidual]:
 
 
 def verify_rational_scalar_identities(x) -> float:
-    return max(e.scaled for e in rational_scalar_identity_report(x).values())
+    return max_or_nan([e.scaled for e in rational_scalar_identity_report(x).values()])
 
 
 def twist_sum_identity_report(
@@ -144,7 +145,7 @@ def twist_sum_identity_report(
 
 
 def verify_twist_sum_identities(params: ModelParams, weight: WeightVector) -> float:
-    return max(e.scaled for e in twist_sum_identity_report(params, weight).values())
+    return max_or_nan([e.scaled for e in twist_sum_identity_report(params, weight).values()])
 
 
 def omega_weight_identity_report(
@@ -171,7 +172,7 @@ def omega_weight_identity_report(
 
 
 def verify_omega_weight_identity(params: ModelParams, weight: WeightVector) -> float:
-    return max(e.scaled for e in omega_weight_identity_report(params, weight).values())
+    return max_or_nan([e.scaled for e in omega_weight_identity_report(params, weight).values()])
 
 
 def verify_trig_identities(

@@ -1,0 +1,103 @@
+"""The pair kernel of both kinds and the one builder of the Gaudin terms.
+
+One kernel, in four roles:
+
+    role                      rational            trigonometric
+    P_ij coefficient of H_i   kappa / dx          kappa gamma coth(gamma dx)
+    T_ij coefficient of H_i   (no T term)         kappa gamma
+    Calogero pair potential   c / dx^2            c gamma^2 / sinh^2(gamma dx)
+    Lax off-diagonal          kappa / dx          kappa gamma / sinh(gamma dx)
+
+with dx = x_i - x_j.  The kernel computes in the caller's number type: float
+and numpy.longdouble through numpy, mpmath.mpf through mpmath at the current
+working precision.
+
+Every Hamiltonian in the package is a sum of such pair terms over the swap
+tables of the basis, assembled by ``hamiltonian_terms``; the float64 H_i, the
+path-segment right-hand side and the extended-precision H_i all go through it.
+"""
+
+from __future__ import annotations
+
+import mpmath
+import numpy as np
+
+from .core import TRIGONOMETRIC, ModelParams, WeightBasis
+
+__all__ = ["PairKernel", "pair_table", "t_term", "hamiltonian_terms", "site_terms"]
+
+
+class PairKernel:
+    """The pair kernel of one instance in the number type `num` (float by default)."""
+
+    def __init__(self, params: ModelParams, num=float):
+        self.trig = params.kind == TRIGONOMETRIC
+        self.kappa = num(params.kappa)
+        self.gamma = num(params.gamma)
+        self.lib = mpmath if num is mpmath.mpf else np
+
+    def p(self, dx, w=1):
+        """Coefficient of P_ij in w H_i."""
+        if self.trig:
+            return self.kappa * self.gamma * w / self.lib.tanh(self.gamma * dx)
+        return self.kappa * w / dx
+
+    def t(self, w=1):
+        """Coefficient of T_ij in w H_i (trigonometric kind only)."""
+        return self.kappa * self.gamma * w
+
+    def dp(self, dx, order: int):
+        """d^order/d(dx)^order of the P_ij coefficient, order 1 or 2."""
+        kappa, gamma = self.kappa, self.gamma
+        if not self.trig:
+            return -kappa / dx**2 if order == 1 else 2.0 * kappa / dx**3
+        sh = self.lib.sinh(gamma * dx)
+        if order == 1:
+            return -kappa * gamma**2 / sh**2
+        return 2.0 * kappa * gamma**3 * self.lib.cosh(gamma * dx) / sh**3
+
+    def potential(self, dx, c):
+        """Calogero pair potential with coupling c, e.g. c = kappa (kappa - hbar)."""
+        if self.trig:
+            return c * self.gamma**2 / self.lib.sinh(self.gamma * dx) ** 2
+        return c / dx**2
+
+    def lax(self, dx):
+        """Off-diagonal Lax matrix entry; dx may be an array."""
+        if self.trig:
+            return self.kappa * self.gamma / self.lib.sinh(self.gamma * dx)
+        return self.kappa / dx
+
+
+def pair_table(basis: WeightBasis, pairs) -> list[tuple]:
+    """(i0, j0, w, perm, sign) for each (i0, j0, w), with the pair's swap table."""
+    return [(i0, j0, w, *basis.swap_table(i0, j0)) for i0, j0, w in pairs]
+
+
+def t_term(perm: np.ndarray, sign: np.ndarray, i0: int, j0: int, coeff) -> tuple:
+    """coeff * T_ij as a term over the swap table of the pair.
+
+    The table's sign is sign(letter_min - letter_max) of the pair, the
+    orientation of T_ij for i0 < j0; T_ji = -T_ij flips the coefficient.
+    """
+    return ("tswap", perm, sign, coeff if i0 < j0 else -coeff)
+
+
+def hamiltonian_terms(diag, table, x, kern: PairKernel) -> list[tuple]:
+    """Terms of diag + sum over the table of w (p(x_i - x_j) P_ij + t T_ij).
+
+    The diagonal comes first and each pair contributes its swap, then its
+    signed swap; TermOperator applies terms in this order.
+    """
+    terms: list[tuple] = [("diag", diag)]
+    for i0, j0, w, perm, sign in table:
+        terms.append(("swap", perm, kern.p(x[i0] - x[j0], w)))
+        if kern.trig:
+            terms.append(t_term(perm, sign, i0, j0, kern.t(w)))
+    return terms
+
+
+def site_terms(basis: WeightBasis, i0: int, kern: PairKernel, g, x) -> list[tuple]:
+    """Terms of H_i at 0-based site i0; g and x are arrays in the kernel's number type."""
+    table = pair_table(basis, [(i0, j0, 1) for j0 in range(basis.n) if j0 != i0])
+    return hamiltonian_terms(g[basis.letters(i0) - 1], table, x, kern)

@@ -21,11 +21,11 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .core import (
-    TRIGONOMETRIC,
     ModelParams,
     StateVector,
     WeightVector,
     get_basis,
+    max_or_nan,
     min_pairwise_gap,
     omega_pairing,
 )
@@ -35,12 +35,12 @@ from .errors import (
     SingularPathError,
     UnsupportedOrderError,
 )
-from .operators import TermOperator, gaudin_derivative, gaudin_hamiltonian
+from .kernel import PairKernel, hamiltonian_terms, pair_table
+from .operators import TermOperator, apply_terms, gaudin_derivative, gaudin_hamiltonian
 
 __all__ = [
     "KzConnection",
     "PathSpec",
-    "kz_rhs",
     "covariant_power",
     "covariant_row",
     "integrate_path",
@@ -81,12 +81,6 @@ class KzConnection:
             op = gaudin_derivative(i, j, order, self.params, self.weight)
             self._dh[key] = op
         return op
-
-
-def kz_rhs(i: int, state: StateVector, conn: KzConnection) -> StateVector:
-    """(1/hbar) H_i Phi, the right-hand side of dPhi/dx_i."""
-    out = conn.hamiltonian(i).apply(state)
-    return StateVector(state.weight, out.amplitudes / conn.params.hbar)
 
 
 def covariant_power(i: int, k: int, state: StateVector, conn: KzConnection) -> StateVector:
@@ -175,36 +169,27 @@ def _check_segment(a: np.ndarray, b: np.ndarray, eps: float) -> None:
 
 
 def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
-    """ODE right-hand side along x(t) = (1-t) a + t b, t in [0, 1]."""
+    """ODE right-hand side along x(t) = (1-t) a + t b, t in [0, 1].
+
+    dPhi/dt = (1/hbar) sum_i vel_i H_i Phi with vel = b - a; the pair (i, j)
+    enters the sum once, with weight vel_i - vel_j, as the kernel is odd.
+    """
     params = conn.params
     basis = conn.basis
+    n = basis.n
     vel = b - a
     g = np.asarray(params.g)
     diag = np.zeros(basis.dim)
-    for i0 in range(basis.n):
+    for i0 in range(n):
         if vel[i0] != 0.0:
             diag = diag + vel[i0] * g[basis.letters(i0) - 1]
-    pairs = []
-    for i0 in range(basis.n):
-        for j0 in range(i0 + 1, basis.n):
-            dvel = vel[i0] - vel[j0]
-            if dvel != 0.0:
-                perm, sign = basis.swap_table(i0, j0)
-                pairs.append((i0, j0, dvel, perm, sign))
-    kappa, gamma, hbar = params.kappa, params.gamma, params.hbar
-    trig = params.kind == TRIGONOMETRIC
+    weights = [(i0, j0, vel[i0] - vel[j0]) for i0 in range(n) for j0 in range(i0 + 1, n)]
+    table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
+    kern = PairKernel(params)
+    hbar = params.hbar
 
     def rhs(t, y):
-        x = a + t * vel
-        out = diag * y
-        for i0, j0, dvel, perm, sign in pairs:
-            dx = x[i0] - x[j0]
-            if trig:
-                coeff = kappa * gamma * dvel / np.tanh(gamma * dx)
-                out = out + coeff * y[perm] + (kappa * gamma * dvel) * (sign * y[perm])
-            else:
-                out = out + (kappa * dvel / dx) * y[perm]
-        return out / hbar
+        return apply_terms(hamiltonian_terms(diag, table, a + t * vel, kern), y) / hbar
 
     return rhs
 
@@ -280,7 +265,7 @@ def flatness_residual(
     """
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
-    worst = 0.0
+    residuals = [0.0]
     hbar = params.hbar
     for i in range(1, params.n + 1):
         Hi = conn.hamiltonian(i)
@@ -289,6 +274,5 @@ def flatness_residual(
             dji = conn.derivative(i, j).matvec(v)
             dij = conn.derivative(j, i).matvec(v)
             comm = Hi.matvec(Hj.matvec(v)) - Hj.matvec(Hi.matvec(v))
-            res = np.linalg.norm(hbar * (dji - dij) + comm)
-            worst = max(worst, float(res))
-    return worst
+            residuals.append(float(np.linalg.norm(hbar * (dji - dij) + comm)))
+    return max_or_nan(residuals)

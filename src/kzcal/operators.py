@@ -12,146 +12,35 @@ Rational Hamiltonian:  H_i = g^(i) + kappa * sum_{j != i} P_ij / (x_i - x_j).
 Trigonometric:         H_i = g^(i) + kappa*gamma * sum_{j != i}
                               ( coth(gamma (x_i - x_j)) P_ij + T_ij ).
 
-Analytic x-derivatives of both families are provided for the covariant
-derivative expansion; finite differences are used only as a test oracle.
+The pair coefficients come from ``kzcal.kernel``.  Analytic x-derivatives of
+both families are provided for the covariant derivative expansion; finite
+differences are used only as a test oracle.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-from typing import Iterable
-
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
-    RATIONAL,
-    TRIGONOMETRIC,
-    ModelParams,
-    StateVector,
-    WeightBasis,
-    WeightVector,
-    get_basis,
-)
-from .errors import (
-    InvalidSitesError,
-    InvalidWeightError,
-    SingularConfigurationError,
-    UnsupportedOrderError,
-)
+from .core import ModelParams, StateVector, WeightBasis, WeightVector, get_basis
+from .errors import InvalidSitesError, InvalidWeightError, UnsupportedOrderError
+from .kernel import PairKernel, site_terms, t_term
 
 __all__ = [
-    "LinearOperator",
     "TermOperator",
-    "apply_permutation",
-    "apply_T",
+    "apply_terms",
     "apply_site_matrix",
-    "apply_twist",
     "weight_operator",
     "twist_operator",
     "permutation_operator",
     "t_operator",
     "gaudin_hamiltonian",
     "gaudin_derivative",
-    "materialize_hamiltonian",
 ]
 
 
-class LinearOperator:
-    """Linear map of one weight subspace with forward and transpose action.
-
-    All concrete operators in this package are real matrices, so the
-    transpose action (rmatvec) is enough to slide the all-ones covector
-    through products from the left.
-    """
-
-    def __init__(self, weight: WeightVector, matvec, rmatvec):
-        self.weight = weight
-        self.dim = weight.dimension()
-        self._matvec = matvec
-        self._rmatvec = rmatvec
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._matvec(v)
-
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Transpose action x -> A^T x (plain transpose, no conjugation)."""
-        return self._rmatvec(v)
-
-    def apply(self, state: StateVector) -> StateVector:
-        if state.weight != self.weight:
-            raise InvalidWeightError("state weight does not match operator subspace")
-        return StateVector(self.weight, self.matvec(state.amplitudes))
-
-    # -- algebra -----------------------------------------------------------
-
-    def __add__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.weight != other.weight:
-            raise InvalidWeightError("operator subspaces differ")
-        return LinearOperator(
-            self.weight,
-            lambda v: self.matvec(v) + other.matvec(v),
-            lambda v: self.rmatvec(v) + other.rmatvec(v),
-        )
-
-    def __sub__(self, other: "LinearOperator") -> "LinearOperator":
-        return self + (-1.0) * other
-
-    def __rmul__(self, c) -> "LinearOperator":
-        return LinearOperator(
-            self.weight,
-            lambda v: c * self.matvec(v),
-            lambda v: c * self.rmatvec(v),
-        )
-
-    def __neg__(self) -> "LinearOperator":
-        return (-1.0) * self
-
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        """Composition self @ other (other acts first)."""
-        if self.weight != other.weight:
-            raise InvalidWeightError("operator subspaces differ")
-        return LinearOperator(
-            self.weight,
-            lambda v: self.matvec(other.matvec(v)),
-            lambda v: other.rmatvec(self.rmatvec(v)),
-        )
-
-    @classmethod
-    def identity(cls, weight: WeightVector) -> "TermOperator":
-        dim = weight.dimension()
-        return TermOperator(weight, [("diag", np.ones(dim))])
-
-    def materialize(self) -> sp.csr_matrix:
-        """Column-by-column sparse form; cheap only at desk-scale dimensions."""
-        cols = []
-        e = np.zeros(self.dim, dtype=np.complex128)
-        for k in range(self.dim):
-            e[k] = 1.0
-            cols.append(self.matvec(e).copy())
-            e[k] = 0.0
-        dense = np.column_stack(cols)
-        if np.allclose(dense.imag, 0.0):
-            dense = dense.real
-        return sp.csr_matrix(dense)
-
-    def max_abs_norm(self, rng: np.random.Generator | None = None, samples: int = 32) -> float:
-        """Max |entry| of the materialized form, or a sampled max-ratio bound."""
-        if self.dim <= 4096:
-            mat = self.materialize()
-            return float(np.max(np.abs(mat.data))) if mat.nnz else 0.0
-        rng = rng or np.random.default_rng(0)
-        best = 0.0
-        for _ in range(samples):
-            v = rng.standard_normal(self.dim)
-            v /= np.max(np.abs(v))
-            best = max(best, float(np.max(np.abs(self.matvec(v)))))
-        return best
-
-
-class TermOperator(LinearOperator):
-    """Operator stored as a flat list of primitive terms.
+class TermOperator:
+    """Linear map of one weight subspace stored as a flat list of primitive terms.
 
     Terms:
       ("diag", d)                  amplitude-wise multiply by d;
@@ -159,56 +48,27 @@ class TermOperator(LinearOperator):
       ("tswap", perm, sign, coeff) coeff * T, signed transport.
 
     Swap tables are involutions, so the transpose of a plain swap is itself
-    and the transpose of a signed swap flips sign.
+    and the transpose of a signed swap flips sign.  All operators in this
+    package are real matrices, so the transpose action (rmatvec) is enough to
+    slide the all-ones covector through products from the left.
     """
 
     def __init__(self, weight: WeightVector, terms: list[tuple]):
+        self.weight = weight
+        self.dim = weight.dimension()
         self.terms = terms
-        super().__init__(weight, self._mv, self._rmv)
 
-    def _mv(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
-        for term in self.terms:
-            tag = term[0]
-            if tag == "diag":
-                out += term[1] * v
-            elif tag == "swap":
-                _, perm, coeff = term
-                out += coeff * v[perm]
-            else:
-                _, perm, sign, coeff = term
-                out += coeff * (sign * v[perm])
-        return out
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return apply_terms(self.terms, v)
 
-    def _rmv(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
-        for term in self.terms:
-            tag = term[0]
-            if tag == "diag":
-                out += term[1] * v
-            elif tag == "swap":
-                _, perm, coeff = term
-                out += coeff * v[perm]
-            else:
-                _, perm, sign, coeff = term
-                out -= coeff * (sign * v[perm])
-        return out
+    def rmatvec(self, v: np.ndarray) -> np.ndarray:
+        """Transpose action x -> A^T x (plain transpose, no conjugation)."""
+        return apply_terms(self.terms, v, transpose=True)
 
-    def __add__(self, other: LinearOperator) -> LinearOperator:
-        if isinstance(other, TermOperator) and other.weight == self.weight:
-            return TermOperator(self.weight, self.terms + other.terms)
-        return super().__add__(other)
-
-    def __rmul__(self, c) -> LinearOperator:
-        scaled = []
-        for term in self.terms:
-            if term[0] == "diag":
-                scaled.append(("diag", c * term[1]))
-            elif term[0] == "swap":
-                scaled.append(("swap", term[1], c * term[2]))
-            else:
-                scaled.append(("tswap", term[1], term[2], c * term[3]))
-        return TermOperator(self.weight, scaled)
+    def apply(self, state: StateVector) -> StateVector:
+        if state.weight != self.weight:
+            raise InvalidWeightError("state weight does not match operator subspace")
+        return StateVector(self.weight, self.matvec(state.amplitudes))
 
     def materialize(self) -> sp.csr_matrix:
         dim = self.dim
@@ -238,6 +98,25 @@ class TermOperator(LinearOperator):
         return mat.tocsr()
 
 
+def apply_terms(terms: list[tuple], v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """Sum of the terms applied to v, in term order (transpose=True: the transpose)."""
+    out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
+    for term in terms:
+        tag = term[0]
+        if tag == "diag":
+            out += term[1] * v
+        elif tag == "swap":
+            _, perm, coeff = term
+            out += coeff * v[perm]
+        elif transpose:
+            _, perm, sign, coeff = term
+            out -= coeff * (sign * v[perm])
+        else:
+            _, perm, sign, coeff = term
+            out += coeff * (sign * v[perm])
+    return out
+
+
 # -- site and letter validation ---------------------------------------------
 
 
@@ -256,39 +135,7 @@ def _check_site(i: int, n: int) -> int:
     return i - 1
 
 
-def _signed_table(basis: WeightBasis, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Swap table for 0-based (i, j) with the sign oriented to T_ij."""
-    perm, sign = basis.swap_table(i, j)
-    if i > j:
-        sign = -sign
-    return perm, sign
-
-
 # -- elementary actions ------------------------------------------------------
-
-
-def apply_permutation(i: int, j: int, state: StateVector) -> StateVector:
-    """P_ij: exchange tensor factors at 1-based sites i and j."""
-    basis = get_basis(state.weight)
-    i0, j0 = _check_sites(i, j, basis.n)
-    perm, _ = basis.swap_table(i0, j0)
-    return StateVector(state.weight, state.amplitudes[perm])
-
-
-def apply_T(i: int, j: int, state: StateVector) -> StateVector:
-    """T_ij: signed swap; +swap if letter_i < letter_j, -swap if >, else 0."""
-    basis = get_basis(state.weight)
-    i0, j0 = _check_sites(i, j, basis.n)
-    perm, sign = _signed_table(basis, i0, j0)
-    return StateVector(state.weight, sign * state.amplitudes[perm])
-
-
-def apply_twist(i: int, state: StateVector, params: ModelParams) -> StateVector:
-    """g^(i): multiply each amplitude by the twist value of its letter at site i."""
-    basis = get_basis(state.weight)
-    i0 = _check_site(i, basis.n)
-    g = np.asarray(params.g)
-    return StateVector(state.weight, g[basis.letters(i0) - 1] * state.amplitudes)
 
 
 def apply_site_matrix(i: int, a: int, b: int, state: StateVector) -> StateVector:
@@ -334,8 +181,8 @@ def permutation_operator(i: int, j: int, weight: WeightVector) -> TermOperator:
 def t_operator(i: int, j: int, weight: WeightVector) -> TermOperator:
     basis = get_basis(weight)
     i0, j0 = _check_sites(i, j, basis.n)
-    perm, sign = _signed_table(basis, i0, j0)
-    return TermOperator(weight, [("tswap", perm, sign, 1.0)])
+    perm, sign = basis.swap_table(i0, j0)
+    return TermOperator(weight, [t_term(perm, sign, i0, j0, 1.0)])
 
 
 def twist_operator(i: int, params: ModelParams, weight: WeightVector) -> TermOperator:
@@ -354,14 +201,6 @@ def weight_operator(a: int, weight: WeightVector) -> TermOperator:
     return TermOperator(weight, [("diag", counts)])
 
 
-def _pair_kernel(params: ModelParams, i0: int, j0: int) -> float:
-    """Coefficient of P in H_i for the (i, j) pair."""
-    dx = params.x[i0] - params.x[j0]
-    if params.kind == RATIONAL:
-        return params.kappa / dx
-    return params.kappa * params.gamma / np.tanh(params.gamma * dx)
-
-
 def _check_instance(params: ModelParams, weight: WeightVector) -> WeightBasis:
     weight.validate_for(params.n)
     if weight.N != params.N:
@@ -375,19 +214,7 @@ def gaudin_hamiltonian(i: int, params: ModelParams, weight: WeightVector) -> Ter
     """The i-th Gaudin Hamiltonian on the weight subspace (1-based site)."""
     basis = _check_instance(params, weight)
     i0 = _check_site(i, basis.n)
-    g = np.asarray(params.g)
-    terms: list[tuple] = [("diag", g[basis.letters(i0) - 1].copy())]
-    for j0 in range(basis.n):
-        if j0 == i0:
-            continue
-        if abs(params.x[i0] - params.x[j0]) <= params.epsilon_x:
-            raise SingularConfigurationError(
-                f"x_{i0 + 1} and x_{j0 + 1} closer than epsilon_x"
-            )
-        perm, sign = _signed_table(basis, i0, j0)
-        terms.append(("swap", perm, _pair_kernel(params, i0, j0)))
-        if params.kind == TRIGONOMETRIC:
-            terms.append(("tswap", perm, sign, params.kappa * params.gamma))
+    terms = site_terms(basis, i0, PairKernel(params), np.asarray(params.g), params.x)
     return TermOperator(weight, terms)
 
 
@@ -404,68 +231,15 @@ def gaudin_derivative(
     basis = _check_instance(params, weight)
     i0 = _check_site(i, basis.n)
     j0 = _check_site(j, basis.n)
-    kappa, gamma = params.kappa, params.gamma
-
-    def kernel_derivative(dx: float, wrt_i: bool) -> float:
-        chain = 1.0 if wrt_i else -1.0
-        if params.kind == RATIONAL:
-            if order == 1:
-                return chain * (-kappa / dx**2)
-            return 2.0 * kappa / dx**3  # chain^2 = 1
-        sh = np.sinh(gamma * dx)
-        if order == 1:
-            return chain * (-kappa * gamma**2 / sh**2)
-        return 2.0 * kappa * gamma**3 * np.cosh(gamma * dx) / sh**3
-
+    kern = PairKernel(params)
+    # d/dx_j of a function of x_i - x_j picks up the chain factor -1 per order
+    chain = 1.0 if i0 == j0 or order == 2 else -1.0
+    pair_sites = [m for m in range(basis.n) if m != i0] if i0 == j0 else [j0]
     terms: list[tuple] = []
-    if i0 == j0:
-        pair_sites: Iterable[int] = (m for m in range(basis.n) if m != i0)
-        wrt_i = True
-    else:
-        pair_sites = (j0,)
-        wrt_i = False
     for m in pair_sites:
-        dx = params.x[i0] - params.x[m]
         perm, _ = basis.swap_table(i0, m)
-        terms.append(("swap", perm, float(kernel_derivative(dx, wrt_i))))
+        coeff = chain * kern.dp(params.x[i0] - params.x[m], order)
+        terms.append(("swap", perm, float(coeff)))
     if not terms:
         terms = [("diag", np.zeros(basis.dim))]
     return TermOperator(weight, terms)
-
-
-# -- optional materialization cache -------------------------------------------
-
-
-def _cache_key(i: int, params: ModelParams, weight: WeightVector) -> str:
-    payload = repr(
-        (
-            i,
-            params.kind,
-            params.n,
-            params.N,
-            params.x,
-            params.g,
-            params.kappa,
-            params.gamma,
-            weight.M,
-        )
-    ).encode()
-    return hashlib.sha256(payload).hexdigest()[:32]
-
-
-def materialize_hamiltonian(
-    i: int, params: ModelParams, weight: WeightVector
-) -> sp.csr_matrix:
-    """Sparse form of H_i, cached on disk when KZCAL_CACHE_DIR is set."""
-    cache_dir = os.environ.get("KZCAL_CACHE_DIR")
-    if not cache_dir:
-        return gaudin_hamiltonian(i, params, weight).materialize()
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, f"H_{_cache_key(i, params, weight)}.npz")
-    if os.path.exists(path):
-        return sp.load_npz(path)
-    mat = gaudin_hamiltonian(i, params, weight).materialize()
-    tmp = path + ".tmp.npz"
-    sp.save_npz(tmp, mat)
-    os.replace(tmp, path)
-    return mat

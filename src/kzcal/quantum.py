@@ -24,6 +24,7 @@ from .core import (
     WeightVector,
 )
 from .errors import DegenerateProjectionWarning, UnsupportedRelationError
+from .kernel import PairKernel
 from .kz import KzConnection, covariant_row, mc_derivatives, mc_wavefunction
 
 __all__ = [
@@ -82,17 +83,13 @@ def calogero_energy(weight: WeightVector, params: ModelParams, k: int) -> float:
 def _pair_potential_sum(params: ModelParams) -> float:
     """sum_{i != j} kappa (kappa - hbar) K(x_i - x_j) over ordered pairs."""
     x = np.asarray(params.x)
+    kern = PairKernel(params)
     kk = params.kappa * (params.kappa - params.hbar)
     total = 0.0
     for i in range(params.n):
         for j in range(params.n):
-            if i == j:
-                continue
-            dx = x[i] - x[j]
-            if params.kind == RATIONAL:
-                total += kk / dx**2
-            else:
-                total += kk * params.gamma**2 / np.sinh(params.gamma * dx) ** 2
+            if i != j:
+                total += kern.potential(x[i] - x[j], kk)
     return total
 
 

@@ -29,6 +29,7 @@ from .core import (
     ModelParams,
     StateVector,
     WeightVector,
+    max_or_nan,
     min_pairwise_gap,
 )
 from .identities import (
@@ -70,7 +71,7 @@ class SuiteResult:
 
     @property
     def max_residual(self) -> float:
-        return max(self.residuals) if self.residuals else 0.0
+        return max_or_nan(self.residuals) if self.residuals else 0.0
 
     @property
     def median_residual(self) -> float:
@@ -155,20 +156,20 @@ def _suite_identities(params, weight, rng):
     residuals.extend(e.scaled for e in verify_trig_identities(trig, weight).values())
     if weight.dimension() <= T_TABLE_DIM_LIMIT:
         residuals.append(verify_t_case_tables(weight))
-    return max(residuals)
+    return max_or_nan(residuals)
 
 
 def _suite_commutativity(params, weight, rng):
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
-    worst = 0.0
+    norms = [0.0]
     for i in range(1, params.n + 1):
         Hi = conn.hamiltonian(i)
         for j in range(i + 1, params.n + 1):
             Hj = conn.hamiltonian(j)
             comm = Hi.matvec(Hj.matvec(v)) - Hj.matvec(Hi.matvec(v))
-            worst = max(worst, float(np.linalg.norm(comm)))
-    return worst
+            norms.append(float(np.linalg.norm(comm)))
+    return max_or_nan(norms)
 
 
 def _suite_flatness(params, weight, rng):
@@ -193,20 +194,19 @@ def _suite_trig_mc(params, weight, rng):
     energy = calogero_energy(weight, trig, 2)
     strings = string_energy(weight, trig, 2)
     energy_gap = abs(energy - strings) / max(abs(energy), 1e-30)
-    return max(residual, energy_gap)
+    return max_or_nan([residual, energy_gap])
 
 
 def _qc_residual(params, weight, rng):
     seed = int(rng.integers(0, 2**63 - 1))
     items = gaudin_joint_spectrum(params, weight, seed=seed)
-    worst = 0.0
+    gaps = [0.0]
     target_momentum = float(np.dot(weight.M, params.g))
     for item in items:
         report = qc_check(item, params, weight)
-        worst = max(worst, report.max_mismatch, report.max_trace_rel_error)
         momentum_gap = abs(np.sum(item.p) - target_momentum) / max(abs(target_momentum), 1e-30)
-        worst = max(worst, float(momentum_gap))
-    return worst
+        gaps += [report.max_mismatch, report.max_trace_rel_error, float(momentum_gap)]
+    return max_or_nan(gaps)
 
 
 def _suite_qc_rational(params, weight, rng):
@@ -241,7 +241,7 @@ def _suite_kz_integrate(params, weight, rng):
     final = integrate_path(initial, loop, conn)
     loop_gap = float(np.linalg.norm(final.amplitudes - initial.amplitudes))
     pde = pde_residual_on_solution(final, conn, "h2")
-    return max(loop_gap, pde)
+    return max_or_nan([loop_gap, pde])
 
 
 _SUITE_BODIES = {
@@ -296,7 +296,7 @@ def _run_one_suite(name, instances, tolerance, seed, sweep, jobs) -> SuiteResult
                 float(body(p, w, rng_for(seed or 0, name, param, value, i)))
                 for i, (p, w) in enumerate(swept)
             ]
-            sweep_rows.append({"value": value, "max_residual": max(vals)})
+            sweep_rows.append({"value": value, "max_residual": max_or_nan(vals)})
     elapsed = time.perf_counter() - started
     return SuiteResult(
         name=name,

@@ -181,3 +181,74 @@ def test_partial_spectrum_large_sector():
     for it in items:
         assert np.max(it.residuals) < 1e-8
         assert np.sum(it.p).real == pytest.approx(target, abs=1e-9)
+
+
+def test_arpack_failure_maps_to_degenerate_spectrum(monkeypatch):
+    import scipy.sparse.linalg
+
+    from kzcal.errors import DegenerateSpectrumError
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    n = 14
+    params = ModelParams(n=n, N=2, x=tuple(np.linspace(0.0, 6.5, n)), g=(1.0, 2.0), hbar=1.0, kappa=0.3)
+    weight = WeightVector((7, 7))  # above the dense limit
+    with pytest.raises(DegenerateSpectrumError, match="partial eigensolve"):
+        gaudin_joint_spectrum(params, weight, seed=2, n_partial=4)
+
+
+# -- extended-precision Hamiltonians against the Kronecker oracle ----------------
+
+
+def _oracle_instance(kind):
+    params = ModelParams(
+        n=4, N=3, x=(0.0, 1.3, -0.7, 2.2), g=(1.0, 1.9, 3.1), hbar=1.0, kappa=0.35
+    )
+    return params if kind == "rational" else params.replace(kind="trigonometric", gamma=0.6)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_longdouble_hamiltonian_matches_kron_oracle(kind):
+    from kzcal.classical import _add_dense
+    from kzcal.core import get_basis
+    from kzcal.kernel import PairKernel, site_terms
+
+    from oracles import gaudin_full, restrict
+
+    params = _oracle_instance(kind)
+    weight = WeightVector((2, 1, 1))
+    basis = get_basis(weight)
+    kern = PairKernel(params, np.longdouble)
+    g = np.asarray(params.g, dtype=np.longdouble)
+    x = np.asarray(params.x, dtype=np.longdouble)
+    for i in range(1, params.n + 1):
+        dense = np.zeros((basis.dim, basis.dim), dtype=np.longdouble)
+        ours = _add_dense(site_terms(basis, i - 1, kern, g, x), dense)
+        assert ours.dtype == np.longdouble
+        full = restrict(gaudin_full(params, i), weight)
+        np.testing.assert_allclose(ours.astype(float), full, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_mpmath_terms_match_kron_oracle(kind):
+    import mpmath
+
+    from kzcal.classical import _mp_apply, _mp_terms
+    from kzcal.core import get_basis
+
+    from oracles import gaudin_full, restrict
+
+    params = _oracle_instance(kind)
+    weight = WeightVector((2, 1, 1))
+    basis = get_basis(weight)
+    with mpmath.workdps(40):
+        for i in range(1, params.n + 1):
+            terms = _mp_terms(i - 1, params, basis)
+            full = restrict(gaudin_full(params, i), weight)
+            for k in range(basis.dim):
+                e_k = [mpmath.mpf(int(j == k)) for j in range(basis.dim)]
+                column = _mp_apply(terms, e_k)
+                assert all(isinstance(v, mpmath.mpf) for v in column)
+                np.testing.assert_allclose(np.array(column, dtype=float), full[:, k], rtol=0, atol=1e-14)

@@ -239,3 +239,34 @@ def test_jobs_parallel_matches_serial(tmp_path):
     parallel = run_suites(config, jobs=4)
     assert serial.suites["mc-h2"].residuals == parallel.suites["mc-h2"].residuals
     assert serial.suites["commutativity"].residuals == parallel.suites["commutativity"].residuals
+
+
+def test_nan_sub_check_fails_the_suite(tmp_path, monkeypatch):
+    import kzcal.suites as suites_mod
+
+    monkeypatch.setattr(suites_mod, "verify_twist_sum_identities", lambda *a: float("nan"))
+    path = write_config(tmp_path, MINIMAL)
+    report = run_suites(load_config(path))
+    suite = report.suites["identities"]
+    assert all(np.isnan(r) for r in suite.residuals)
+    assert np.isnan(suite.max_residual)
+    assert not suite.passed
+    assert cli.main(["verify", "--config", path]) == 1
+
+
+def test_cli_qc_arpack_failure_is_infrastructure_error(monkeypatch):
+    import scipy.sparse.linalg
+
+    import kzcal.classical as classical_mod
+
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
+
+    # route a small sector through the partial (ARPACK) path
+    monkeypatch.setattr(classical_mod, "DENSE_DIM_LIMIT", 2)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_convergence)
+    args = [
+        "--n", "3", "--N", "2", "--x", "0,1,2.5", "--g", "1,2",
+        "--weight", "2,1", "--kappa", "0.1", "--seed", "4",
+    ]
+    assert cli.main(["qc", *args]) == 2

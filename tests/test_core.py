@@ -8,7 +8,6 @@ from kzcal.core import (
     ModelParams,
     StateVector,
     WeightVector,
-    enumerate_basis,
     get_basis,
     omega_pairing,
     weight_of,
@@ -21,20 +20,25 @@ from kzcal.errors import (
     ModelAssumptionWarning,
     SingularConfigurationError,
 )
-from kzcal.operators import apply_permutation
+from kzcal.operators import permutation_operator
+
+
+def states_of(weight):
+    """The basis multi-indices as tuples, in enumeration order."""
+    return [tuple(int(v) for v in row) for row in get_basis(weight).states]
 
 
 def test_enumerate_basis_two_sites():
-    assert enumerate_basis(2, WeightVector((1, 1))) == [(1, 2), (2, 1)]
+    assert states_of(WeightVector((1, 1))) == [(1, 2), (2, 1)]
 
 
 def test_enumerate_basis_dimension():
-    states = enumerate_basis(4, WeightVector((2, 2)))
+    states = states_of(WeightVector((2, 2)))
     assert len(states) == 6  # 4!/(2!2!)
 
 
 def test_enumerate_basis_single_species():
-    assert enumerate_basis(3, WeightVector((3,))) == [(1, 1, 1)]
+    assert states_of(WeightVector((3,))) == [(1, 1, 1)]
 
 
 @pytest.mark.parametrize(
@@ -43,7 +47,8 @@ def test_enumerate_basis_single_species():
 )
 def test_enumerate_basis_properties(n, M):
     weight = WeightVector(M)
-    states = enumerate_basis(n, weight)
+    weight.validate_for(n)
+    states = states_of(weight)
     # multinomial count, lexicographic order, no repeats
     expected = math.factorial(n)
     for m in M:
@@ -57,12 +62,12 @@ def test_enumerate_basis_properties(n, M):
 
 def test_enumerate_basis_weight_mismatch():
     with pytest.raises(InvalidWeightError):
-        enumerate_basis(3, WeightVector((1, 1)))
+        WeightVector((1, 1)).validate_for(3)
 
 
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
-        enumerate_basis(10, WeightVector((5, 5)), dim_cap=100)
+        get_basis(WeightVector((5, 5)), dim_cap=100)
 
 
 def test_weight_of_examples():
@@ -84,7 +89,7 @@ def test_omega_pairing_values():
 
 def test_omega_pairing_basis_states():
     w = WeightVector((2, 1))
-    for J in enumerate_basis(3, w):
+    for J in states_of(w):
         assert omega_pairing(StateVector.basis_state(w, J)) == 1.0
 
 
@@ -93,7 +98,7 @@ def test_omega_pairing_permutation_invariant():
     w = WeightVector((2, 2))
     state = StateVector.random(w, rng)
     for i, j in [(1, 2), (1, 4), (2, 3)]:
-        swapped = apply_permutation(i, j, state)
+        swapped = permutation_operator(i, j, w).apply(state)
         assert omega_pairing(swapped) == pytest.approx(omega_pairing(state), abs=1e-14)
 
 
@@ -157,3 +162,13 @@ def test_uniform_and_basis_state_normalization():
     one_hot = StateVector.basis_state(w, (1, 2, 1))
     assert one_hot.amplitudes[get_basis(w).index_of((1, 2, 1))] == 1.0
     assert one_hot.norm() == 1.0
+
+
+def test_max_or_nan_keeps_nan_and_values():
+    from kzcal.core import max_or_nan
+
+    assert max([1e-15, float("nan")]) == 1e-15  # what the builtin does
+    assert math.isnan(max_or_nan([1e-15, float("nan")]))
+    assert math.isnan(max_or_nan([float("nan"), 1e-15]))
+    values = [0.0, 3.5e-16, np.float64(1.25e-15), 7e-16]
+    assert max_or_nan(values) == max(values)

@@ -11,7 +11,11 @@ from kzcal.identities import (
     verify_twist_sum_identities,
 )
 from kzcal.instances import random_coordinates, random_instance, rng_for
-from kzcal.operators import apply_T
+from kzcal.operators import t_operator
+
+
+def T(i, j, state):
+    return t_operator(i, j, state.weight).apply(state)
 
 
 def test_scalar_identities_three_points():
@@ -98,7 +102,7 @@ def test_t_square_sum_coefficient_by_brute_force():
     for i in range(1, 4):
         for j in range(1, 4):
             if i != j:
-                total += omega_pairing(apply_T(i, j, apply_T(i, j, phi)))
+                total += omega_pairing(T(i, j, T(i, j, phi)))
     assert total == pytest.approx(-4.0 * omega_pairing(phi), rel=1e-12)
     assert verify_trig_identities(params, weight)["t_square_sum"].scaled < 1e-13
 
@@ -116,7 +120,7 @@ def test_t_triple_sum_coefficient_by_brute_force():
     from itertools import permutations
 
     for i, j, l in permutations((1, 2, 3), 3):
-        total += omega_pairing(apply_T(i, j, apply_T(i, l, phi)))
+        total += omega_pairing(T(i, j, T(i, l, phi)))
     assert total == pytest.approx(-2.0 * omega_pairing(phi), rel=1e-12)
     assert verify_trig_identities(params, weight)["t_triple_sum"].scaled < 1e-13
 

@@ -14,7 +14,6 @@ from kzcal.kz import (
     covariant_row,
     flatness_residual,
     integrate_path,
-    kz_rhs,
     mc_derivatives,
     mc_wavefunction,
 )
@@ -24,6 +23,12 @@ W11 = WeightVector((1, 1))
 
 GENTLE = ModelParams(n=3, N=2, x=(0.0, 1.1, 2.3), g=(1.0, 2.0), hbar=1.0, kappa=0.2)
 W21 = WeightVector((2, 1))
+
+
+def kz_rhs(i, state, conn):
+    """(1/hbar) H_i Phi, the right-hand side of dPhi/dx_i."""
+    out = conn.hamiltonian(i).apply(state)
+    return StateVector(state.weight, out.amplitudes / conn.params.hbar)
 
 
 def test_kz_rhs_hand_value():

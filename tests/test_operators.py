@@ -4,11 +4,7 @@ import pytest
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis, omega_pairing
 from kzcal.errors import InvalidSitesError, UnsupportedOrderError
 from kzcal.operators import (
-    LinearOperator,
-    apply_permutation,
     apply_site_matrix,
-    apply_T,
-    apply_twist,
     gaudin_derivative,
     gaudin_hamiltonian,
     permutation_operator,
@@ -33,6 +29,18 @@ def trig_instance(n=4, N=2, kappa=0.3, gamma=0.7, hbar=1.0):
     return rational_instance(n, N, kappa, hbar).replace(kind="trigonometric", gamma=gamma)
 
 
+def P(i, j, state):
+    return permutation_operator(i, j, state.weight).apply(state)
+
+
+def T(i, j, state):
+    return t_operator(i, j, state.weight).apply(state)
+
+
+def twist(i, state, params):
+    return twist_operator(i, params, state.weight).apply(state)
+
+
 # -- hand examples -------------------------------------------------------------
 
 
@@ -51,29 +59,29 @@ def test_gaudin_derivative_hand():
 
 def test_permutation_swap_and_involution():
     state = StateVector(W11, np.array([1.0, 0.0]))
-    swapped = apply_permutation(1, 2, state)
+    swapped = P(1, 2, state)
     np.testing.assert_allclose(swapped.amplitudes, [0.0, 1.0])
-    back = apply_permutation(1, 2, swapped)
+    back = P(1, 2, swapped)
     np.testing.assert_allclose(back.amplitudes, state.amplitudes)
 
 
 def test_t_action_cases():
     # letters (1,2): raise, (2,1): lower with sign, equal letters annihilate
     st12 = StateVector.basis_state(W11, (1, 2))
-    np.testing.assert_array_equal(apply_T(1, 2, st12).amplitudes, [0.0, 1.0])
+    np.testing.assert_array_equal(T(1, 2, st12).amplitudes, [0.0, 1.0])
     st21 = StateVector.basis_state(W11, (2, 1))
-    np.testing.assert_array_equal(apply_T(1, 2, st21).amplitudes, [-1.0, 0.0])
+    np.testing.assert_array_equal(T(1, 2, st21).amplitudes, [-1.0, 0.0])
     w2 = WeightVector((2,))
     st11 = StateVector.basis_state(w2, (1, 1))
-    np.testing.assert_array_equal(apply_T(1, 2, st11).amplitudes, [0.0])
+    np.testing.assert_array_equal(T(1, 2, st11).amplitudes, [0.0])
 
 
 def test_t_antisymmetry():
     rng = np.random.default_rng(0)
     w = WeightVector((2, 2))
     state = StateVector.random(w, rng)
-    a = apply_T(1, 3, state).amplitudes
-    b = apply_T(3, 1, state).amplitudes
+    a = T(1, 3, state).amplitudes
+    b = T(3, 1, state).amplitudes
     np.testing.assert_allclose(a, -b, atol=1e-15)
 
 
@@ -82,7 +90,7 @@ def test_t_square_case_analysis():
     basis = get_basis(w)
     for k, J in enumerate(basis.states):
         state = StateVector.basis_state(w, tuple(J))
-        out = apply_T(1, 3, apply_T(1, 3, state)).amplitudes
+        out = T(1, 3, T(1, 3, state)).amplitudes
         expected = np.zeros(basis.dim)
         if J[0] != J[2]:
             expected[k] = -1.0
@@ -91,8 +99,8 @@ def test_t_square_case_analysis():
 
 def test_twist_examples():
     state = StateVector.basis_state(W11, (1, 2))
-    np.testing.assert_allclose(apply_twist(1, state, HAND).amplitudes, state.amplitudes * 1.0)
-    np.testing.assert_allclose(apply_twist(2, state, HAND).amplitudes, state.amplitudes * 2.0)
+    np.testing.assert_allclose(twist(1, state, HAND).amplitudes, state.amplitudes * 1.0)
+    np.testing.assert_allclose(twist(2, state, HAND).amplitudes, state.amplitudes * 2.0)
 
 
 def test_total_twist_counts_letters():
@@ -102,7 +110,7 @@ def test_total_twist_counts_letters():
     for J in [(1, 1, 2, 2, 3), (3, 2, 1, 2, 1)]:
         state = StateVector.basis_state(w, J)
         total = sum(
-            apply_twist(i, state, params).amplitudes for i in range(1, 6)
+            twist(i, state, params).amplitudes for i in range(1, 6)
         )
         np.testing.assert_allclose(total, expected * state.amplitudes, atol=1e-14)
 
@@ -114,8 +122,8 @@ def test_twist_permutation_intertwining():
     w = WeightVector((2, 2))
     state = StateVector.random(w, rng)
     for i, j in [(1, 2), (2, 4), (1, 3)]:
-        lhs = apply_twist(i, apply_permutation(i, j, state), params).amplitudes
-        rhs = apply_permutation(i, j, apply_twist(j, state, params)).amplitudes
+        lhs = twist(i, P(i, j, state), params).amplitudes
+        rhs = P(i, j, twist(j, state, params)).amplitudes
         np.testing.assert_allclose(lhs, rhs, atol=1e-13)
 
 
@@ -127,10 +135,10 @@ def test_twist_t_mixed_identity():
     state = StateVector.random(w, rng)
     for i, j in [(1, 2), (3, 4), (2, 3)]:
         def gdiff(s):
-            a = apply_twist(i, s, params).amplitudes - apply_twist(j, s, params).amplitudes
+            a = twist(i, s, params).amplitudes - twist(j, s, params).amplitudes
             return StateVector(w, a)
 
-        lhs = gdiff(apply_T(i, j, state)).amplitudes + apply_T(i, j, gdiff(state)).amplitudes
+        lhs = gdiff(T(i, j, state)).amplitudes + T(i, j, gdiff(state)).amplitudes
         np.testing.assert_allclose(lhs, 0.0, atol=1e-13)
 
 
@@ -139,7 +147,7 @@ def test_omega_absorbs_permutation():
     w = WeightVector((2, 2))
     state = StateVector.random(w, rng)
     for i, j in [(1, 2), (2, 3), (1, 4)]:
-        assert omega_pairing(apply_permutation(i, j, state)) == pytest.approx(
+        assert omega_pairing(P(i, j, state)) == pytest.approx(
             omega_pairing(state), abs=1e-14
         )
 
@@ -331,11 +339,10 @@ def test_unsupported_derivative_order():
 
 
 def test_invalid_sites():
-    state = StateVector.uniform(W11)
     with pytest.raises(InvalidSitesError):
-        apply_permutation(1, 1, state)
+        permutation_operator(1, 1, W11)
     with pytest.raises(InvalidSitesError):
-        apply_T(0, 2, state)
+        t_operator(0, 2, W11)
 
 
 # -- operator plumbing ---------------------------------------------------------
@@ -365,47 +372,6 @@ def test_rmatvec_is_transpose():
     rng = np.random.default_rng(9)
     v = rng.standard_normal(w.dimension())
     np.testing.assert_allclose(op.rmatvec(v), dense.T @ v, atol=1e-13)
-
-
-def test_operator_algebra_against_dense():
-    params = rational_instance(n=3, N=2)
-    w = WeightVector((2, 1))
-    A = gaudin_hamiltonian(1, params, w)
-    B = gaudin_hamiltonian(2, params, w)
-    dA = A.materialize().toarray()
-    dB = B.materialize().toarray()
-    rng = np.random.default_rng(10)
-    v = rng.standard_normal(w.dimension())
-    np.testing.assert_allclose((A + B).matvec(v), (dA + dB) @ v, atol=1e-13)
-    np.testing.assert_allclose((2.5 * A).matvec(v), 2.5 * dA @ v, atol=1e-13)
-    np.testing.assert_allclose((A @ B).matvec(v), dA @ (dB @ v), atol=1e-13)
-    np.testing.assert_allclose((A @ B).rmatvec(v), (dA @ dB).T @ v, atol=1e-13)
-    np.testing.assert_allclose(LinearOperator.identity(w).matvec(v), v)
-
-
-def test_max_abs_norm_paths():
-    params = rational_instance(n=3, N=2, kappa=0.4)
-    w = WeightVector((2, 1))
-    op = gaudin_hamiltonian(1, params, w)
-    dense = np.abs(op.materialize().toarray()).max()
-    assert op.max_abs_norm() == pytest.approx(dense)
-    # sampled bound on the generic (composition) path stays below the product
-    squared = op @ op
-    assert squared.max_abs_norm() <= (dense * w.dimension()) ** 2
-
-
-def test_materialization_cache_roundtrip(tmp_path, monkeypatch):
-    from kzcal.operators import materialize_hamiltonian
-
-    monkeypatch.setenv("KZCAL_CACHE_DIR", str(tmp_path))
-    params = rational_instance(n=4, N=2)
-    w = WeightVector((2, 2))
-    first = materialize_hamiltonian(2, params, w)
-    cached_files = list(tmp_path.glob("H_*.npz"))
-    assert len(cached_files) == 1
-    second = materialize_hamiltonian(2, params, w)
-    assert (first != second).nnz == 0
-    assert len(list(tmp_path.glob("H_*.npz"))) == 1
 
 
 def test_trig_to_rational_limit():

@@ -1,0 +1,45 @@
+"""The names the traced benchmark run (perfbench/tracing.py) patches must exist.
+
+``perfbench/run.py --trace 1`` wraps kzcal from outside the package; a
+renamed or deleted function would only show up as a crash of the traced
+run, so the contract is pinned here.
+"""
+
+import importlib
+import pathlib
+import sys
+from collections import defaultdict
+
+import numpy as np
+
+from kzcal import core, kz, operators
+from kzcal.core import ModelParams, WeightVector
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+_write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in perfbench/
+import tracing  # noqa: E402  (importing it patches nothing)
+
+sys.dont_write_bytecode = _write_bytecode
+
+
+def test_traced_functions_resolve():
+    for module, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(f"kzcal.{module}"), attr)), (module, attr)
+    for name in ("matvec", "rmatvec", "materialize"):
+        assert callable(getattr(operators.TermOperator, name))
+    assert callable(core.WeightBasis.swap_table)
+    assert callable(kz.solve_ivp)
+
+
+def test_term_cost_reads_trigonometric_terms():
+    params = ModelParams(
+        n=4, N=2, x=(0.0, 1.1, 2.3, 3.2), g=(1.0, 2.0), hbar=1.0, kappa=0.3,
+        kind="trigonometric", gamma=0.7,
+    )
+    op = operators.gaudin_hamiltonian(2, params, WeightVector((2, 2)))
+    assert {term[0] for term in op.terms} == {"diag", "swap", "tswap"}
+    v = np.ones(op.dim, dtype=np.complex128)
+    counts = defaultdict(float)
+    tracing._term_cost(counts, (op, v), op.matvec(v))
+    assert counts["operators.term_apps"] == len(op.terms) == 1 + 2 * 3
+    assert counts["operators.bytes_computed"] > 3 * len(op.terms) * v.nbytes
