@@ -14,6 +14,7 @@ spread into an arithmetic string of length M_a and step 2 kappa gamma
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import mpmath
@@ -193,11 +194,22 @@ def _refine_longdouble(params, weight, vecs, real_vectors: bool) -> np.ndarray:
     return p
 
 
-def _mp_terms(i0: int, params: ModelParams, basis):
-    """Terms of H_i with mpmath coefficients; exact float inputs."""
-    g = np.array([mpmath.mpf(v) for v in params.g], dtype=object)
-    x = [mpmath.mpf(v) for v in params.x]
-    return site_terms(basis, i0, PairKernel(params, mpmath.mpf), g, x)
+def _mp_context(dps: int) -> mpmath.MPContext:
+    """A private mpmath context at dps digits.
+
+    Its precision belongs to the caller alone; the process-wide mpmath.mp
+    is shared by concurrent suite threads and is neither read nor changed.
+    """
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    return ctx
+
+
+def _mp_terms(ctx, i0: int, params: ModelParams, basis):
+    """Terms of H_i with coefficients in the context ctx; exact float inputs."""
+    g = np.array([ctx.mpf(v) for v in params.g], dtype=object)
+    x = [ctx.mpf(v) for v in params.x]
+    return site_terms(basis, i0, PairKernel(params, ctx.mpf), g, x)
 
 
 def _mp_apply(terms, v: list) -> list:
@@ -217,10 +229,10 @@ def _mp_apply(terms, v: list) -> list:
     return out
 
 
-def _mp_rayleigh(terms, v: list):
+def _mp_rayleigh(ctx, terms, v: list):
     mv = _mp_apply(terms, v)
-    num = mpmath.fsum(v[k] * mv[k] for k in range(len(v)))
-    den = mpmath.fsum(v[k] ** 2 for k in range(len(v)))
+    num = ctx.fsum(v[k] * mv[k] for k in range(len(v)))
+    den = ctx.fsum(v[k] ** 2 for k in range(len(v)))
     return num / den
 
 
@@ -237,35 +249,35 @@ def _refine_mpmath(params, weight, vecs, invit: bool) -> np.ndarray:
     basis = get_basis(weight)
     n, dim = params.n, vecs.shape[1]
     p = np.empty((n, dim), dtype=object)
-    with mpmath.workdps(60):
-        ham_terms = [_mp_terms(i0, params, basis) for i0 in range(n)]
+    ctx = _mp_context(60)
+    ham_terms = [_mp_terms(ctx, i0, params, basis) for i0 in range(n)]
+    if invit:
+        rng = np.random.Generator(np.random.Philox(12345))
+        combo = np.full((dim, dim), ctx.mpf(0), dtype=object)
+        for c, terms in zip(rng.standard_normal(n), ham_terms):
+            _add_dense(terms, combo, ctx.mpf(c))
+        combo_dense = ctx.matrix(combo.tolist())
+    for col in range(dim):
+        v = [ctx.mpf(float(vecs[k, col].real)) for k in range(vecs.shape[0])]
         if invit:
-            rng = np.random.Generator(np.random.Philox(12345))
-            combo = np.full((dim, dim), mpmath.mpf(0), dtype=object)
-            for c, terms in zip(rng.standard_normal(n), ham_terms):
-                _add_dense(terms, combo, mpmath.mpf(c))
-            combo_dense = mpmath.matrix(combo.tolist())
-        for col in range(dim):
-            v = [mpmath.mpf(float(vecs[k, col].real)) for k in range(vecs.shape[0])]
-            if invit:
-                lam = mpmath.fsum(
-                    v[k] * mpmath.fsum(combo_dense[k, j] * v[j] for j in range(dim))
+            lam = ctx.fsum(
+                v[k] * ctx.fsum(combo_dense[k, j] * v[j] for j in range(dim))
+                for k in range(dim)
+            ) / ctx.fsum(v[k] ** 2 for k in range(dim))
+            for _ in range(2):
+                shifted = combo_dense.copy()
+                offset = lam * ctx.mpf("1e-40") + ctx.mpf("1e-45")
+                for k in range(dim):
+                    shifted[k, k] -= lam + offset
+                w = ctx.lu_solve(shifted, ctx.matrix(v))
+                norm = ctx.sqrt(ctx.fsum(w[k] ** 2 for k in range(dim)))
+                v = [w[k] / norm for k in range(dim)]
+                lam = ctx.fsum(
+                    v[k] * ctx.fsum(combo_dense[k, j] * v[j] for j in range(dim))
                     for k in range(dim)
-                ) / mpmath.fsum(v[k] ** 2 for k in range(dim))
-                for _ in range(2):
-                    shifted = combo_dense.copy()
-                    offset = lam * mpmath.mpf("1e-40") + mpmath.mpf("1e-45")
-                    for k in range(dim):
-                        shifted[k, k] -= lam + offset
-                    w = mpmath.lu_solve(shifted, mpmath.matrix(v))
-                    norm = mpmath.sqrt(mpmath.fsum(w[k] ** 2 for k in range(dim)))
-                    v = [w[k] / norm for k in range(dim)]
-                    lam = mpmath.fsum(
-                        v[k] * mpmath.fsum(combo_dense[k, j] * v[j] for j in range(dim))
-                        for k in range(dim)
-                    )
-            for i in range(n):
-                p[i, col] = _mp_rayleigh(ham_terms[i], v)
+                )
+        for i in range(n):
+            p[i, col] = _mp_rayleigh(ctx, ham_terms[i], v)
     return p
 
 
@@ -367,41 +379,115 @@ def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
     return items
 
 
-def _mpf_from_longdouble(value) -> mpmath.mpf:
-    """Exact conversion: a longdouble is the sum of two doubles."""
-    if isinstance(value, (mpmath.mpf, mpmath.mpc)):
+def _mp_momentum(ctx, value):
+    """A refined momentum as an mpmath number; longdouble input is converted exactly into ctx.
+
+    An mpf/mpc passes through unchanged, at its own precision; a longdouble
+    is the exact sum of two doubles, added at the precision of ctx.
+    """
+    if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
         return value
+    if np.iscomplexobj(value):
+        return ctx.mpc(_mp_momentum(ctx, value.real), _mp_momentum(ctx, value.imag))
     head = float(value)
     tail = float(np.longdouble(value) - np.longdouble(head))
-    return mpmath.mpf(head) + mpmath.mpf(tail)
+    return ctx.mpf(head) + ctx.mpf(tail)
 
 
-def _lax_eigenvalues_hp(x, p_hp, params: ModelParams, dps: int = 40) -> np.ndarray:
-    """Lax eigenvalues via an extended-precision eigensolve of the n x n matrix.
+def _lax_eigenvalues_eig(p_hp, params: ModelParams, dps: int) -> np.ndarray:
+    """Lax eigenvalues via an mpmath eigensolve of the n x n matrix at dps digits.
 
-    Needed because the level-set Lax matrix is defective at repeated twist
-    values; an eigensolver splits a Jordan block of size m by the m-th root
-    of its backward error, so the working precision must grow with the
-    largest multiplicity.
+    The fallback of _lax_eigenvalues_hp, and its test oracle.  An eigensolver
+    splits a Jordan block of size m by the m-th root of its backward error,
+    so the working precision must grow with the largest multiplicity.
     """
-    n = len(x)
-    with mpmath.workdps(dps):
-        A = mpmath.zeros(n, n)
-        kern = PairKernel(params, mpmath.mpf)
-        for i in range(n):
-            pi = p_hp[i]
-            if np.iscomplexobj(p_hp):
-                A[i, i] = mpmath.mpc(
-                    _mpf_from_longdouble(pi.real), _mpf_from_longdouble(pi.imag)
-                )
-            else:
-                A[i, i] = _mpf_from_longdouble(pi)
-            for j in range(n):
-                if i == j:
-                    continue
-                A[i, j] = kern.lax(mpmath.mpf(x[i]) - mpmath.mpf(x[j]))
-        eigs = mpmath.eig(A, left=False, right=False)
-        return np.array([complex(e) for e in eigs])
+    n = params.n
+    ctx = _mp_context(dps)
+    kern = PairKernel(params, ctx.mpf)
+    x = [ctx.mpf(v) for v in params.x]
+    A = ctx.zeros(n, n)
+    for i in range(n):
+        A[i, i] = _mp_momentum(ctx, p_hp[i])
+        for j in range(n):
+            if i != j:
+                A[i, j] = kern.lax(x[i] - x[j])
+    return np.array([complex(e) for e in ctx.eig(A, left=False, right=False)])
+
+
+@functools.lru_cache(maxsize=8)
+def _lax_minors(params: ModelParams, dps: int):
+    """A context at dps digits and the terms of det(lambda - diag(p) - K) that p leaves fixed.
+
+    With K the Lax off-diagonal, det(lambda - diag(p) - K) is the sum over
+    subsets S of det(-K_S) prod_{i not in S} (lambda - p_i); the minors are
+    returned as (indices not in S, det(-K_S)).  K is antisymmetric, so odd
+    minors vanish and det(-K_S) = Pf(K_S)^2, each Pfaffian expanded along its
+    first row into smaller ones.  Only x, kind, kappa and gamma enter, so
+    every item of a sector shares one entry.  The context is only used for
+    arithmetic, which leaves its precision alone, so threads may share it.
+    """
+    n = params.n
+    ctx = _mp_context(dps)
+    kern = PairKernel(params, ctx.mpf)
+    x = [ctx.mpf(v) for v in params.x]
+    pfaffian = {0: ctx.one}
+    minors = [(tuple(range(n)), ctx.one)]
+    for mask in range(3, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        if len(members) % 2:
+            continue
+        first, total = members[0], ctx.zero
+        for k, j in enumerate(members[1:]):
+            term = kern.lax(x[first] - x[j]) * pfaffian[mask ^ (1 << first) ^ (1 << j)]
+            total = total - term if k % 2 else total + term
+        pfaffian[mask] = total
+        minors.append((tuple(i for i in range(n) if not mask >> i & 1), total * total))
+    return ctx, minors
+
+
+def _shifted_charpoly(minors, d: list, m: int) -> list:
+    """q_0..q_m, the coefficients of mu^k in det(c + mu - diag(p) - K), with d_i = c - p_i."""
+    q = [0] * (m + 1)
+    for rest, minor in minors:
+        poly = [minor]  # minor * prod (mu + d_i) over the indices so far, truncated at mu^m
+        for i in rest:
+            grown = [poly[0] * d[i]] + [poly[k] * d[i] + poly[k - 1] for k in range(1, len(poly))]
+            poly = grown + poly[-1:] if len(poly) <= m else grown
+        for k, coeff in enumerate(poly):
+            q[k] += coeff
+    return q
+
+
+def _lax_eigenvalues_hp(p_hp, params: ModelParams, target: np.ndarray, dps: int) -> np.ndarray:
+    """Lax eigenvalues from the characteristic polynomial at dps digits, cluster by cluster.
+
+    The level-set Lax matrix is defective at repeated targets, and a cluster
+    of m eigenvalues splits like the m-th root of the momentum error, so the
+    polynomial is expanded at each distinct target c in mu = lambda - c to
+    degree m, at dps digits; the float64 roots of that truncation, scaled to
+    unit size, give the cluster.  Where a root lies farther than 1e-3 of the
+    distance to the next target the truncation is not accurate (only a large
+    violation gets there) and the mpmath eigensolve answers instead.
+    """
+    ctx, minors = _lax_minors(params, dps)
+    p = [_mp_momentum(ctx, v) for v in p_hp]
+    centers, counts = np.unique(target, return_counts=True)
+    eigs = []
+    for k, (c, m) in enumerate(zip(centers, counts)):
+        m = int(m)
+        gap = np.min(np.abs(np.delete(centers, k) - c), initial=np.inf)
+        c_mp = ctx.mpf(c)
+        q = _shifted_charpoly(minors, [c_mp - pi for pi in p], m)
+        if not q[m]:
+            return _lax_eigenvalues_eig(p_hp, params, dps)
+        # the Fujiwara bound: every root of the truncation has |mu| < 2 s
+        scale = max(abs(q[j] / q[m]) ** (ctx.one / (m - j)) for j in range(m)) or ctx.one
+        nu = np.roots([complex(q[j] / (q[m] * scale ** (m - j))) for j in range(m, -1, -1)])
+        mu = float(scale) * nu
+        if not np.all(np.abs(mu) <= 1e-3 * gap):
+            return _lax_eigenvalues_eig(p_hp, params, dps)
+        eigs.append(c + mu)
+    return np.concatenate(eigs).astype(np.complex128)
 
 
 @dataclass(frozen=True)
@@ -435,24 +521,27 @@ def qc_check(
     params: ModelParams,
     weight: WeightVector,
     tol: float | None = None,
-    kmax: int = 4,
+    kmax: int | None = None,
 ) -> QcReport:
     """Compare the Lax spectrum at one joint eigen-tuple with the prediction.
 
     Sort-and-pair multiset matching (by real part, then the full complex
     distance as the metric); a mismatch above tolerance is reported as a
-    finding, not raised.
+    finding, not raised.  The traces tr L^k are compared for k = 1..kmax,
+    by default 1..n, where by Newton's identities they fix det(lambda - L).
     """
     if tol is None:
         tol = 1e-8 if params.kind == RATIONAL else 1e-7
+    if kmax is None:
+        kmax = params.n
     L = lax_matrix(params.x, item.p, params)
+    target = string_spectrum(weight, params)
     if item.p_hp is not None:
         dps = max(40, 15 * max(weight.M) + 10)
-        eigs = _lax_eigenvalues_hp(params.x, item.p_hp, params, dps=dps)
+        eigs = _lax_eigenvalues_hp(item.p_hp, params, target, dps)
     else:
         eigs = L.eigenvalues()
     eigs = eigs[np.argsort(eigs.real, kind="stable")]
-    target = string_spectrum(weight, params)
     mismatch = float(np.max(np.abs(eigs - target)))
     traces = classical_hamiltonians(L, kmax)
     trace_targets = [string_energy(weight, params, k) for k in range(1, kmax + 1)]

@@ -9,8 +9,8 @@ One kernel, in four roles:
     Lax off-diagonal          kappa / dx          kappa gamma / sinh(gamma dx)
 
 with dx = x_i - x_j.  The kernel computes in the caller's number type: float
-and numpy.longdouble through numpy, mpmath.mpf through mpmath at the current
-working precision.
+and numpy.longdouble through numpy, the mpf type of an mpmath context
+(``ctx.mpf``) through that context, at its precision.
 
 Every Hamiltonian in the package is a sum of such pair terms over the swap
 tables of the basis, assembled by ``hamiltonian_terms``; the float64 H_i, the
@@ -19,7 +19,6 @@ path-segment right-hand side and the extended-precision H_i all go through it.
 
 from __future__ import annotations
 
-import mpmath
 import numpy as np
 
 from .core import TRIGONOMETRIC, ModelParams, WeightBasis
@@ -28,13 +27,17 @@ __all__ = ["PairKernel", "pair_table", "t_term", "hamiltonian_terms", "site_term
 
 
 class PairKernel:
-    """The pair kernel of one instance in the number type `num` (float by default)."""
+    """The pair kernel of one instance in the number type `num` (float by default).
+
+    An mpf type brings its mpmath context along (``num.context``), whose
+    functions then evaluate the kernel.
+    """
 
     def __init__(self, params: ModelParams, num=float):
         self.trig = params.kind == TRIGONOMETRIC
         self.kappa = num(params.kappa)
         self.gamma = num(params.gamma)
-        self.lib = mpmath if num is mpmath.mpf else np
+        self.lib = getattr(num, "context", np)
 
     def p(self, dx, w=1):
         """Coefficient of P_ij in w H_i."""

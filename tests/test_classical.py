@@ -168,6 +168,116 @@ def test_qc_mismatch_is_a_finding_not_an_exception():
     assert "VIOLATION" in report.summary()
 
 
+def test_qc_traces_pin_the_characteristic_polynomial():
+    # n = 6: tr L^1..tr L^4 leave det(lambda - L) open; the default k = 1..n fixes it
+    x = (0.0, 1.3, -0.7, 2.2, 3.1, 4.4)
+    rational = ModelParams(n=6, N=2, x=x, g=(1.0, 2.2), hbar=1.0, kappa=0.35)
+    weight = WeightVector((3, 3))
+    for params in (rational, rational.replace(kind="trigonometric", gamma=0.5)):
+        for item in gaudin_joint_spectrum(params, weight, seed=4):
+            report = qc_check(item, params, weight)
+            assert len(report.traces) == 6
+            for k, trace in enumerate(report.traces, start=1):
+                energy = string_energy(weight, params, k)
+                assert report.trace_targets[k - 1] == energy
+                assert abs(trace - energy) < 1e-12 * abs(energy)
+
+
+def _oracle_sectors():
+    x = (0.0, 1.3, -0.7, 2.2, 3.1)
+    three = ModelParams(n=5, N=3, x=x, g=(1.0, 1.9, 3.1), hbar=1.0, kappa=0.35)
+    two = ModelParams(n=5, N=2, x=x, g=(1.0, 2.5), hbar=1.0, kappa=0.35)
+    return [
+        (three, WeightVector((2, 2, 1))),  # M_a = 1, 2
+        (three, WeightVector((3, 1, 1))),  # M_a = 3
+        (two, WeightVector((4, 1))),  # M_a = 4
+        (three.replace(kind="trigonometric", gamma=0.6), WeightVector((2, 2, 1))),
+        (two.replace(kind="trigonometric", gamma=0.6), WeightVector((3, 2))),
+    ]
+
+
+def _sorted_mismatch(eigs, target):
+    eigs = eigs[np.argsort(eigs.real, kind="stable")]
+    return float(np.max(np.abs(eigs - target)))
+
+
+@pytest.mark.parametrize("sector", range(5))
+def test_charpoly_lax_spectrum_matches_eig_oracle(sector, monkeypatch):
+    from kzcal import classical
+
+    params, weight = _oracle_sectors()[sector]
+    oracle = classical._lax_eigenvalues_eig
+    fallbacks = []
+    monkeypatch.setattr(classical, "_lax_eigenvalues_eig", lambda *a: fallbacks.append(a) or oracle(*a))
+    target = string_spectrum(weight, params)
+    dps = max(40, 15 * max(weight.M) + 10)
+    items = gaudin_joint_spectrum(params, weight, seed=11)
+    for item in items[:12]:
+        assert np.iscomplexobj(item.p_hp) == (params.kind == "trigonometric")
+        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(item.p_hp, params, target, dps), target)
+        ref = _sorted_mismatch(oracle(item.p_hp, params, dps), target)
+        assert abs(ours - ref) <= 1e-6 * ref + 1e-15
+    assert not fallbacks
+
+
+def test_shifted_momenta_take_the_eig_fallback(monkeypatch):
+    from kzcal import classical
+
+    params, weight = _oracle_sectors()[0]
+    item = gaudin_joint_spectrum(params, weight, seed=11)[0]
+    broken = JointSpectrumItem(
+        p=item.p + 0.05, eigvec=item.eigvec, residuals=item.residuals, p_hp=item.p_hp + 0.05
+    )
+    oracle = classical._lax_eigenvalues_eig
+    fallbacks = []
+    monkeypatch.setattr(classical, "_lax_eigenvalues_eig", lambda *a: fallbacks.append(a) or oracle(*a))
+    report = qc_check(broken, params, weight)
+    assert len(fallbacks) == 1
+    assert "VIOLATION" in report.summary()
+    dps = max(40, 15 * max(weight.M) + 10)
+    assert report.max_mismatch == _sorted_mismatch(oracle(broken.p_hp, params, dps), report.target_spectrum)
+    assert report.max_mismatch == pytest.approx(0.05, rel=1e-6)
+
+
+def test_qc_check_threads_share_the_minor_cache():
+    # more threads than cores on one sector's cached minors, while another
+    # thread keeps changing the global mpmath precision
+    import sys
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    import mpmath
+
+    from kzcal import classical
+
+    params, weight = _oracle_sectors()[1]
+    items = gaudin_joint_spectrum(params, weight, seed=11)
+    serial = [qc_check(item, params, weight).lax_eigenvalues for item in items]
+    classical._lax_minors.cache_clear()
+    saved_interval, saved_dps = sys.getswitchinterval(), mpmath.mp.dps
+    done = threading.Event()
+
+    def flip_precision():
+        while not done.is_set():
+            mpmath.mp.dps = 5 if mpmath.mp.dps != 5 else 90
+
+    flipper = threading.Thread(target=flip_precision)
+    try:
+        sys.setswitchinterval(1e-5)
+        flipper.start()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(qc_check, item, params, weight) for item in items]
+            threaded = [f.result(timeout=60).lax_eigenvalues for f in futures]
+    finally:
+        done.set()
+        flipper.join(timeout=10)
+        sys.setswitchinterval(saved_interval)
+        mpmath.mp.dps = saved_dps
+    assert not flipper.is_alive()
+    for a, b in zip(serial, threaded, strict=True):
+        assert np.array_equal(a, b)
+
+
 def test_partial_spectrum_large_sector():
     # above the dense limit the extraction is partial but still verified
     n = 14
@@ -233,9 +343,7 @@ def test_longdouble_hamiltonian_matches_kron_oracle(kind):
 
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 def test_mpmath_terms_match_kron_oracle(kind):
-    import mpmath
-
-    from kzcal.classical import _mp_apply, _mp_terms
+    from kzcal.classical import _mp_apply, _mp_context, _mp_terms
     from kzcal.core import get_basis
 
     from oracles import gaudin_full, restrict
@@ -243,12 +351,12 @@ def test_mpmath_terms_match_kron_oracle(kind):
     params = _oracle_instance(kind)
     weight = WeightVector((2, 1, 1))
     basis = get_basis(weight)
-    with mpmath.workdps(40):
-        for i in range(1, params.n + 1):
-            terms = _mp_terms(i - 1, params, basis)
-            full = restrict(gaudin_full(params, i), weight)
-            for k in range(basis.dim):
-                e_k = [mpmath.mpf(int(j == k)) for j in range(basis.dim)]
-                column = _mp_apply(terms, e_k)
-                assert all(isinstance(v, mpmath.mpf) for v in column)
-                np.testing.assert_allclose(np.array(column, dtype=float), full[:, k], rtol=0, atol=1e-14)
+    ctx = _mp_context(40)
+    for i in range(1, params.n + 1):
+        terms = _mp_terms(ctx, i - 1, params, basis)
+        full = restrict(gaudin_full(params, i), weight)
+        for k in range(basis.dim):
+            e_k = [ctx.mpf(int(j == k)) for j in range(basis.dim)]
+            column = _mp_apply(terms, e_k)
+            assert all(isinstance(v, ctx.mpf) for v in column)
+            np.testing.assert_allclose(np.array(column, dtype=float), full[:, k], rtol=0, atol=1e-14)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from kzcal import cli
-from kzcal.config import DEFAULT_TOLERANCES, load_config, validate_config
+from kzcal.config import DEFAULT_TOLERANCES, SUITE_NAMES, load_config, validate_config
 from kzcal.errors import ConfigError, DegenerateSpectrumError
 from kzcal.suites import emit_plot_data, run_suites
 
@@ -233,12 +233,20 @@ def test_cli_explicit_verify_instance(tmp_path):
 
 
 def test_jobs_parallel_matches_serial(tmp_path):
-    payload = dict(MINIMAL, suites=["mc-h2", "commutativity"])
+    # every suite on a config where a shared mpmath precision made jobs=2 fail qc-rational
+    payload = {
+        "suites": list(SUITE_NAMES),
+        "seed": 7,
+        "instance": {"random": {"n": 5, "N": 2, "count": 6, "dim_cap": 30}},
+    }
     config = load_config(write_config(tmp_path, payload))
     serial = run_suites(config, jobs=1)
-    parallel = run_suites(config, jobs=4)
-    assert serial.suites["mc-h2"].residuals == parallel.suites["mc-h2"].residuals
-    assert serial.suites["commutativity"].residuals == parallel.suites["commutativity"].residuals
+    for _ in range(3):
+        for jobs in (1, 2):
+            again = run_suites(config, jobs=jobs)
+            for name in SUITE_NAMES:
+                assert again.suites[name].residuals == serial.suites[name].residuals, (name, jobs)
+    assert serial.suites["qc-rational"].passed
 
 
 def test_nan_sub_check_fails_the_suite(tmp_path, monkeypatch):
