@@ -133,13 +133,10 @@ def string_energy(weight: WeightVector, params: ModelParams, k: int) -> float:
 
 
 def _attempt_joint_diagonalization(mats, dim, n, rng, symmetric):
+    """Diagonalize one random combination sum_i c_i H_i; the refinement reuses (c, eigenvalues)."""
     coeffs = rng.standard_normal(n)
-    combo = sum(c * m for c, m in zip(coeffs, mats))
-    dense = combo.toarray()
-    if symmetric:
-        _, vecs = np.linalg.eigh(dense)
-    else:
-        _, vecs = scipy.linalg.eig(dense)
+    combo = sum(c * m for c, m in zip(coeffs, mats)).toarray()
+    lam, vecs = (np.linalg.eigh if symmetric else scipy.linalg.eig)(combo)
     vecs = np.asarray(vecs, dtype=np.complex128)
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     p = np.empty((n, dim), dtype=np.complex128)
@@ -149,45 +146,38 @@ def _attempt_joint_diagonalization(mats, dim, n, rng, symmetric):
         p[i] = np.einsum("ij,ij->j", vecs.conj(), mv)
         residuals[i] = np.linalg.norm(mv - vecs * p[i], axis=0)
     worst = float(residuals.max()) if dim else 0.0
-    return p, vecs, residuals, worst
+    return vecs, residuals, worst, (coeffs, lam)
 
 
-def _add_dense(terms, out: np.ndarray, scale=1) -> np.ndarray:
-    """Add scale times the matrix of the terms into the dense array out, term by term.
-
-    Arrays stay left of scalars: an mpf on the left of an object array would
-    first try to convert the whole array.
-    """
+def _add_dense(terms, out: np.ndarray) -> np.ndarray:
+    """Add the matrix of the terms into the dense array out, term by term."""
     rows = np.arange(out.shape[0])
     for term in terms:
         if term[0] == "diag":
-            out[rows, rows] += term[1] * scale
+            out[rows, rows] += term[1]
         elif term[0] == "swap":
-            np.add.at(out, (rows, term[1]), scale * term[2])
+            np.add.at(out, (rows, term[1]), term[2])
         else:
-            np.add.at(out, (rows, term[1]), term[2] * (scale * term[3]))
+            np.add.at(out, (rows, term[1]), term[2] * term[3])
     return out
 
 
-def _refine_longdouble(params, weight, vecs, real_vectors: bool) -> np.ndarray:
+def _refine_longdouble(params, weight, vecs) -> np.ndarray:
     """Rayleigh quotients against the Hamiltonians rebuilt in longdouble.
 
-    The float64 materialization rounds each kappa/(x_i - x_j) entry; that
-    alone perturbs the joint eigenvalues by ~1e-15, which the defective Lax
-    spectrum amplifies to ~3e-8.  The float64 eigenvector error enters the
-    symmetric Rayleigh quotient only quadratically, so with exactly-rebuilt
-    entries the momentum error drops to longdouble rounding (~1e-17).
+    The float64 materialization rounds each pair coefficient, which alone
+    perturbs the joint eigenvalues by ~1e-15; the eigenvector error enters
+    the quotient only quadratically, so with exactly rebuilt entries the
+    momentum error drops to longdouble rounding (~1e-17).
     """
     basis = get_basis(weight)
     kern = PairKernel(params, np.longdouble)
     g = np.asarray(params.g, dtype=np.longdouble)
     x = np.asarray(params.x, dtype=np.longdouble)
-    scalar = np.longdouble if real_vectors else np.clongdouble
-    V = vecs.real.astype(np.longdouble) if real_vectors else vecs.astype(np.clongdouble)
+    V = vecs.astype(np.clongdouble)
     norms = np.einsum("ij,ij->j", V.conj(), V)
-    n = params.n
-    p = np.empty((n, vecs.shape[1]), dtype=scalar)
-    for i0 in range(n):
+    p = np.empty((params.n, vecs.shape[1]), dtype=np.clongdouble)
+    for i0 in range(params.n):
         dense = np.zeros((basis.dim, basis.dim), dtype=np.longdouble)
         mv = _add_dense(site_terms(basis, i0, kern, g, x), dense) @ V
         p[i0] = np.einsum("ij,ij->j", V.conj(), mv) / norms
@@ -205,90 +195,96 @@ def _mp_context(dps: int) -> mpmath.MPContext:
     return ctx
 
 
-def _mp_terms(ctx, i0: int, params: ModelParams, basis):
-    """Terms of H_i with coefficients in the context ctx; exact float inputs."""
-    g = np.array([ctx.mpf(v) for v in params.g], dtype=object)
+def _mp_coefficients(ctx, params: ModelParams):
+    """The twists g_a and {(i, j): p(x_i - x_j)} for i < j, in ctx; exact float inputs.
+
+    p is odd, so the P_ij coefficient of H_j is -p(x_i - x_j).
+    """
+    kern = PairKernel(params, ctx.mpf)
     x = [ctx.mpf(v) for v in params.x]
-    return site_terms(basis, i0, PairKernel(params, ctx.mpf), g, x)
+    n = params.n
+    pairs = {(i, j): kern.p(x[i] - x[j]) for i in range(n) for j in range(i + 1, n)}
+    return [ctx.mpf(v) for v in params.g], pairs
 
 
-def _mp_apply(terms, v: list) -> list:
-    """The terms applied to a list of mpf, in term order (the mpf form of apply_terms)."""
-    (_, diag), *pairs = terms
-    out = [diag[k] * v[k] for k in range(len(v))]
-    for term in pairs:
-        perm, coeff = term[1], term[-1]
-        if term[0] == "swap":
-            for k in range(len(v)):
-                out[k] += coeff * v[perm[k]]
-        else:
-            sign = term[2]
-            for k in range(len(v)):
-                if sign[k]:
-                    out[k] += coeff * int(sign[k]) * v[perm[k]]
-    return out
+def _dd(value) -> tuple[float, float]:
+    """An mpf as an unevaluated pair of doubles, hi + lo."""
+    hi = float(value)
+    return hi, float(value - hi)
 
 
-def _mp_rayleigh(ctx, terms, v: list):
-    mv = _mp_apply(terms, v)
-    num = ctx.fsum(v[k] * mv[k] for k in range(len(v)))
-    den = ctx.fsum(v[k] ** 2 for k in range(len(v)))
-    return num / den
+def _split(a):
+    """a = hi + lo exactly, each half with at most 26 significant bits (Dekker)."""
+    t = 134217729.0 * a
+    hi = t - (t - a)
+    return hi, a - hi
 
 
-def _refine_mpmath(params, weight, vecs, invit: bool) -> np.ndarray:
-    """Momenta at 60 digits from real float64 eigenvectors.
+def _exact_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise (Dekker)."""
+    p = a * b
+    (ah, al), (bh, bl) = _split(a), _split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
-    A Jordan block of size m amplifies momentum errors into eigenvalue
-    splittings of order delta^(1/m), so the quotient is evaluated in exact
-    arithmetic (it is quadratically accurate in the eigenvector error);
-    multiplicity >= 4 additionally re-converges the eigenvector by shifted
-    inverse iteration on the random combination.  The term structure keeps
-    one matvec at O(n dim) scalar operations.
+
+def _dd_residual(terms, Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """R = A Q - Q diag(lam) in double-double, rounded to float64 at the end.
+
+    A is the sum over terms (hi, lo, perm) of diag(hi + lo) times the row
+    permutation perm (None: identity).  Products are exact and sums keep
+    their rounding errors (two-sum), so R survives the cancellation.
+    """
+    hi, lo = _exact_product(Q, -lam)
+    for a_hi, a_lo, perm in terms:
+        block = Q if perm is None else Q[perm]
+        prod, err = _exact_product(a_hi, block)
+        total = hi + prod
+        back = total - hi
+        lo = lo + ((hi - (total - back)) + (prod - back)) + err + a_lo * block
+        hi = total
+    return hi + lo
+
+
+def _refine_newton(params, weight, Q: np.ndarray, coeffs, lam) -> np.ndarray:
+    """Momenta at 60 digits from the float64 eigenpairs (lam, Q) of A = sum_i c_i H_i.
+
+    A Jordan block of size m splits its eigenvalue by the m-th root of the
+    momentum error, so double precision is not enough.  One mixed-precision
+    Newton step (Dongarra, Moler and Wilkinson) refines every column: the
+    residual R of the exactly rebuilt A is taken in double-double and
+    D = Q ((Q^T R) / (lam_k - lam_j)) in float64, leaving v = Q - D, an exact
+    pair of doubles, with error of order |R|^2.  The symmetric Rayleigh
+    quotients of v are then summed at 60 digits: each pair sum v . P_ij v
+    serves H_i and H_j, and the twist part is grouped by letter.
     """
     basis = get_basis(weight)
-    n, dim = params.n, vecs.shape[1]
-    p = np.empty((n, dim), dtype=object)
+    n, dim = params.n, Q.shape[1]
     ctx = _mp_context(60)
-    ham_terms = [_mp_terms(ctx, i0, params, basis) for i0 in range(n)]
-    if invit:
-        rng = np.random.Generator(np.random.Philox(12345))
-        combo = np.full((dim, dim), ctx.mpf(0), dtype=object)
-        for c, terms in zip(rng.standard_normal(n), ham_terms):
-            _add_dense(terms, combo, ctx.mpf(c))
-        combo_dense = ctx.matrix(combo.tolist())
+    g, pairs = _mp_coefficients(ctx, params)
+    c = [ctx.mpf(float(v)) for v in coeffs]
+    letters = [basis.letters(i) - 1 for i in range(n)]
+    perms = {ij: basis.swap_table(*ij)[0] for ij in pairs}
+    terms = []
+    for i in range(n):
+        hi, lo = np.array([_dd(c[i] * ga) for ga in g]).T
+        terms.append((hi[letters[i], None], lo[letters[i], None], None))
+    for (i, j), coeff in pairs.items():
+        terms.append((*map(np.array, _dd((c[i] - c[j]) * coeff)), perms[i, j]))
+    gaps = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gaps, np.inf)
+    D = Q @ ((Q.T @ _dd_residual(terms, Q, lam)) / gaps)
+    by_letter = [[np.flatnonzero(row == a) for a in range(len(g))] for row in letters]
+    p = np.empty((n, dim), dtype=object)
     for col in range(dim):
-        v = [ctx.mpf(float(vecs[k, col].real)) for k in range(vecs.shape[0])]
-        if invit:
-            lam = ctx.fsum(
-                v[k] * ctx.fsum(combo_dense[k, j] * v[j] for j in range(dim))
-                for k in range(dim)
-            ) / ctx.fsum(v[k] ** 2 for k in range(dim))
-            for _ in range(2):
-                shifted = combo_dense.copy()
-                offset = lam * ctx.mpf("1e-40") + ctx.mpf("1e-45")
-                for k in range(dim):
-                    shifted[k, k] -= lam + offset
-                w = ctx.lu_solve(shifted, ctx.matrix(v))
-                norm = ctx.sqrt(ctx.fsum(w[k] ** 2 for k in range(dim)))
-                v = [w[k] / norm for k in range(dim)]
-                lam = ctx.fsum(
-                    v[k] * ctx.fsum(combo_dense[k, j] * v[j] for j in range(dim))
-                    for k in range(dim)
-                )
+        v = [ctx.mpf(a) - ctx.mpf(b) for a, b in zip(Q[:, col].tolist(), D[:, col].tolist())]
+        sq = [t * t for t in v]
+        shared = {ij: k * ctx.fdot(v, [v[r] for r in perms[ij]]) for ij, k in pairs.items()}
+        norm = ctx.fsum(sq)
         for i in range(n):
-            p[i, col] = _mp_rayleigh(ctx, ham_terms[i], v)
+            twist = [ga * ctx.fsum(sq[r] for r in rows) for ga, rows in zip(g, by_letter[i])]
+            pair = [shared[i, j] if i < j else -shared[j, i] for j in range(n) if j != i]
+            p[i, col] = ctx.fsum(twist + pair) / norm
     return p
-
-
-def _refine_momenta(params, weight, vecs, real_vectors: bool) -> np.ndarray:
-    # rational sectors with repeated twists feed a defective Lax matrix, so
-    # the momenta go through the exact-arithmetic quotient; trigonometric
-    # strings are simple eigenvalues and longdouble is already far below
-    # their tolerance
-    if params.kind == RATIONAL and real_vectors:
-        return _refine_mpmath(params, weight, vecs, invit=max(weight.M) >= 4)
-    return _refine_longdouble(params, weight, vecs, real_vectors)
 
 
 def gaudin_joint_spectrum(
@@ -324,32 +320,33 @@ def gaudin_joint_spectrum(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         )
-        p, vecs, residuals, worst = _attempt_joint_diagonalization(
-            mats, dim, n, rng, symmetric
-        )
-        if best is None or worst < best[-1]:
-            best = (p, vecs, residuals, worst)
-        if worst < quality:
+        trial = _attempt_joint_diagonalization(mats, dim, n, rng, symmetric)
+        if best is None or trial[2] < best[2]:
+            best = trial
+        if trial[2] < quality:
             break
-    p, vecs, residuals, worst = best
+    vecs, residuals, worst, (coeffs, lam) = best
     if worst >= tol:
         raise DegenerateSpectrumError(
             f"joint diagonalization residual {worst:.3e} exceeds {tol:.1e} after "
             f"{max_retries} re-randomizations; the sector may be degenerate"
         )
-    real_vectors = symmetric and float(np.max(np.abs(vecs.imag))) == 0.0
-    p_hp = _refine_momenta(params, weight, vecs, real_vectors)
-    items = []
-    for k in range(dim):
-        items.append(
-            JointSpectrumItem(
-                p=p_hp[:, k].astype(np.complex128),
-                eigvec=StateVector(weight, vecs[:, k].copy()),
-                residuals=residuals[:, k].copy(),
-                p_hp=p_hp[:, k].copy(),
-            )
+    # rational sectors with repeated twists feed a defective Lax matrix, so
+    # their momenta go to 60 digits; trigonometric strings are simple
+    # eigenvalues and longdouble is already far below their tolerance
+    if symmetric:
+        p_hp = _refine_newton(params, weight, vecs.real, coeffs, lam)
+    else:
+        p_hp = _refine_longdouble(params, weight, vecs)
+    return [
+        JointSpectrumItem(
+            p=p_hp[:, k].astype(np.complex128),
+            eigvec=StateVector(weight, vecs[:, k].copy()),
+            residuals=residuals[:, k].copy(),
+            p_hp=p_hp[:, k].copy(),
         )
-    return items
+        for k in range(dim)
+    ]
 
 
 def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
@@ -545,8 +542,10 @@ def qc_check(
     mismatch = float(np.max(np.abs(eigs - target)))
     traces = classical_hamiltonians(L, kmax)
     trace_targets = [string_energy(weight, params, k) for k in range(1, kmax + 1)]
+    # relative to sum |target|^k, which a cancelling power sum does not shrink
+    scales = [float(np.sum(np.abs(target) ** k)) for k in range(1, kmax + 1)]
     trace_err = max_or_nan(
-        [abs(t - s) / max(abs(s), 1e-30) for t, s in zip(traces, trace_targets)]
+        [abs(t - s) / max(a, 1e-30) for t, s, a in zip(traces, trace_targets, scales)]
     )
     return QcReport(
         kind=params.kind,

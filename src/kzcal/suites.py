@@ -202,9 +202,10 @@ def _qc_residual(params, weight, rng):
     items = gaudin_joint_spectrum(params, weight, seed=seed)
     gaps = [0.0]
     target_momentum = float(np.dot(weight.M, params.g))
+    momentum_scale = max(float(np.dot(weight.M, np.abs(params.g))), 1e-30)
     for item in items:
         report = qc_check(item, params, weight)
-        momentum_gap = abs(np.sum(item.p) - target_momentum) / max(abs(target_momentum), 1e-30)
+        momentum_gap = abs(np.sum(item.p) - target_momentum) / momentum_scale
         gaps += [report.max_mismatch, report.max_trace_rel_error, float(momentum_gap)]
     return max_or_nan(gaps)
 

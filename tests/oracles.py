@@ -9,6 +9,7 @@ itself pinned by exact examples.
 
 from functools import reduce
 
+import mpmath
 import numpy as np
 
 from kzcal.core import TRIGONOMETRIC, get_basis
@@ -76,3 +77,56 @@ def weight_rows(weight) -> np.ndarray:
 def restrict(mat: np.ndarray, weight) -> np.ndarray:
     rows = weight_rows(weight)
     return mat[np.ix_(rows, rows)]
+
+
+# -- extended-precision momenta by dense inverse iteration --------------------
+
+
+def gaudin_mp(ctx, params, i: int, weight):
+    """Rational H_i on the weight subspace as a dense matrix in the mpmath context ctx.
+
+    The 0/1 patterns come from the Kronecker oracles above, which are exact
+    in float64; each kappa / (x_i - x_j) is formed at the precision of ctx.
+    """
+    n, N = params.n, params.N
+    x = [ctx.mpf(v) for v in params.x]
+    out = ctx.matrix(restrict(twist_full(N, n, i, params.g), weight).tolist())
+    for j in range(1, n + 1):
+        if j != i:
+            pattern = ctx.matrix(restrict(permutation_full(N, n, i, j), weight).tolist())
+            out += pattern * (ctx.mpf(params.kappa) / (x[i - 1] - x[j - 1]))
+    return out
+
+
+def _rayleigh(mat, v):
+    return (v.T * mat * v)[0] / (v.T * v)[0]
+
+
+def refine_momenta_invit(params, weight, vecs, columns, dps: int = 60):
+    """Momenta of the given real eigenvector columns by dense shifted inverse iteration.
+
+    The slow reference for the mixed-precision refinement in
+    ``kzcal.classical``: a random combination of the dense mpf H_i, two
+    shifted inverse-iteration steps per column, each a fresh dps-digit
+    ``lu_solve`` of the whole combination, then the Rayleigh quotient of
+    every H_i.  Returns one list of n mpf momenta per column.
+    """
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    hams = [gaudin_mp(ctx, params, i, weight) for i in range(1, params.n + 1)]
+    rng = np.random.Generator(np.random.Philox(12345))
+    combo = ctx.zeros(hams[0].rows, hams[0].cols)
+    for c, ham in zip(rng.standard_normal(params.n), hams):
+        combo += ham * ctx.mpf(float(c))
+    eye = ctx.eye(combo.rows)
+    out = []
+    for col in columns:
+        v = ctx.matrix([float(a) for a in np.real(vecs[:, col])])
+        lam = _rayleigh(combo, v)
+        for _ in range(2):
+            shift = lam + lam * ctx.mpf("1e-40") + ctx.mpf("1e-45")
+            w = ctx.lu_solve(combo - eye * shift, v)
+            v = w / ctx.norm(w)
+            lam = _rayleigh(combo, v)
+        out.append([_rayleigh(ham, v) for ham in hams])
+    return out

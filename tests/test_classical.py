@@ -10,7 +10,7 @@ from kzcal.classical import (
     string_energy,
     string_spectrum,
 )
-from kzcal.core import ModelParams, StateVector, WeightVector
+from kzcal.core import ModelParams, StateVector, WeightVector, get_basis
 from kzcal.errors import SingularConfigurationError
 from kzcal.instances import random_instance, rng_for
 from kzcal.quantum import calogero_energy
@@ -322,7 +322,6 @@ def _oracle_instance(kind):
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 def test_longdouble_hamiltonian_matches_kron_oracle(kind):
     from kzcal.classical import _add_dense
-    from kzcal.core import get_basis
     from kzcal.kernel import PairKernel, site_terms
 
     from oracles import gaudin_full, restrict
@@ -343,20 +342,83 @@ def test_longdouble_hamiltonian_matches_kron_oracle(kind):
 
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 def test_mpmath_terms_match_kron_oracle(kind):
-    from kzcal.classical import _mp_apply, _mp_context, _mp_terms
-    from kzcal.core import get_basis
+    # the mpf twists and P_ij coefficients of the 60-digit refinement against
+    # the Kronecker oracle with its T_ij part taken out
+    from kzcal.classical import _mp_coefficients, _mp_context
 
-    from oracles import gaudin_full, restrict
+    from oracles import gaudin_full, permutation_full, restrict, t_full
 
     params = _oracle_instance(kind)
+    n, N = params.n, params.N
     weight = WeightVector((2, 1, 1))
-    basis = get_basis(weight)
+    letters = get_basis(weight).states - 1
     ctx = _mp_context(40)
-    for i in range(1, params.n + 1):
-        terms = _mp_terms(ctx, i - 1, params, basis)
-        full = restrict(gaudin_full(params, i), weight)
-        for k in range(basis.dim):
-            e_k = [ctx.mpf(int(j == k)) for j in range(basis.dim)]
-            column = _mp_apply(terms, e_k)
-            assert all(isinstance(v, ctx.mpf) for v in column)
-            np.testing.assert_allclose(np.array(column, dtype=float), full[:, k], rtol=0, atol=1e-14)
+    g, pairs = _mp_coefficients(ctx, params)
+    assert all(isinstance(v, ctx.mpf) for v in [*g, *pairs.values()])
+    assert sorted(pairs) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i in range(1, n + 1):
+        ours = np.diag([float(g[a]) for a in letters[:, i - 1]])
+        full = gaudin_full(params, i)
+        for j in range(1, n + 1):
+            if j != i:
+                coeff = pairs[i - 1, j - 1] if i < j else -pairs[j - 1, i - 1]
+                ours = ours + float(coeff) * restrict(permutation_full(N, n, i, j), weight)
+                if kind == "trigonometric":
+                    full = full - params.kappa * params.gamma * t_full(N, n, i, j)
+        np.testing.assert_allclose(ours, restrict(full, weight), rtol=0, atol=1e-14)
+
+
+def test_dd_residual_resolves_the_cancellation():
+    # R = A Q - Q diag(lam) at the float64 eigenpairs of A is ~1e-16 against
+    # entries ~1; the double-double evaluation must match exact arithmetic
+    from kzcal.classical import _dd, _dd_residual, _mp_context
+
+    ctx = _mp_context(60)
+    dim = 8
+    swap = np.array([3, 1, 2, 0, 4, 6, 5, 7])  # a symmetric row permutation
+    diag = [ctx.mpf(float(v)) / 3 for v in np.random.default_rng(5).standard_normal(dim)]
+    coupling = ctx.mpf(1) / 7
+    split = np.array([_dd(d) for d in diag])
+    terms = [(split[:, :1], split[:, 1:], None), (*map(np.array, _dd(coupling)), swap)]
+    dense = np.diag([float(d) for d in diag])
+    dense[np.arange(dim), swap] += float(coupling)
+    lam, Q = np.linalg.eigh(dense)
+    R = _dd_residual(terms, Q, lam)
+    Qmp = [[ctx.mpf(v) for v in row] for row in Q.tolist()]
+    for k in range(dim):
+        for j in range(dim):
+            exact = (diag[k] - lam[j]) * Qmp[k][j] + coupling * Qmp[swap[k]][j]
+            assert abs(ctx.mpf(R[k, j]) - exact) <= 1e-31 + 2**-52 * abs(exact)
+    assert np.max(np.abs(R)) > 1e-18  # the check is not vacuous
+
+
+@pytest.mark.parametrize("sector", range(3))
+def test_newton_momenta_match_invit_oracle(sector):
+    # M_a = 2, 3, 4: the one-step mixed-precision refinement against dense
+    # 60-digit inverse iteration (three columns of the dim-30 sector, all of
+    # the others)
+    from oracles import refine_momenta_invit
+
+    params, weight = _oracle_sectors()[sector]
+    assert max(weight.M) == sector + 2
+    items = gaudin_joint_spectrum(params, weight, seed=11)
+    vecs = np.stack([item.eigvec.amplitudes for item in items], axis=1)
+    columns = sorted({0, len(items) // 2, len(items) - 1}) if len(items) > 20 else range(len(items))
+    reference = refine_momenta_invit(params, weight, vecs, columns)
+    for col, ref in zip(columns, reference, strict=True):
+        for ours, theirs in zip(items[col].p_hp, ref, strict=True):
+            assert abs(ours - theirs) <= 1e-45 * abs(theirs)
+
+
+def test_trace_and_momentum_errors_at_a_vanishing_power_sum():
+    # g_1 + 2 g_2 = 0: tr L and the total momentum both target 0
+    from kzcal.suites import _qc_residual
+
+    params = ModelParams(n=3, N=2, x=(0.0, 1.1, 2.7), g=(-2.2, 1.1), hbar=1.0, kappa=0.3)
+    weight = WeightVector((1, 2))
+    for item in gaudin_joint_spectrum(params, weight, seed=1):
+        report = qc_check(item, params, weight)
+        assert report.trace_targets[0] == 0.0
+        assert report.ok
+        assert report.max_trace_rel_error < 1e-14
+    assert _qc_residual(params, weight, rng_for(1, "qc", 0)) < 1e-14

@@ -7,7 +7,7 @@ import pytest
 from kzcal import cli
 from kzcal.config import DEFAULT_TOLERANCES, SUITE_NAMES, load_config, validate_config
 from kzcal.errors import ConfigError, DegenerateSpectrumError
-from kzcal.suites import emit_plot_data, run_suites
+from kzcal.suites import build_instances, emit_plot_data, run_suites
 
 MINIMAL = {
     "suites": ["identities"],
@@ -247,6 +247,22 @@ def test_jobs_parallel_matches_serial(tmp_path):
             for name in SUITE_NAMES:
                 assert again.suites[name].residuals == serial.suites[name].residuals, (name, jobs)
     assert serial.suites["qc-rational"].passed
+
+
+def test_readme_config_passes_qc_rational_with_multiplicity_three(tmp_path):
+    # the README example's instances include (1,3,1)-type sectors, whose
+    # size-3 Jordan blocks need momenta far beyond double precision
+    payload = {
+        "suites": ["qc-rational"],
+        "seed": 12345,
+        "instance": {"random": {"n": 5, "N": 3, "count": 20, "kind": "rational"}},
+    }
+    config = load_config(write_config(tmp_path, payload))
+    assert any(max(w.M) == 3 for _, w in build_instances(config))
+    suite = run_suites(config).suites["qc-rational"]
+    assert suite.tolerance == 1e-8
+    assert suite.passed
+    assert suite.max_residual < 1e-8
 
 
 def test_nan_sub_check_fails_the_suite(tmp_path, monkeypatch):
