@@ -123,8 +123,8 @@ def _cmd_verify(args) -> int:
             f"({len(suite.residuals)} instances, {suite.wall_time_s:.2f}s)"
         )
     print("overall:", "PASS" if report.passed else "FAIL")
-    if args.plot_data:
-        emit_plot_data(report, out_path=args.plot_data)
+    if args.plot_data and emit_plot_data(report, out_path=args.plot_data) is None:
+        print("plot data: no parameter sweep in this report; nothing written")
     return report.exit_code
 
 

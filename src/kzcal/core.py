@@ -204,13 +204,12 @@ class WeightBasis:
         key = (i, j)
         tab = self._swap_cache.get(key)
         if tab is None:
-            swapped = self.states.copy()
-            swapped[:, [i, j]] = self.states[:, [j, i]]
-            perm = self.rank(self.encode(swapped))
-            sign = np.sign(
-                self.states[:, i].astype(np.int8) - self.states[:, j].astype(np.int8)
-            ).astype(np.int8)
-            tab = (perm, sign)
+            # exchanging letter a at site i with letter b at site j moves the
+            # code by (b - a)(N^(n-1-i) - N^(n-1-j))
+            b_minus_a = self.states[:, j] - self.states[:, i]
+            shift = self.N ** np.int64(self.n - 1 - i) - self.N ** np.int64(self.n - 1 - j)
+            perm = self.rank(self.codes + b_minus_a.astype(np.int64) * shift)
+            tab = (perm, np.sign(-b_minus_a))
             self._swap_cache[key] = tab
         return tab
 

@@ -12,6 +12,7 @@ through the all-ones covector, which also quantifies over every state at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import permutations
 
@@ -235,12 +236,12 @@ def verify_trig_identities(
     )
 
     if n >= 3:
+        t_ops = {(i, j): t_operator(i + 1, j + 1, weight) for i, j in permutations(range(n), 2)}
         omega = np.ones(basis.dim)
+        slid = {pair: op.rmatvec(omega) for pair, op in t_ops.items()}
         row = np.zeros(basis.dim)
         for i, j, l in permutations(range(n), 3):
-            tij = t_operator(i + 1, j + 1, weight)
-            til = t_operator(i + 1, l + 1, weight)
-            row += til.rmatvec(tij.rmatvec(omega))
+            row += t_ops[i, l].rmatvec(slid[i, j])
         expected = -(n * (n - 1) * (n - 2) - float(np.dot(M, (M - 1.0) * (M - 2.0)))) / 3.0
         scale = max(abs(expected), float(n * (n - 1) * (n - 2)))
         report["t_triple_sum"] = _entry(float(np.max(np.abs(row - expected))), scale)
@@ -249,67 +250,96 @@ def verify_trig_identities(
     return report
 
 
-def _sparse_max_abs_diff(a, b) -> float:
-    diff = (a - b).tocoo()
-    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+def _monomial_map(mat) -> tuple[np.ndarray, np.ndarray] | None:
+    """(col, val) with mat[r, col[r]] = val[r] the only entry of row r (val 0: empty row).
+
+    None when some row stores two entries.
+    """
+    counts = np.diff(mat.indptr)
+    if np.any(counts > 1):
+        return None
+    filled = counts == 1
+    col = np.zeros(mat.shape[0], dtype=np.int64)
+    val = np.zeros(mat.shape[0])
+    col[filled] = mat.indices
+    val[filled] = mat.data
+    return col, val
+
+
+def _compose(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Monomial map of the product A B; maps may carry leading batch axes."""
+    col_a, val_a = a
+    col_b, val_b = b
+    return (
+        np.take_along_axis(col_b, col_a, axis=-1),
+        val_a * np.take_along_axis(val_b, col_a, axis=-1),
+    )
+
+
+def _max_abs_entry(maps) -> float:
+    """Largest |entry| of the sum of the monomial maps, row by row."""
+    worst = [0.0]
+    for col, _ in maps:
+        total = sum(np.where(other == col, val, 0.0) for other, val in maps)
+        worst.append(float(np.max(np.abs(total))))
+    return max_or_nan(worst)
 
 
 def verify_t_case_tables(weight: WeightVector) -> float:
     """Exact case-table check of the signed swap on every basis state.
 
-    Verifies, in integer arithmetic on the materialized operators:
+    Verifies, in exact arithmetic on the materialized operators:
       * the single action (signed transposition, annihilation on equal letters),
       * the square (diagonal -1 on distinct letters, 0 otherwise),
       * the symmetrized triple product (minus a letter 3-cycle, 0 when all
         three letters coincide).
-    The expected matrices are rebuilt per basis state from the case analysis.
-    Returns the max absolute deviation (0.0 when all tables match exactly).
+    Each T_ij is read from its CSR matrix as a monomial map, row r ->
+    (column, value); products compose the maps.  The expected maps are
+    rebuilt per basis state from the case analysis, their columns by moving
+    letters in the base-N codes.  Returns the max absolute deviation (0.0
+    when all tables match exactly); inf when a T_ij stores two entries in one
+    row, which no signed swap does.
     """
-    import scipy.sparse as sp
-
     basis = get_basis(weight)
     n, dim = basis.n, basis.dim
-    states = basis.states
-    cols = np.arange(dim)
-    worst = 0.0
-    tmat = {}
-    for i0 in range(n):
-        for j0 in range(n):
-            if i0 != j0:
-                tmat[(i0, j0)] = t_operator(i0 + 1, j0 + 1, weight).materialize()
+    s = basis.states.T.astype(np.int64)
+    power = basis.N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # col[i0, j0], val[i0, j0]: the monomial map of T_ij (i0 = j0 unused)
+    col = np.zeros((n, n, dim), dtype=np.int64)
+    val = np.zeros((n, n, dim))
+    for i0, j0 in permutations(range(n), 2):
+        monomial = _monomial_map(t_operator(i0 + 1, j0 + 1, weight).materialize())
+        if monomial is None:
+            return math.inf
+        col[i0, j0], val[i0, j0] = monomial
 
-    for (i0, j0), mat in tmat.items():
-        a = states[:, i0].astype(int)
-        b = states[:, j0].astype(int)
-        mask = a != b
-        swapped = states.copy()
-        swapped[:, [i0, j0]] = states[:, [j0, i0]]
-        rows = basis.rank(basis.encode(swapped))
-        data = np.where(a < b, 1.0, -1.0)[mask]
-        expected = sp.coo_matrix(
-            (data, (rows[mask], cols[mask])), shape=(dim, dim)
-        ).tocsr()
-        worst = max(worst, _sparse_max_abs_diff(mat, expected))
+    # each expected map enters negated, so every sum below is actual - expected
+    worst = [0.0]
+    for i0, j0 in permutations(range(n), 2):
+        tij = (col[i0, [j0]], val[i0, [j0]])  # shape (1, dim): broadcasts over triples
+        swapped = basis.rank(basis.codes + (s[j0] - s[i0]) * (power[i0] - power[j0]))
+        single = (swapped, -np.sign(s[i0] - s[j0]).astype(float))
+        square = (np.arange(dim), (s[i0] != s[j0]).astype(float))
+        worst.append(_max_abs_entry([tij, single]))
+        worst.append(_max_abs_entry([_compose(tij, tij), square]))
 
-        sq_expected = sp.diags(np.where(mask, -1.0, 0.0))
-        worst = max(worst, _sparse_max_abs_diff(mat @ mat, sq_expected))
-
-    for i0, j0, l0 in permutations(range(n), 3):
-        sym = (
-            tmat[(i0, j0)] @ tmat[(i0, l0)]
-            + tmat[(l0, j0)] @ tmat[(i0, j0)]
-            + tmat[(i0, l0)] @ tmat[(j0, l0)]
+        # the n - 2 triples (i, j, l) at once: T_ij T_il + T_lj T_ij + T_il T_jl
+        # against minus the map r -> (r with letters i <- l, j <- i, l <- j)
+        ls = [l0 for l0 in range(n) if l0 not in (i0, j0)]
+        if not ls:
+            continue
+        til = (col[i0, ls], val[i0, ls])
+        tlj = (col[ls, j0], val[ls, j0])
+        tjl = (col[j0, ls], val[j0, ls])
+        si, sj, sl = s[i0], s[j0], s[ls]
+        cycled = basis.rank(
+            basis.codes
+            + (sl - si) * power[i0]
+            + (si - sj) * power[j0]
+            + (sj - sl) * power[ls][:, None]
         )
-        a = states[:, i0].astype(int)
-        b = states[:, j0].astype(int)
-        c = states[:, l0].astype(int)
-        mask = ~((a == b) & (b == c))
-        cycled = states.copy()
-        cycled[:, [l0, i0, j0]] = states[:, [i0, j0, l0]]
-        rows = basis.rank(basis.encode(cycled))
-        expected = sp.coo_matrix(
-            (np.full(int(mask.sum()), -1.0), (rows[mask], cols[mask])),
-            shape=(dim, dim),
-        ).tocsr()
-        worst = max(worst, _sparse_max_abs_diff(sym, expected))
-    return worst
+        cycle = (cycled, (~((si == sj) & (sj == sl))).astype(float))
+        worst.append(
+            _max_abs_entry([_compose(tij, til), _compose(tlj, tij), _compose(til, tjl), cycle])
+        )
+    return max_or_nan(worst)

@@ -46,6 +46,7 @@ __all__ = [
     "integrate_path",
     "mc_wavefunction",
     "mc_derivatives",
+    "commutator_actions",
     "flatness_residual",
 ]
 
@@ -83,29 +84,34 @@ class KzConnection:
         return op
 
 
-def covariant_power(i: int, k: int, state: StateVector, conn: KzConnection) -> StateVector:
-    """What (hbar d/dx_i)^k Phi equals for a KZ solution with value `state`."""
-    if k not in (1, 2, 3):
-        raise UnsupportedOrderError(f"covariant power must be 1..3, got {k}")
+def _covariant_powers(i: int, max_order: int, v: np.ndarray, conn: KzConnection) -> list:
+    """[A_1 v, ..., A_max_order v] for site i, applying H_i to v once."""
     hbar = conn.params.hbar
     H = conn.hamiltonian(i)
-    v = state.amplitudes
     u1 = H.matvec(v)
-    if k == 1:
-        return StateVector(state.weight, u1)
+    if max_order == 1:
+        return [u1]
     dH = conn.derivative(i, order=1)
     w = dH.matvec(v)
-    u2 = hbar * w + H.matvec(u1)
-    if k == 2:
-        return StateVector(state.weight, u2)
+    hu1 = H.matvec(u1)
+    u2 = hbar * w + hu1
+    if max_order == 2:
+        return [u1, u2]
     d2H = conn.derivative(i, order=2)
     u3 = (
         hbar**2 * d2H.matvec(v)
         + 2.0 * hbar * dH.matvec(u1)
         + hbar * H.matvec(w)
-        + H.matvec(H.matvec(u1))
+        + H.matvec(hu1)
     )
-    return StateVector(state.weight, u3)
+    return [u1, u2, u3]
+
+
+def covariant_power(i: int, k: int, state: StateVector, conn: KzConnection) -> StateVector:
+    """What (hbar d/dx_i)^k Phi equals for a KZ solution with value `state`."""
+    if k not in (1, 2, 3):
+        raise UnsupportedOrderError(f"covariant power must be 1..3, got {k}")
+    return StateVector(state.weight, _covariant_powers(i, k, state.amplitudes, conn)[-1])
 
 
 def covariant_row(i: int, k: int, conn: KzConnection) -> np.ndarray:
@@ -248,10 +254,23 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
     hbar = conn.params.hbar
     out = np.empty((max_order, n), dtype=np.complex128)
     for i in range(1, n + 1):
-        for k in range(1, max_order + 1):
-            dk = covariant_power(i, k, state, conn)
-            out[k - 1, i - 1] = omega_pairing(dk) / hbar**k
+        for k, uk in enumerate(_covariant_powers(i, max_order, state.amplitudes, conn), 1):
+            out[k - 1, i - 1] = omega_pairing(StateVector(state.weight, uk)) / hbar**k
     return out
+
+
+def commutator_actions(conn: KzConnection, v: np.ndarray):
+    """Yield (i, j, [H_i, H_j] v) for 1 <= i < j <= n as H_i (H_j v) - H_j (H_i v).
+
+    Each u_i = H_i v is computed once and kept, so a sweep over all pairs
+    applies the H_i n + n(n-1) times instead of 2n(n-1).
+    """
+    n = conn.params.n
+    u = [conn.hamiltonian(i).matvec(v) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        Hi = conn.hamiltonian(i)
+        for j in range(i + 1, n + 1):
+            yield i, j, Hi.matvec(u[j - 1]) - conn.hamiltonian(j).matvec(u[i - 1])
 
 
 def flatness_residual(
@@ -267,12 +286,8 @@ def flatness_residual(
     v = StateVector.random(weight, rng).amplitudes
     residuals = [0.0]
     hbar = params.hbar
-    for i in range(1, params.n + 1):
-        Hi = conn.hamiltonian(i)
-        for j in range(i + 1, params.n + 1):
-            Hj = conn.hamiltonian(j)
-            dji = conn.derivative(i, j).matvec(v)
-            dij = conn.derivative(j, i).matvec(v)
-            comm = Hi.matvec(Hj.matvec(v)) - Hj.matvec(Hi.matvec(v))
-            residuals.append(float(np.linalg.norm(hbar * (dji - dij) + comm)))
+    for i, j, comm in commutator_actions(conn, v):
+        dji = conn.derivative(i, j).matvec(v)
+        dij = conn.derivative(j, i).matvec(v)
+        residuals.append(float(np.linalg.norm(hbar * (dji - dij) + comm)))
     return max_or_nan(residuals)

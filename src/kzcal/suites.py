@@ -13,8 +13,8 @@ from __future__ import annotations
 import datetime
 import json
 import os
-import tempfile
 import time
+import uuid
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -40,7 +40,13 @@ from .identities import (
     verify_twist_sum_identities,
 )
 from .instances import random_instance, rng_for
-from .kz import KzConnection, PathSpec, flatness_residual, integrate_path
+from .kz import (
+    KzConnection,
+    PathSpec,
+    commutator_actions,
+    flatness_residual,
+    integrate_path,
+)
 from .quantum import (
     calogero_energy,
     h2_covector_residual,
@@ -63,7 +69,6 @@ class SuiteResult:
     wall_time_s: float
     instances: list[dict]
     sweep: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -90,8 +95,6 @@ class SuiteResult:
         }
         if self.sweep:
             out["sweep"] = self.sweep
-        if self.notes:
-            out["notes"] = self.notes
         return out
 
 
@@ -162,13 +165,7 @@ def _suite_identities(params, weight, rng):
 def _suite_commutativity(params, weight, rng):
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
-    norms = [0.0]
-    for i in range(1, params.n + 1):
-        Hi = conn.hamiltonian(i)
-        for j in range(i + 1, params.n + 1):
-            Hj = conn.hamiltonian(j)
-            comm = Hi.matvec(Hj.matvec(v)) - Hj.matvec(Hi.matvec(v))
-            norms.append(float(np.linalg.norm(comm)))
+    norms = [0.0] + [float(np.linalg.norm(comm)) for _, _, comm in commutator_actions(conn, v)]
     return max_or_nan(norms)
 
 
@@ -338,9 +335,19 @@ def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
                 f"{s.median_residual!r},{s.tolerance!r}"
             )
         payload = "\n".join(lines) + "\n"
+    _write_atomic(path, payload)
+
+
+def _write_atomic(path: str, payload: str) -> None:
+    """Write payload to path through a temp file in the same directory and a rename.
+
+    The temp file is created with mode 0o666 less the umask, as open() would
+    create the file itself; the rename keeps that mode.
+    """
     directory = os.path.dirname(os.path.abspath(path)) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"{os.path.basename(path)}.{uuid.uuid4().hex}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(payload)
@@ -352,25 +359,20 @@ def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
 
 
 def emit_plot_data(report: RunReport | dict, kind: str = "residual-vs-param", out_path: str = "sweep.csv"):
-    """Two-column CSV (parameter value, residual) from a sweep, LF endings.
+    """CSV (suite, parameter value, residual) of every swept suite, LF endings, atomic.
 
-    Returns the path written, or None (with a notice) when the report holds
+    Returns the path written, or None (writing nothing) when the report holds
     no sweep data.
     """
     if kind != "residual-vs-param":
         raise ValueError(f"unknown plot kind {kind!r}")
     data = report.to_dict() if isinstance(report, RunReport) else report
-    rows = []
-    for suite in data.get("suites", {}).values():
-        for entry in suite.get("sweep", []):
-            rows.append((entry["value"], entry["max_residual"]))
-        if rows:
-            break
+    rows = [
+        f"{name},{entry['value']!r},{entry['max_residual']!r}"
+        for name, suite in data.get("suites", {}).items()
+        for entry in suite.get("sweep", [])
+    ]
     if not rows:
-        print("emit_plot_data: no parameter sweep in this report; nothing written")
         return None
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("parameter,residual\n")
-        for value, residual in rows:
-            fh.write(f"{value!r},{residual!r}\n")
+    _write_atomic(out_path, "\n".join(["suite,parameter,residual", *rows]) + "\n")
     return out_path

@@ -4,15 +4,20 @@ These reconstruct every elementary operator on the full tensor space
 (C^N)^(x n) from first principles (numpy.kron chains) and restrict to a
 weight subspace by row/column selection.  They share no code with the
 matrix-free implementation beyond the basis enumeration order, which is
-itself pinned by exact examples.
+itself pinned by exact examples.  The slow references at the end are the
+dense and sparse computations that the package's fast paths replaced; the
+case-table reference checks the package's own materialized T_ij.
 """
 
 from functools import reduce
+from itertools import permutations
 
 import mpmath
 import numpy as np
+import scipy.sparse as sp
 
 from kzcal.core import TRIGONOMETRIC, get_basis
+from kzcal.operators import t_operator
 
 
 def elementary(N: int, a: int, b: int) -> np.ndarray:
@@ -130,3 +135,66 @@ def refine_momenta_invit(params, weight, vecs, columns, dps: int = 60):
             lam = _rayleigh(combo, v)
         out.append([_rayleigh(ham, v) for ham in hams])
     return out
+
+
+# -- signed-swap case tables by sparse matrix products -------------------------
+
+
+def _sparse_max_abs_diff(a, b) -> float:
+    diff = (a - b).tocoo()
+    return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
+
+
+def t_case_tables_sparse(weight) -> float:
+    """The slow reference for ``kzcal.identities.verify_t_case_tables``.
+
+    Multiplies the materialized T_ij as scipy.sparse matrices and compares
+    the single action, the square and the symmetrized triple product with
+    expected matrices built by exchanging letters in a copy of the basis
+    states and re-encoding.  Returns the max absolute deviation.
+    """
+    basis = get_basis(weight)
+    n, dim = basis.n, basis.dim
+    states = basis.states
+    cols = np.arange(dim)
+    worst = 0.0
+    tmat = {
+        (i0, j0): t_operator(i0 + 1, j0 + 1, weight).materialize()
+        for i0, j0 in permutations(range(n), 2)
+    }
+
+    for (i0, j0), mat in tmat.items():
+        a = states[:, i0].astype(int)
+        b = states[:, j0].astype(int)
+        mask = a != b
+        swapped = states.copy()
+        swapped[:, [i0, j0]] = states[:, [j0, i0]]
+        rows = basis.rank(basis.encode(swapped))
+        data = np.where(a < b, 1.0, -1.0)[mask]
+        expected = sp.coo_matrix(
+            (data, (rows[mask], cols[mask])), shape=(dim, dim)
+        ).tocsr()
+        worst = max(worst, _sparse_max_abs_diff(mat, expected))
+
+        sq_expected = sp.diags(np.where(mask, -1.0, 0.0))
+        worst = max(worst, _sparse_max_abs_diff(mat @ mat, sq_expected))
+
+    for i0, j0, l0 in permutations(range(n), 3):
+        sym = (
+            tmat[(i0, j0)] @ tmat[(i0, l0)]
+            + tmat[(l0, j0)] @ tmat[(i0, j0)]
+            + tmat[(i0, l0)] @ tmat[(j0, l0)]
+        )
+        a = states[:, i0].astype(int)
+        b = states[:, j0].astype(int)
+        c = states[:, l0].astype(int)
+        mask = ~((a == b) & (b == c))
+        cycled = states.copy()
+        cycled[:, [l0, i0, j0]] = states[:, [i0, j0, l0]]
+        rows = basis.rank(basis.encode(cycled))
+        expected = sp.coo_matrix(
+            (np.full(int(mask.sum()), -1.0), (rows[mask], cols[mask])),
+            shape=(dim, dim),
+        ).tocsr()
+        worst = max(worst, _sparse_max_abs_diff(sym, expected))
+    return worst

@@ -100,6 +100,22 @@ def test_report_written_atomically(tmp_path):
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_written_files_follow_the_umask(tmp_path):
+    # a report or plot file gets the mode open() gives a new file, not the
+    # 0o600 of a private temp file
+    import stat
+
+    reference = tmp_path / "reference.txt"
+    reference.write_text("")
+    payload = dict(
+        MINIMAL, output=str(tmp_path / "report.json"), sweep={"param": "kappa", "values": [0.2]}
+    )
+    report = run_suites(load_config(write_config(tmp_path, payload)))
+    emit_plot_data(report, out_path=str(tmp_path / "sweep.csv"))
+    for name in ("report.json", "sweep.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+
+
 def test_exit_code_pass_and_fail(tmp_path):
     path = write_config(tmp_path, MINIMAL)
     assert cli.main(["verify", "--config", path]) == 0
@@ -139,19 +155,29 @@ def test_seed_override_changes_instances(tmp_path):
 def test_sweep_and_plot_data(tmp_path):
     payload = dict(
         MINIMAL,
-        suites=["trig-mc"],
+        suites=["trig-mc", "mc-h2"],
         sweep={"param": "gamma", "values": [1e-1, 1e-2, 1e-3]},
     )
     config = load_config(write_config(tmp_path, payload))
     report = run_suites(config)
     rows = report.suites["trig-mc"].sweep
     assert [r["value"] for r in rows] == [1e-1, 1e-2, 1e-3]
-    out = tmp_path / "sweep.csv"
+    out = tmp_path / "plots" / "sweep.csv"
     assert emit_plot_data(report, out_path=str(out)) == str(out)
     text = out.read_text()
-    assert text.startswith("parameter,residual\n")
-    assert text.count("\n") == 4
     assert "\r" not in text
+    lines = text.split("\n")
+    assert lines[0] == "suite,parameter,residual"
+    assert lines[-1] == ""
+    # every swept suite, one row per value, in report order
+    assert [line.split(",")[:2] for line in lines[1:-1]] == [
+        [name, repr(value)] for name in ("trig-mc", "mc-h2") for value in (1e-1, 1e-2, 1e-3)
+    ]
+    for line, entry in zip(lines[4:-1], report.suites["mc-h2"].sweep):
+        assert float(line.split(",")[2]) == entry["max_residual"]
+    assert emit_plot_data(report.to_dict(), out_path=str(out)) == str(out)
+    assert out.read_text() == text
+    assert sorted(p.name for p in out.parent.iterdir()) == ["sweep.csv"]  # no temp file left
 
 
 def test_hbar_sweep_is_flat_at_machine_epsilon(tmp_path):
@@ -175,10 +201,14 @@ def test_tolerance_scale_flag(tmp_path):
 
 
 def test_plot_data_without_sweep(tmp_path, capsys):
-    config = load_config(write_config(tmp_path, MINIMAL))
-    report = run_suites(config)
+    path = write_config(tmp_path, MINIMAL)
+    report = run_suites(load_config(path))
+    capsys.readouterr()
     out = tmp_path / "none.csv"
     assert emit_plot_data(report, out_path=str(out)) is None
+    assert capsys.readouterr().out == ""  # the library writes nothing and prints nothing
+    assert not out.exists()
+    assert cli.main(["verify", "--config", path, "--plot-data", str(out)]) == 0
     assert "no parameter sweep" in capsys.readouterr().out
     assert not out.exists()
 

@@ -145,6 +145,25 @@ def test_basis_rank_roundtrip():
         basis.index_of((1, 1, 1, 1, 1))  # wrong weight
 
 
+@pytest.mark.parametrize("M", [(3, 3), (2, 1, 2), (2, 3, 1, 2)])
+def test_swap_table_matches_copy_and_encode(M):
+    # the code arithmetic against exchanging the two columns of a copy of
+    # the states and re-encoding, on every site pair
+    basis = get_basis(WeightVector(M))
+    states = basis.states
+    for i in range(basis.n):
+        for j in range(i + 1, basis.n):
+            swapped = states.copy()
+            swapped[:, [i, j]] = states[:, [j, i]]
+            perm, sign = basis.swap_table(i, j)
+            np.testing.assert_array_equal(perm, basis.rank(basis.encode(swapped)))
+            np.testing.assert_array_equal(
+                sign, np.sign(states[:, i].astype(int) - states[:, j].astype(int))
+            )
+            assert sign.dtype == np.int8
+            assert basis.swap_table(j, i)[0] is perm
+
+
 def test_enumerate_basis_large_subspace():
     # multinomial count holds at the tens-of-thousands scale too
     weight = WeightVector((9, 9))

@@ -1,6 +1,11 @@
+import math
+from itertools import product
+
 import numpy as np
+import oracles
 import pytest
 
+from kzcal import identities
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis, omega_pairing
 from kzcal.identities import (
     rational_scalar_identity_report,
@@ -151,3 +156,53 @@ def test_coth_sum_value_directly():
 def test_t_case_tables_exact_small():
     for M in [(1, 1), (2, 1), (2, 2), (1, 1, 1), (3, 2)]:
         assert verify_t_case_tables(WeightVector(M)) == 0.0
+
+
+def _weights(n, N):
+    return [WeightVector(M) for M in product(range(n + 1), repeat=N) if sum(M) == n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_t_case_tables_match_sparse_oracle(n):
+    for weight in _weights(n, 2) + _weights(n, 3):
+        assert verify_t_case_tables(weight) == oracles.t_case_tables_sparse(weight) == 0.0
+
+
+@pytest.mark.parametrize("M", [(1, 11), (2, 10)])
+def test_t_case_tables_match_sparse_oracle_n12(M):
+    weight = WeightVector(M)
+    assert verify_t_case_tables(weight) == oracles.t_case_tables_sparse(weight) == 0.0
+
+
+def test_t_case_tables_catch_a_flipped_orientation(monkeypatch):
+    # T_32 built with the orientation of T_23: the single action, the square
+    # and the triples through that pair all go wrong, by the same amount in both
+    def flipped(i, j, weight):
+        op = t_operator(i, j, weight)
+        if (i, j) == (3, 2):
+            op.terms = [(tag, perm, sign, -coeff) for tag, perm, sign, coeff in op.terms]
+        return op
+
+    monkeypatch.setattr(identities, "t_operator", flipped)
+    monkeypatch.setattr(oracles, "t_operator", flipped)
+    for M in [(2, 1), (1, 1, 1), (2, 2), (3, 2, 1)]:
+        weight = WeightVector(M)
+        fast = verify_t_case_tables(weight)
+        assert fast > 0.0
+        assert fast == oracles.t_case_tables_sparse(weight)
+
+
+def test_t_case_tables_reject_two_entries_in_a_row(monkeypatch):
+    # T_12 + 1 stores two entries in the rows with distinct letters at sites
+    # 1 and 2, which no signed swap does
+    def plus_identity(i, j, weight):
+        op = t_operator(i, j, weight)
+        if (i, j) == (1, 2):
+            op.terms = op.terms + [("diag", np.ones(op.dim))]
+        return op
+
+    monkeypatch.setattr(identities, "t_operator", plus_identity)
+    monkeypatch.setattr(oracles, "t_operator", plus_identity)
+    weight = WeightVector((2, 1))
+    assert verify_t_case_tables(weight) == math.inf
+    assert oracles.t_case_tables_sparse(weight) > 0.0

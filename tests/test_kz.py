@@ -10,6 +10,7 @@ from kzcal.errors import (
 from kzcal.kz import (
     KzConnection,
     PathSpec,
+    commutator_actions,
     covariant_power,
     covariant_row,
     flatness_residual,
@@ -17,6 +18,7 @@ from kzcal.kz import (
     mc_derivatives,
     mc_wavefunction,
 )
+from kzcal.suites import _suite_commutativity
 
 HAND = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
 W11 = WeightVector((1, 1))
@@ -252,3 +254,56 @@ def test_flatness_residual_small_both_kinds():
     assert flatness_residual(GENTLE, W21, rng) < 1e-12
     trig = GENTLE.replace(kind="trigonometric", gamma=0.6)
     assert flatness_residual(trig, W21, rng) < 1e-12
+
+
+PAIRS = ModelParams(
+    n=5, N=3, x=(0.0, 1.1, 2.3, -0.9, 3.4), g=(1.0, 2.0, 2.7), hbar=0.9, kappa=0.35,
+    gamma=0.6,
+)
+W221 = WeightVector((2, 2, 1))
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_cached_h_actions_match_per_pair_recomputation(kind):
+    # H_i v computed once per site gives bitwise the residuals of applying
+    # H_j then H_i afresh for every pair and every order
+    params = PAIRS.replace(kind=kind)
+    conn = KzConnection(params, W221)
+    hbar = params.hbar
+    pairs = [(i, j) for i in range(1, 6) for j in range(i + 1, 6)]
+
+    v = StateVector.random(W221, np.random.default_rng(11)).amplitudes
+    comms = []
+    for i, j in pairs:
+        Hi, Hj = conn.hamiltonian(i), conn.hamiltonian(j)
+        comms.append(Hi.matvec(Hj.matvec(v)) - Hj.matvec(Hi.matvec(v)))
+    cached = list(commutator_actions(conn, v))
+    assert [(i, j) for i, j, _ in cached] == pairs
+    for (_, _, got), want in zip(cached, comms):
+        np.testing.assert_array_equal(got, want)
+    norms = [0.0] + [float(np.linalg.norm(c)) for c in comms]
+    assert _suite_commutativity(params, W221, np.random.default_rng(11)) == max(norms)
+
+    curvature = [0.0]
+    for (i, j), comm in zip(pairs, comms):
+        dji = conn.derivative(i, j).matvec(v)
+        dij = conn.derivative(j, i).matvec(v)
+        curvature.append(float(np.linalg.norm(hbar * (dji - dij) + comm)))
+    assert flatness_residual(params, W221, np.random.default_rng(11)) == max(curvature)
+
+    phi = StateVector(W221, v)
+    ders = mc_derivatives(phi, conn, max_order=3)
+    for i in range(1, 6):
+        H, dH, d2H = conn.hamiltonian(i), conn.derivative(i), conn.derivative(i, order=2)
+        powers = [
+            H.matvec(v),
+            hbar * dH.matvec(v) + H.matvec(H.matvec(v)),
+            hbar**2 * d2H.matvec(v)
+            + 2.0 * hbar * dH.matvec(H.matvec(v))
+            + hbar * H.matvec(dH.matvec(v))
+            + H.matvec(H.matvec(H.matvec(v))),
+        ]
+        for k, power in enumerate(powers, 1):
+            assert ders[k - 1, i - 1] == complex(np.sum(power)) / hbar**k
+            assert mc_derivatives(phi, conn, max_order=k)[k - 1, i - 1] == ders[k - 1, i - 1]
+            np.testing.assert_array_equal(covariant_power(i, k, phi, conn).amplitudes, power)
