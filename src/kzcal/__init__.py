@@ -51,9 +51,7 @@ from .kz import (
     mc_wavefunction,
 )
 from .quantum import (
-    EigenReport,
     calogero_energy,
-    eigen_report,
     h2_covector_residual,
     h3_covector_residual,
     momentum_covector_residual,

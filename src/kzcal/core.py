@@ -219,29 +219,20 @@ class WeightBasis:
 
 
 def _enumerate_states(weight: WeightVector) -> np.ndarray:
-    """All multi-indices with the given letter counts, lexicographic order."""
-    n, N = weight.n, weight.N
-    dim = weight.dimension()
-    out = np.empty((dim, n), dtype=np.int8)
-    counts = list(weight.M)
-    row = np.empty(n, dtype=np.int8)
-    pos = 0
+    """All multi-indices with the given letter counts, lexicographic order.
 
-    def fill(k: int) -> None:
-        nonlocal pos
-        if k == n:
-            out[pos] = row
-            pos += 1
-            return
-        for a in range(N):
-            if counts[a] > 0:
-                counts[a] -= 1
-                row[k] = a + 1
-                fill(k + 1)
-                counts[a] += 1
-
-    fill(0)
-    return out
+    The prefixes grow one site at a time.  ``np.nonzero`` walks the letters
+    still available to each prefix in row-major order, which is parent order,
+    then letter order, so every level stays lexicographic.
+    """
+    states = np.empty((1, 0), dtype=np.int8)
+    left = np.array([weight.M], dtype=np.int64)
+    for _ in range(weight.n):
+        parent, letter = np.nonzero(left > 0)
+        states = np.column_stack((states[parent], (letter + 1).astype(np.int8)))
+        left = left[parent]
+        left[np.arange(parent.size), letter] -= 1
+    return states
 
 
 @lru_cache(maxsize=256)

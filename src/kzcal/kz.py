@@ -36,7 +36,13 @@ from .errors import (
     UnsupportedOrderError,
 )
 from .kernel import PairKernel, hamiltonian_terms, pair_table
-from .operators import TermOperator, apply_terms, gaudin_derivative, gaudin_hamiltonian
+from .operators import (
+    TermOperator,
+    apply_terms,
+    csr_rows,
+    gaudin_derivative,
+    gaudin_hamiltonian,
+)
 
 __all__ = [
     "KzConnection",
@@ -46,7 +52,7 @@ __all__ = [
     "integrate_path",
     "mc_wavefunction",
     "mc_derivatives",
-    "commutator_actions",
+    "commutator_norms",
     "flatness_residual",
 ]
 
@@ -205,6 +211,7 @@ def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> 
 
     The result is deterministic for fixed inputs.  Segments of zero length are
     skipped exactly, so a trivial path returns the initial amplitudes bitwise.
+    Initial amplitudes with zero imaginary part are integrated in float64.
     """
     if initial.weight != conn.weight:
         raise InvalidWeightError("initial state is not in the connection's subspace")
@@ -215,7 +222,11 @@ def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> 
     for s in snaps:
         if min_pairwise_gap(s) <= eps:
             raise SingularPathError("a path snapshot has coincident coordinates")
-    y = initial.amplitudes.copy()
+    y = initial.amplitudes
+    if not np.any(y.imag):
+        # every H_i is real, so a real state stays real along the path
+        y = y.real
+    y = y.copy()
     for a, b in zip(snaps[:-1], snaps[1:]):
         if np.array_equal(a, b):
             continue
@@ -259,18 +270,66 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
     return out
 
 
-def commutator_actions(conn: KzConnection, v: np.ndarray):
-    """Yield (i, j, [H_i, H_j] v) for 1 <= i < j <= n as H_i (H_j v) - H_j (H_i v).
+#: rows per block of the commutator sweeps.  A block holds the CSR rows of
+#: all n H_i, their product with the n columns of U = [H_1 v ... H_n v] and
+#: those rows of every pair's commutator: about 25 MB at n = 14.
+SWEEP_ROWS = 2048
 
-    Each u_i = H_i v is computed once and kept, so a sweep over all pairs
-    applies the H_i n + n(n-1) times instead of 2n(n-1).
+
+def _commutator_blocks(conn: KzConnection, v: np.ndarray):
+    """Yield (rows, C) per row block; C[p] is rows of [H_i, H_j] v for the p-th pair i < j.
+
+    U = [H_1 v ... H_n v] is formed once.  Each block then multiplies the
+    rows of every H_a by U's real view in one CSR product, whose rows sum in
+    the order of ``TermOperator.matvec``, so C[p] equals the rows of
+    H_i (H_j v) - H_j (H_i v) bitwise.
     """
+    n, dim = conn.params.n, conn.basis.dim
+    if n < 2:
+        return
+    hams = [conn.hamiltonian(a) for a in range(1, n + 1)]
+    U = np.empty((dim, n), dtype=np.complex128)
+    for a, H in enumerate(hams):
+        U[:, a] = H.matvec(v)
+    Ur = U.view(np.float64)
+    I, J = np.triu_indices(n, 1)
+    for lo in range(0, dim, SWEEP_ROWS):
+        hi = min(lo + SWEEP_ROWS, dim)
+        # W[a, r, b] = (H_a u_b)[lo + r]
+        W = (csr_rows(hams, lo, hi) @ Ur).view(np.complex128).reshape(n, hi - lo, n)
+        yield slice(lo, hi), W[I, :, J] - W[J, :, I]
+
+
+def _block_norms(blocks, npairs: int) -> np.ndarray:
+    """Per-pair 2-norms: squared moduli summed within each block, then over blocks in order."""
+    total = np.zeros(npairs)
+    for _, C in blocks:
+        total += np.sum(C.real * C.real + C.imag * C.imag, axis=1)
+    return np.sqrt(total)
+
+
+def commutator_norms(conn: KzConnection, v: np.ndarray) -> np.ndarray:
+    """||[H_i, H_j] v|| for 1 <= i < j <= n, in that pair order."""
     n = conn.params.n
-    u = [conn.hamiltonian(i).matvec(v) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        Hi = conn.hamiltonian(i)
-        for j in range(i + 1, n + 1):
-            yield i, j, Hi.matvec(u[j - 1]) - conn.hamiltonian(j).matvec(u[i - 1])
+    return _block_norms(_commutator_blocks(conn, v), n * (n - 1) // 2)
+
+
+def _curvature_blocks(conn: KzConnection, v: np.ndarray):
+    """Yield (rows, C) per row block; C[p] is rows of the curvature action of the p-th pair.
+
+    The curvature of the connection hbar d_i - H_i in directions (i, j) is
+    hbar (d_j H_i - d_i H_j) + [H_i, H_j]; its derivative rows come from one
+    CSR product of the rows of every d_j H_i with v's real view.
+    """
+    n, hbar = conn.params.n, conn.params.hbar
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    ders = [conn.derivative(i, j) for i, j in pairs] + [conn.derivative(j, i) for i, j in pairs]
+    vr = v.view(np.float64).reshape(-1, 2)
+    for rows, C in _commutator_blocks(conn, v):
+        # D[0, p] = rows of d_j H_i v, D[1, p] = rows of d_i H_j v
+        D = csr_rows(ders, rows.start, rows.stop) @ vr
+        D = D.view(np.complex128).reshape(2, len(pairs), rows.stop - rows.start)
+        yield rows, hbar * (D[0] - D[1]) + C
 
 
 def flatness_residual(
@@ -278,16 +337,9 @@ def flatness_residual(
 ) -> float:
     """Max curvature action over site pairs on a random unit state.
 
-    The curvature of the connection hbar d_i - H_i in directions (i, j) is
-    hbar (d_j H_i - d_i H_j) + [H_i, H_j]; it vanishes identically for both
-    kernel kinds.
+    The curvature vanishes identically for both kernel kinds.
     """
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
-    residuals = [0.0]
-    hbar = params.hbar
-    for i, j, comm in commutator_actions(conn, v):
-        dji = conn.derivative(i, j).matvec(v)
-        dij = conn.derivative(j, i).matvec(v)
-        residuals.append(float(np.linalg.norm(hbar * (dji - dij) + comm)))
-    return max_or_nan(residuals)
+    npairs = params.n * (params.n - 1) // 2
+    return max_or_nan([0.0, *_block_norms(_curvature_blocks(conn, v), npairs)])

@@ -29,6 +29,7 @@ from .kernel import PairKernel, site_terms, t_term
 __all__ = [
     "TermOperator",
     "apply_terms",
+    "csr_rows",
     "apply_site_matrix",
     "weight_operator",
     "twist_operator",
@@ -71,31 +72,49 @@ class TermOperator:
         return StateVector(self.weight, self.matvec(state.amplitudes))
 
     def materialize(self) -> sp.csr_matrix:
-        dim = self.dim
-        rows, cols, data = [], [], []
-        arange = np.arange(dim)
-        for term in self.terms:
+        """The operator as a CSR matrix with duplicate entries summed."""
+        mat = csr_rows([self], 0, self.dim)
+        mat.sum_duplicates()
+        return mat
+
+
+def csr_rows(ops: list[TermOperator], lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo:hi of each operator, stacked in operator order, as one CSR matrix.
+
+    Each row holds one entry per term, in term order, with int32 indices; the
+    zero entries of a signed swap are left out and duplicate columns are not
+    summed.  A CSR product therefore sums each row in the order, and with the
+    roundings, of ``apply_terms``.
+    """
+    width = max(len(op.terms) for op in ops)
+    shape = (len(ops), hi - lo, width)
+    col = np.empty(shape, dtype=np.int32)
+    val = np.empty(shape)
+    keep = np.zeros(shape, dtype=bool)
+    for o, op in enumerate(ops):
+        for k, term in enumerate(op.terms):
             tag = term[0]
+            keep[o, :, k] = True
             if tag == "diag":
-                rows.append(arange)
-                cols.append(arange)
-                data.append(np.asarray(term[1]))
+                col[o, :, k] = np.arange(lo, hi)
+                val[o, :, k] = term[1][lo:hi]
             elif tag == "swap":
-                _, perm, coeff = term
-                rows.append(arange)
-                cols.append(perm)
-                data.append(np.full(dim, coeff))
+                col[o, :, k] = term[1][lo:hi]
+                val[o, :, k] = term[2]
             else:
                 _, perm, sign, coeff = term
-                keep = sign != 0
-                rows.append(arange[keep])
-                cols.append(perm[keep])
-                data.append(coeff * sign[keep].astype(float))
-        mat = sp.coo_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(dim, dim),
-        )
-        return mat.tocsr()
+                col[o, :, k] = perm[lo:hi]
+                val[o, :, k] = coeff * sign[lo:hi]
+                keep[o, :, k] = sign[lo:hi] != 0
+    nrows = len(ops) * (hi - lo)
+    if keep.all():  # every row has `width` entries: skip the masking passes
+        indptr = np.arange(0, nrows * width + 1, width, dtype=np.int32)
+        arrays = (val.ravel(), col.ravel(), indptr)
+    else:
+        indptr = np.zeros(nrows + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
+        arrays = (val[keep], col[keep], indptr)
+    return sp.csr_matrix(arrays, shape=(nrows, ops[0].dim))
 
 
 def apply_terms(terms: list[tuple], v: np.ndarray, transpose: bool = False) -> np.ndarray:

@@ -12,7 +12,6 @@ integrator-limited cross-check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +27,11 @@ from .kernel import PairKernel
 from .kz import KzConnection, covariant_row, mc_derivatives, mc_wavefunction
 
 __all__ = [
-    "EigenReport",
     "calogero_energy",
     "h2_covector_residual",
     "h3_covector_residual",
     "momentum_covector_residual",
     "pde_residual_on_solution",
-    "eigen_report",
-    "explore_quartic_relation",
 ]
 
 #: floor on |E Psi| below which residuals are reported in absolute terms
@@ -44,16 +40,6 @@ RESIDUAL_FLOOR = 1e-30
 H2 = "h2"
 H3 = "h3"
 MOMENTUM = "momentum"
-
-
-@dataclass(frozen=True)
-class EigenReport:
-    """One verified eigen-relation: predicted eigenvalue and relative residual."""
-
-    relation: str  # H2_rational | H2_trig | H3_rational | momentum
-    predicted_eigenvalue: complex
-    residual: float
-    instance: dict
 
 
 def calogero_energy(weight: WeightVector, params: ModelParams, k: int) -> float:
@@ -192,112 +178,3 @@ def pde_residual_on_solution(
         )
         return abs(lhs - target)
     return abs(lhs - target) / abs(target)
-
-
-def _relation_name(relation: str, params: ModelParams) -> str:
-    if relation == H2:
-        return "H2_trig" if params.kind == TRIGONOMETRIC else "H2_rational"
-    if relation == H3:
-        return "H3_rational"
-    return "momentum"
-
-
-def eigen_report(relation: str, params: ModelParams, weight: WeightVector) -> EigenReport:
-    """Covector residual of one relation packaged with its predicted eigenvalue."""
-    if relation == H2:
-        residual = h2_covector_residual(params, weight)
-        energy = calogero_energy(weight, params, 2)
-    elif relation == H3:
-        residual = h3_covector_residual(params, weight)
-        energy = calogero_energy(weight, params, 3)
-    elif relation == MOMENTUM:
-        residual = momentum_covector_residual(params, weight)
-        energy = float(np.dot(weight.M, params.g))
-    else:
-        raise UnsupportedRelationError(f"unknown relation {relation!r}")
-    instance = {
-        "n": params.n,
-        "N": params.N,
-        "M": list(weight.M),
-        "kind": params.kind,
-        "hbar": params.hbar,
-        "kappa": params.kappa,
-        "gamma": params.gamma,
-    }
-    return EigenReport(_relation_name(relation, params), energy, residual, instance)
-
-
-def explore_quartic_relation(params: ModelParams, weight: WeightVector) -> float:
-    """Numerical probe of the conjectured quartic eigen-relation (rational kind).
-
-    If a fourth Hamiltonian of the usual hierarchy shape (leading sum_i d^4_i
-    plus lower-order derivative terms with x-dependent coefficients)
-    diagonalizes the projected solutions with eigenvalue sum_a M_a g_a^4, then
-    sum_i omega^T A_4^(i) minus that eigenvalue row must lie in the span of
-    the lower-order covariant rows.  Returns the relative out-of-span
-    residual.  Exploratory output only; never part of acceptance.
-    """
-    if params.kind != RATIONAL:
-        raise UnsupportedRelationError("quartic probe implemented for rational kind")
-    conn = KzConnection(params, weight)
-    n, hbar = params.n, params.hbar
-    x = np.asarray(params.x)
-    dim = conn.basis.dim
-    omega = np.ones(dim)
-
-    def third_kernel_row(i: int) -> np.ndarray:
-        # omega^T d^3H_i/dx_i^3; the swap tables absorb into the all-ones row
-        total = sum(
-            -6.0 * params.kappa / (x[i - 1] - x[j0]) ** 4
-            for j0 in range(n)
-            if j0 != i - 1
-        )
-        return total * omega
-
-    # A_3 = hbar^2 H'' + 2 hbar H' H + hbar H H' + H^3   (primes are d/dx_i)
-    # d/dx_i A_3 = hbar^2 H''' + 2 hbar (H'' H + H' H') + hbar (H' H' + H H'')
-    #              + H' H^2 + H H' H + H^2 H'
-    # A_4 = hbar d/dx_i A_3 + A_3 H
-    target = np.zeros(dim)
-    for i in range(1, n + 1):
-        H = conn.hamiltonian(i)
-        dH = conn.derivative(i, order=1)
-        d2H = conn.derivative(i, order=2)
-        r1 = H.rmatvec(omega)
-        r3 = covariant_row(i, 3, conn)
-        w1 = dH.rmatvec(omega)
-        d2_row = d2H.rmatvec(omega)
-        dA3 = (
-            hbar**2 * third_kernel_row(i)
-            + 2.0 * hbar * H.rmatvec(d2_row)
-            + 3.0 * hbar * dH.rmatvec(w1)
-            + hbar * d2H.rmatvec(r1)
-            + H.rmatvec(H.rmatvec(w1))
-            + H.rmatvec(dH.rmatvec(r1))
-            + dH.rmatvec(H.rmatvec(r1))
-        )
-        target += hbar * dA3 + H.rmatvec(r3)
-    e4 = float(np.dot(np.asarray(weight.M, float), np.asarray(params.g) ** 4))
-    target -= e4 * omega
-
-    # span of rows available to a hierarchy-shaped quartic Hamiltonian:
-    # constants, first derivatives, mixed second derivatives, third powers
-    rows = [omega]
-    for i in range(1, n + 1):
-        rows.append(conn.hamiltonian(i).rmatvec(omega))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i == j:
-                rows.append(covariant_row(i, 2, conn))
-            else:
-                rows.append(
-                    hbar * conn.derivative(i, j, order=1).rmatvec(omega)
-                    + conn.hamiltonian(j).rmatvec(conn.hamiltonian(i).rmatvec(omega))
-                )
-    for i in range(1, n + 1):
-        rows.append(covariant_row(i, 3, conn))
-    A = np.stack(rows, axis=1)
-    coeffs, *_ = np.linalg.lstsq(A, target, rcond=None)
-    leftover = target - A @ coeffs
-    scale = max(float(np.max(np.abs(target))), 1.0)
-    return float(np.max(np.abs(leftover))) / scale

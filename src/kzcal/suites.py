@@ -43,7 +43,7 @@ from .instances import random_instance, rng_for
 from .kz import (
     KzConnection,
     PathSpec,
-    commutator_actions,
+    commutator_norms,
     flatness_residual,
     integrate_path,
 )
@@ -165,8 +165,7 @@ def _suite_identities(params, weight, rng):
 def _suite_commutativity(params, weight, rng):
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
-    norms = [0.0] + [float(np.linalg.norm(comm)) for _, _, comm in commutator_actions(conn, v)]
-    return max_or_nan(norms)
+    return max_or_nan([0.0, *commutator_norms(conn, v)])
 
 
 def _suite_flatness(params, weight, rng):

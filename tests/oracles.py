@@ -5,7 +5,9 @@ These reconstruct every elementary operator on the full tensor space
 weight subspace by row/column selection.  They share no code with the
 matrix-free implementation beyond the basis enumeration order, which is
 itself pinned by exact examples.  The slow references at the end are the
-dense and sparse computations that the package's fast paths replaced; the
+computations that the package's fast paths replaced: dense and sparse
+products, the recursive basis enumeration, the COO assembly of a CSR matrix,
+the per-pair commutator actions and the complex path integration.  The
 case-table reference checks the package's own materialized T_ij.
 """
 
@@ -15,8 +17,11 @@ from itertools import permutations
 import mpmath
 import numpy as np
 import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 
-from kzcal.core import TRIGONOMETRIC, get_basis
+from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
+from kzcal.errors import IntegrationFailureError
+from kzcal.kz import _check_segment, _segment_rhs
 from kzcal.operators import t_operator
 
 
@@ -198,3 +203,104 @@ def t_case_tables_sparse(weight) -> float:
         ).tocsr()
         worst = max(worst, _sparse_max_abs_diff(sym, expected))
     return worst
+
+
+# -- basis enumeration, CSR assembly, commutators, path integration ------------
+
+
+def enumerate_states_recursive(weight) -> np.ndarray:
+    """The slow reference for ``kzcal.core._enumerate_states``: depth-first fill."""
+    n, N = weight.n, weight.N
+    out = np.empty((weight.dimension(), n), dtype=np.int8)
+    counts = list(weight.M)
+    row = np.empty(n, dtype=np.int8)
+    pos = 0
+
+    def fill(k: int) -> None:
+        nonlocal pos
+        if k == n:
+            out[pos] = row
+            pos += 1
+            return
+        for a in range(N):
+            if counts[a] > 0:
+                counts[a] -= 1
+                row[k] = a + 1
+                fill(k + 1)
+                counts[a] += 1
+
+    fill(0)
+    return out
+
+
+def materialize_coo(op) -> sp.csr_matrix:
+    """The slow reference for ``TermOperator.materialize``: COO triplets, then tocsr()."""
+    dim = op.dim
+    rows, cols, data = [], [], []
+    arange = np.arange(dim)
+    for term in op.terms:
+        tag = term[0]
+        if tag == "diag":
+            rows.append(arange)
+            cols.append(arange)
+            data.append(np.asarray(term[1]))
+        elif tag == "swap":
+            _, perm, coeff = term
+            rows.append(arange)
+            cols.append(perm)
+            data.append(np.full(dim, coeff))
+        else:
+            _, perm, sign, coeff = term
+            keep = sign != 0
+            rows.append(arange[keep])
+            cols.append(perm[keep])
+            data.append(coeff * sign[keep].astype(float))
+    mat = sp.coo_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(dim, dim),
+    )
+    return mat.tocsr()
+
+
+def commutator_actions(conn, v):
+    """Yield (i, j, [H_i, H_j] v) for 1 <= i < j <= n as H_i (H_j v) - H_j (H_i v).
+
+    The slow reference for the row-blocked sweep of ``kzcal.kz``: each u_i =
+    H_i v is computed once, then every pair applies two full matvecs.
+    """
+    n = conn.params.n
+    u = [conn.hamiltonian(i).matvec(v) for i in range(1, n + 1)]
+    for i in range(1, n + 1):
+        Hi = conn.hamiltonian(i)
+        for j in range(i + 1, n + 1):
+            yield i, j, Hi.matvec(u[j - 1]) - conn.hamiltonian(j).matvec(u[i - 1])
+
+
+def integrate_path_complex(initial, path, conn):
+    """The slow reference for ``kzcal.kz.integrate_path``: DOP853 on complex amplitudes.
+
+    Same checks and segments as the package, but the state is never narrowed
+    to float64.
+    """
+    snaps = path.snapshots()
+    eps = conn.params.epsilon_x
+    y = initial.amplitudes.copy()
+    for a, b in zip(snaps[:-1], snaps[1:]):
+        if np.array_equal(a, b):
+            continue
+        _check_segment(a, b, eps)
+        sol = solve_ivp(
+            _segment_rhs(conn, a, b),
+            (0.0, 1.0),
+            y,
+            method="DOP853",
+            rtol=path.tolerance,
+            atol=path.atol,
+            max_step=path.max_step,
+        )
+        if not sol.success:
+            raise IntegrationFailureError(
+                f"integration failed on segment {a} -> {b}: {sol.message}"
+            )
+        y = sol.y[:, -1]
+    return StateVector(initial.weight, y)

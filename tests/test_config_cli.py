@@ -308,6 +308,32 @@ def test_nan_sub_check_fails_the_suite(tmp_path, monkeypatch):
     assert cli.main(["verify", "--config", path]) == 1
 
 
+def test_nan_pair_coefficient_fails_commutativity_and_flatness(tmp_path, monkeypatch):
+    from kzcal.kernel import PairKernel
+
+    x = (0.0, 1.1, 2.3, 3.6)
+    p = PairKernel.p
+
+    def p_nan_on_pair_12(self, dx, w=1):
+        return float("nan") if abs(dx) == x[1] - x[0] else p(self, dx, w)
+
+    monkeypatch.setattr(PairKernel, "p", p_nan_on_pair_12)
+    payload = {
+        "suites": ["commutativity", "flatness"],
+        "instance": {"explicit": {
+            "n": 4, "N": 2, "x": list(x), "g": [1.0, 2.0], "hbar": 1.0, "kappa": 0.3,
+            "weight": [2, 2],
+        }},
+    }
+    path = write_config(tmp_path, payload)
+    report = run_suites(load_config(path))
+    for name in ("commutativity", "flatness"):
+        suite = report.suites[name]
+        assert np.isnan(suite.residuals[0]) and np.isnan(suite.max_residual)
+        assert not suite.passed
+    assert cli.main(["verify", "--config", path]) == 1
+
+
 def test_cli_qc_arpack_failure_is_infrastructure_error(monkeypatch):
     import scipy.sparse.linalg
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from kzcal.core import (
     ModelParams,
     StateVector,
     WeightVector,
+    _enumerate_states,
     get_basis,
     omega_pairing,
     weight_of,
@@ -172,6 +174,29 @@ def test_enumerate_basis_large_subspace():
     assert tuple(basis.states[0]) == (1,) * 9 + (2,) * 9
     assert tuple(basis.states[-1]) == (2,) * 9 + (1,) * 9
     assert np.all(np.diff(basis.codes) > 0)  # strictly increasing = lex order
+
+
+def _all_weights(max_n, max_N):
+    """Every occupation vector with 1..max_N letters and n <= max_n, zeros included."""
+    for N in range(1, max_N + 1):
+        for M in itertools.product(range(max_n + 1), repeat=N):
+            if sum(M) <= max_n:
+                yield WeightVector(M)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [list(_all_weights(7, 3)), [WeightVector((6, 5, 3))]],
+    ids=["n<=7,N<=3", "653"],
+)
+def test_enumeration_matches_recursive_oracle(weights):
+    from oracles import enumerate_states_recursive
+
+    for weight in weights:
+        got = _enumerate_states(weight)
+        want = enumerate_states_recursive(weight)
+        assert got.dtype == want.dtype and got.shape == want.shape, weight.M
+        np.testing.assert_array_equal(got, want, err_msg=str(weight.M))
 
 
 def test_uniform_and_basis_state_normalization():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from kzcal.core import ModelParams, StateVector, WeightVector, omega_pairing
+from kzcal import kz
+from kzcal.core import ModelParams, StateVector, WeightVector, max_or_nan, omega_pairing
 from kzcal.errors import (
     InvalidWeightError,
     SingularPathError,
@@ -10,7 +11,7 @@ from kzcal.errors import (
 from kzcal.kz import (
     KzConnection,
     PathSpec,
-    commutator_actions,
+    commutator_norms,
     covariant_power,
     covariant_row,
     flatness_residual,
@@ -20,11 +21,19 @@ from kzcal.kz import (
 )
 from kzcal.suites import _suite_commutativity
 
+from oracles import commutator_actions, integrate_path_complex
+
 HAND = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
 W11 = WeightVector((1, 1))
 
 GENTLE = ModelParams(n=3, N=2, x=(0.0, 1.1, 2.3), g=(1.0, 2.0), hbar=1.0, kappa=0.2)
 W21 = WeightVector((2, 1))
+
+PAIRS = ModelParams(
+    n=5, N=3, x=(0.0, 1.1, 2.3, -0.9, 3.4), g=(1.0, 2.0, 2.7), hbar=0.9, kappa=0.35,
+    gamma=0.6,
+)
+W221 = WeightVector((2, 2, 1))
 
 
 def kz_rhs(i, state, conn):
@@ -104,6 +113,33 @@ def test_zero_length_path_is_exact_identity():
     path = PathSpec(start=GENTLE.x, waypoints=(GENTLE.x, GENTLE.x))
     out = integrate_path(phi, path, conn)
     assert np.array_equal(out.amplitudes, phi.amplitudes)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_real_state_transport_matches_complex_oracle(kind):
+    # a real initial state is integrated in float64 and ends within 1e-12 of
+    # the complex integration, with an imaginary part of exactly zero
+    params = PAIRS.replace(kind=kind)
+    conn = KzConnection(params, W221)
+    x = np.asarray(params.x)
+    path = PathSpec(start=params.x, waypoints=(tuple(x + 0.1 * np.arange(5)), tuple(x + 0.1)))
+    rng = np.random.default_rng(12)
+    for amps in (StateVector.uniform(W221).amplitudes, rng.standard_normal(30) + 0j):
+        phi = StateVector(W221, amps)
+        out = integrate_path(phi, path, conn)
+        want = integrate_path_complex(phi, path, conn)
+        assert np.linalg.norm(out.amplitudes - want.amplitudes) < 1e-12
+        assert not np.any(out.amplitudes.imag)
+        assert np.linalg.norm(out.amplitudes - phi.amplitudes) > 1e-3  # it moved
+
+
+def test_complex_state_transport_is_the_complex_oracle():
+    conn = KzConnection(PAIRS, W221)
+    x = np.asarray(PAIRS.x)
+    path = PathSpec(start=PAIRS.x, waypoints=(tuple(x + 0.1 * np.arange(5)), tuple(x + 0.1)))
+    phi = StateVector.random(W221, np.random.default_rng(13))
+    out = integrate_path(phi, path, conn)
+    np.testing.assert_array_equal(out.amplitudes, integrate_path_complex(phi, path, conn).amplitudes)
 
 
 def test_first_order_taylor_step():
@@ -256,17 +292,21 @@ def test_flatness_residual_small_both_kinds():
     assert flatness_residual(trig, W21, rng) < 1e-12
 
 
-PAIRS = ModelParams(
-    n=5, N=3, x=(0.0, 1.1, 2.3, -0.9, 3.4), g=(1.0, 2.0, 2.7), hbar=0.9, kappa=0.35,
-    gamma=0.6,
-)
-W221 = WeightVector((2, 2, 1))
+def test_single_site_sweeps_are_empty():
+    params = ModelParams(n=1, N=1, x=(0.0,), g=(1.0,), hbar=1.0, kappa=0.3)
+    w = WeightVector((1,))
+    assert commutator_norms(KzConnection(params, w), np.ones(1, dtype=complex)).shape == (0,)
+    assert _suite_commutativity(params, w, np.random.default_rng(0)) == 0.0
+    assert flatness_residual(params, w, np.random.default_rng(0)) == 0.0
 
 
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
-def test_cached_h_actions_match_per_pair_recomputation(kind):
-    # H_i v computed once per site gives bitwise the residuals of applying
-    # H_j then H_i afresh for every pair and every order
+def test_cached_h_actions_match_per_pair_recomputation(kind, monkeypatch):
+    # the commutator oracle (H_i v computed once per site), the row blocks of
+    # the commutator and curvature sweeps and the covariant powers all equal,
+    # bitwise, applying H_j then H_i afresh for every pair and every order;
+    # the trigonometric H_i carry T_ij with its zero-sign rows
+    monkeypatch.setattr(kz, "SWEEP_ROWS", 7)  # 30 states: blocks end inside the sector
     params = PAIRS.replace(kind=kind)
     conn = KzConnection(params, W221)
     hbar = params.hbar
@@ -281,15 +321,32 @@ def test_cached_h_actions_match_per_pair_recomputation(kind):
     assert [(i, j) for i, j, _ in cached] == pairs
     for (_, _, got), want in zip(cached, comms):
         np.testing.assert_array_equal(got, want)
-    norms = [0.0] + [float(np.linalg.norm(c)) for c in comms]
-    assert _suite_commutativity(params, W221, np.random.default_rng(11)) == max(norms)
-
-    curvature = [0.0]
+    curvature = []
     for (i, j), comm in zip(pairs, comms):
         dji = conn.derivative(i, j).matvec(v)
         dij = conn.derivative(j, i).matvec(v)
-        curvature.append(float(np.linalg.norm(hbar * (dji - dij) + comm)))
-    assert flatness_residual(params, W221, np.random.default_rng(11)) == max(curvature)
+        curvature.append(hbar * (dji - dij) + comm)
+
+    block_rows = [slice(lo, min(lo + 7, 30)) for lo in range(0, 30, 7)]
+    for sweep, vectors in ((kz._commutator_blocks, comms), (kz._curvature_blocks, curvature)):
+        blocks = list(sweep(conn, v))
+        assert [rows for rows, _ in blocks] == block_rows
+        for rows, C in blocks:
+            assert C.shape == (len(pairs), rows.stop - rows.start)
+            for p, vec in enumerate(vectors):
+                np.testing.assert_array_equal(C[p], vec[rows])
+
+    def reduced(vectors):
+        # the suites' reduction, block by block, applied to the oracle's vectors
+        blocks = ((rows, np.stack([vec[rows] for vec in vectors])) for rows in block_rows)
+        return max_or_nan([0.0, *kz._block_norms(blocks, len(pairs))])
+
+    assert _suite_commutativity(params, W221, np.random.default_rng(11)) == reduced(comms)
+    assert flatness_residual(params, W221, np.random.default_rng(11)) == reduced(curvature)
+    assert reduced(comms) < 1e-12 and reduced(curvature) < 1e-12
+    # the block-ordered sum of squares is the 2-norm to a few roundings per entry
+    want = [np.linalg.norm(c) for c in comms]
+    np.testing.assert_allclose(commutator_norms(conn, v), want, rtol=1e-14, atol=0)
 
     phi = StateVector(W221, v)
     ders = mc_derivatives(phi, conn, max_order=3)

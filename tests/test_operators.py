@@ -364,6 +364,27 @@ def test_linearity_and_materialize_agree():
         np.testing.assert_allclose(op.matvec(u), mat @ u, atol=1e-13)
 
 
+@pytest.mark.parametrize("make", [rational_instance, trig_instance])
+@pytest.mark.parametrize("M", [(2, 1, 1), (2, 2, 1), (3, 2)])
+def test_materialize_matches_coo_oracle(make, M):
+    # the shared row builder plus sum_duplicates gives the COO assembly's CSR
+    # bitwise: index dtype, indptr, indices, data and nnz
+    from oracles import materialize_coo
+
+    w = WeightVector(M)
+    params = make(n=w.n, N=w.N)
+    ops = [gaudin_hamiltonian(i, params, w) for i in range(1, w.n + 1)]
+    ops += [gaudin_derivative(1, j, order, params, w) for j in (1, 2) for order in (1, 2)]
+    ops += [t_operator(1, 2, w), t_operator(3, 1, w), permutation_operator(2, 3, w)]
+    ops += [twist_operator(2, params, w), weight_operator(1, w)]
+    for op in ops:
+        got, want = op.materialize(), materialize_coo(op)
+        assert got.nnz == want.nnz
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def test_rmatvec_is_transpose():
     params = trig_instance(n=4, N=2)
     w = WeightVector((2, 2))

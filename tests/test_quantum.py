@@ -7,8 +7,6 @@ from kzcal.instances import random_instance, rng_for
 from kzcal.kz import KzConnection, PathSpec, integrate_path
 from kzcal.quantum import (
     calogero_energy,
-    eigen_report,
-    explore_quartic_relation,
     h2_covector_residual,
     h3_covector_residual,
     momentum_covector_residual,
@@ -174,22 +172,3 @@ def test_pde_residual_degenerate_projection():
     with pytest.warns(DegenerateProjectionWarning):
         res = pde_residual_on_solution(state, conn, "h2")
     assert res >= 0.0
-
-
-def test_eigen_report_fields():
-    rep = eigen_report("h2", HAND, W11)
-    assert rep.relation == "H2_rational"
-    assert rep.predicted_eigenvalue == pytest.approx(1 + 4)
-    assert rep.residual < 1e-13
-    assert rep.instance["M"] == [1, 1]
-    trig = HAND.replace(kind="trigonometric", gamma=0.8)
-    assert eigen_report("h2", trig, W11).relation == "H2_trig"
-    assert eigen_report("momentum", HAND, W11).relation == "momentum"
-
-
-def test_quartic_probe_runs_and_is_logged():
-    # exploratory only: the conjectured quartic relation; log, never gate
-    params = ModelParams(n=3, N=2, x=(0.0, 1.0, 2.2), g=(1.0, 2.0), hbar=0.9, kappa=0.35)
-    value = explore_quartic_relation(params, WeightVector((2, 1)))
-    print(f"\nexploratory quartic out-of-span residual: {value:.3e}")
-    assert np.isfinite(value)
