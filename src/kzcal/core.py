@@ -198,20 +198,32 @@ class WeightBasis:
         perm[k] is the row of states[k] with sites i, j exchanged; sign[k] is
         sign(letter_i - letter_j) of states[k], the amplitude factor picked up
         under the signed swap of T_ij.
+
+        Only adjacent pairs are searched for.  The others are composed from
+        (i j) = (j-1 j)(i j-1)(j-1 j), building and keeping (i k) for the k
+        between.
         """
-        if i > j:
-            i, j = j, i
-        key = (i, j)
-        tab = self._swap_cache.get(key)
-        if tab is None:
-            # exchanging letter a at site i with letter b at site j moves the
-            # code by (b - a)(N^(n-1-i) - N^(n-1-j))
-            b_minus_a = self.states[:, j] - self.states[:, i]
-            shift = self.N ** np.int64(self.n - 1 - i) - self.N ** np.int64(self.n - 1 - j)
-            perm = self.rank(self.codes + b_minus_a.astype(np.int64) * shift)
-            tab = (perm, np.sign(-b_minus_a))
-            self._swap_cache[key] = tab
-        return tab
+        return self._table(min(i, j), max(i, j))
+
+    def _table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        tab = self._swap_cache.get((i, j))
+        if tab is not None:
+            return tab
+        k = j
+        while k > i + 1 and (i, k - 1) not in self._swap_cache:
+            k -= 1
+        for m in range(k, j + 1):
+            if m == i + 1:
+                # exchanging letter a at site i with letter b at site m moves
+                # the code by (b - a)(N^(n-1-i) - N^(n-1-m))
+                b_minus_a = self.states[:, m] - self.states[:, i]
+                shift = self.N ** np.int64(self.n - 1 - i) - self.N ** np.int64(self.n - 1 - m)
+                perm = self.rank(self.codes + b_minus_a.astype(np.int64) * shift)
+            else:
+                adj = self._table(m - 1, m)[0]
+                perm = adj[self._swap_cache[(i, m - 1)][0][adj]]
+            self._swap_cache[(i, m)] = (perm, np.sign(self.states[:, i] - self.states[:, m]))
+        return self._swap_cache[(i, j)]
 
     def letters(self, i: int) -> np.ndarray:
         """1-based letters at 0-based site i, one per basis state."""

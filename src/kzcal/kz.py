@@ -15,6 +15,7 @@ the all-ones projection Psi = sum_J Phi_J.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +43,7 @@ from .operators import (
     csr_rows,
     gaudin_derivative,
     gaudin_hamiltonian,
+    split_rows,
 )
 
 __all__ = [
@@ -244,7 +246,13 @@ def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> 
             raise IntegrationFailureError(
                 f"integration failed on segment {a} -> {b}: {sol.message}"
             )
-        y = sol.y[:, -1]
+        y = sol.y[:, -1].copy()  # a view would keep every step's state alive
+        # the finished solver holds a closure over itself (OdeSolver.fun), so
+        # its stage arrays (16 states for DOP853) wait for a cyclic
+        # collection.  It is still in the youngest generation, whose
+        # collection takes microseconds; collecting older ones would bring
+        # on full collections, which take tens of ms beside mpmath state.
+        gc.collect(0)
     return StateVector(initial.weight, y)
 
 
@@ -276,46 +284,33 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
 SWEEP_ROWS = 2048
 
 
-def _commutator_blocks(conn: KzConnection, v: np.ndarray):
-    """Yield (rows, C) per row block; C[p] is rows of [H_i, H_j] v for the p-th pair i < j.
+def _commutator_rows(conn: KzConnection, v: np.ndarray):
+    """rows(lo, hi) -> C; C[p] is rows lo:hi of [H_i, H_j] v for the p-th pair i < j.
 
-    U = [H_1 v ... H_n v] is formed once.  Each block then multiplies the
-    rows of every H_a by U's real view in one CSR product, whose rows sum in
-    the order of ``TermOperator.matvec``, so C[p] equals the rows of
-    H_i (H_j v) - H_j (H_i v) bitwise.
+    U = [H_1 v ... H_n v] is formed here, once.  Each call then multiplies
+    rows lo:hi of every H_a by U's real view in one CSR product, whose rows
+    sum in the order of ``TermOperator.matvec``, so C[p] equals those rows of
+    H_i (H_j v) - H_j (H_i v) bitwise.  The H_i are built here as well, so
+    calls may run on any thread.
     """
     n, dim = conn.params.n, conn.basis.dim
-    if n < 2:
-        return
     hams = [conn.hamiltonian(a) for a in range(1, n + 1)]
     U = np.empty((dim, n), dtype=np.complex128)
     for a, H in enumerate(hams):
         U[:, a] = H.matvec(v)
     Ur = U.view(np.float64)
     I, J = np.triu_indices(n, 1)
-    for lo in range(0, dim, SWEEP_ROWS):
-        hi = min(lo + SWEEP_ROWS, dim)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
         # W[a, r, b] = (H_a u_b)[lo + r]
         W = (csr_rows(hams, lo, hi) @ Ur).view(np.complex128).reshape(n, hi - lo, n)
-        yield slice(lo, hi), W[I, :, J] - W[J, :, I]
+        return W[I, :, J] - W[J, :, I]
+
+    return rows
 
 
-def _block_norms(blocks, npairs: int) -> np.ndarray:
-    """Per-pair 2-norms: squared moduli summed within each block, then over blocks in order."""
-    total = np.zeros(npairs)
-    for _, C in blocks:
-        total += np.sum(C.real * C.real + C.imag * C.imag, axis=1)
-    return np.sqrt(total)
-
-
-def commutator_norms(conn: KzConnection, v: np.ndarray) -> np.ndarray:
-    """||[H_i, H_j] v|| for 1 <= i < j <= n, in that pair order."""
-    n = conn.params.n
-    return _block_norms(_commutator_blocks(conn, v), n * (n - 1) // 2)
-
-
-def _curvature_blocks(conn: KzConnection, v: np.ndarray):
-    """Yield (rows, C) per row block; C[p] is rows of the curvature action of the p-th pair.
+def _curvature_rows(conn: KzConnection, v: np.ndarray):
+    """rows(lo, hi) -> C; C[p] is rows lo:hi of the curvature action of the p-th pair.
 
     The curvature of the connection hbar d_i - H_i in directions (i, j) is
     hbar (d_j H_i - d_i H_j) + [H_i, H_j]; its derivative rows come from one
@@ -325,11 +320,41 @@ def _curvature_blocks(conn: KzConnection, v: np.ndarray):
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     ders = [conn.derivative(i, j) for i, j in pairs] + [conn.derivative(j, i) for i, j in pairs]
     vr = v.view(np.float64).reshape(-1, 2)
-    for rows, C in _commutator_blocks(conn, v):
+    commutator = _commutator_rows(conn, v)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
         # D[0, p] = rows of d_j H_i v, D[1, p] = rows of d_i H_j v
-        D = csr_rows(ders, rows.start, rows.stop) @ vr
-        D = D.view(np.complex128).reshape(2, len(pairs), rows.stop - rows.start)
-        yield rows, hbar * (D[0] - D[1]) + C
+        D = (csr_rows(ders, lo, hi) @ vr).view(np.complex128).reshape(2, len(pairs), hi - lo)
+        return hbar * (D[0] - D[1]) + commutator(lo, hi)
+
+    return rows
+
+
+def _block_norms(rows, dim: int, npairs: int) -> np.ndarray:
+    """Per-pair 2-norms of rows(0, dim), one SWEEP_ROWS block at a time.
+
+    The squared moduli are summed within each block, then over the blocks in
+    row order, however ``split_rows`` shares the blocks out.
+    """
+
+    def sums(lo: int, hi: int) -> list:
+        out = []
+        for b in range(lo, hi, SWEEP_ROWS):
+            C = rows(b, min(b + SWEEP_ROWS, hi))
+            out.append(np.sum(C.real * C.real + C.imag * C.imag, axis=1))
+        return out
+
+    total = np.zeros(npairs)
+    for chunk in split_rows(sums, dim, SWEEP_ROWS):
+        for block in chunk:
+            total += block
+    return np.sqrt(total)
+
+
+def commutator_norms(conn: KzConnection, v: np.ndarray) -> np.ndarray:
+    """||[H_i, H_j] v|| for 1 <= i < j <= n, in that pair order."""
+    n = conn.params.n
+    return _block_norms(_commutator_rows(conn, v), conn.basis.dim, n * (n - 1) // 2)
 
 
 def flatness_residual(
@@ -337,9 +362,17 @@ def flatness_residual(
 ) -> float:
     """Max curvature action over site pairs on a random unit state.
 
-    The curvature vanishes identically for both kernel kinds.
+    The curvature hbar (d_j H_i - d_i H_j) + [H_i, H_j] vanishes identically
+    for both kernel kinds.  Its derivative part vanishes because d_j H_i and
+    d_i H_j are the same P_ij, with coefficients -p'(x_i - x_j) and
+    -p'(x_j - x_i), and the derivative p' of the P_ij coefficient is even.
+    So beside commutativity (on a second random state) the suite pins that
+    symmetry of the analytic derivatives.  Path independence of the transport
+    itself is the ``kz-integrate`` suite's closed loop.
     """
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
+    if params.n < 2:
+        return 0.0
     npairs = params.n * (params.n - 1) // 2
-    return max_or_nan([0.0, *_block_norms(_curvature_blocks(conn, v), npairs)])
+    return max_or_nan([0.0, *_block_norms(_curvature_rows(conn, v), conn.basis.dim, npairs)])

@@ -19,6 +19,9 @@ differences are used only as a test oracle.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -30,6 +33,7 @@ __all__ = [
     "TermOperator",
     "apply_terms",
     "csr_rows",
+    "split_rows",
     "apply_site_matrix",
     "weight_operator",
     "twist_operator",
@@ -118,22 +122,84 @@ def csr_rows(ops: list[TermOperator], lo: int, hi: int) -> sp.csr_matrix:
 
 
 def apply_terms(terms: list[tuple], v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Sum of the terms applied to v, in term order (transpose=True: the transpose)."""
+    """Sum of the terms applied to v, in term order (transpose=True: the transpose).
+
+    Each row of the result takes the same operations in every row range, so
+    the split of ``split_rows`` leaves it bitwise unchanged.
+    """
     out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
-    for term in terms:
-        tag = term[0]
-        if tag == "diag":
-            out += term[1] * v
-        elif tag == "swap":
-            _, perm, coeff = term
-            out += coeff * v[perm]
-        elif transpose:
-            _, perm, sign, coeff = term
-            out -= coeff * (sign * v[perm])
-        else:
-            _, perm, sign, coeff = term
-            out += coeff * (sign * v[perm])
+
+    def rows(lo: int, hi: int) -> None:
+        part = out[lo:hi]
+        for term in terms:
+            tag = term[0]
+            if tag == "diag":
+                part += term[1][lo:hi] * v[lo:hi]
+            elif tag == "swap":
+                _, perm, coeff = term
+                part += coeff * v[perm[lo:hi]]
+            elif transpose:
+                _, perm, sign, coeff = term
+                part -= coeff * (sign[lo:hi] * v[perm[lo:hi]])
+            else:
+                _, perm, sign, coeff = term
+                part += coeff * (sign[lo:hi] * v[perm[lo:hi]])
+
+    split_rows(rows, out.shape[0])
     return out
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+#: no row range is shorter than this, so sectors below twice this size run
+#: on the calling thread alone
+MIN_CHUNK_ROWS = 16384
+
+#: threads that take row chunks beside the calling thread
+_WORKERS = _usable_cpus() - 1
+
+
+def _new_pool() -> None:
+    """Make the row pool; its threads start on first use.
+
+    A forked child copies the pool but not its threads, so it makes its own.
+    """
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="kzcal-rows") if _WORKERS else None
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+def split_rows(fn, stop: int, step: int = 1) -> list:
+    """[fn(lo, hi) for contiguous ranges covering rows 0..stop], in row order.
+
+    The ranges run on the usable CPUs at once, the first on the calling
+    thread; there are as many as CPUs, but none shorter than MIN_CHUNK_ROWS.
+    Every range end but the last is a multiple of `step`.  fn may only read
+    data built before the call (operator terms, swap tables, bases), since
+    the package's lazy caches are not locked, and must not call split_rows
+    itself.  No range then waits on another, so threads that call
+    split_rows at the same time (``--jobs``) share the pool safely.
+    """
+    full = stop // step  # whole steps; the last range also takes the rest
+    parts = min(_WORKERS + 1, full // -(-MIN_CHUNK_ROWS // step))
+    if parts < 2:
+        return [fn(0, stop)]
+    ends = [step * (full * k // parts) for k in range(parts)] + [stop]
+    futures = [_POOL.submit(fn, lo, hi) for lo, hi in zip(ends[1:-1], ends[2:])]
+    try:
+        results = [fn(ends[0], ends[1])]
+    finally:
+        wait(futures)  # no range outlives the call, even when the first one raises
+    return results + [f.result() for f in futures]
 
 
 # -- site and letter validation ---------------------------------------------

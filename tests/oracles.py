@@ -6,9 +6,10 @@ weight subspace by row/column selection.  They share no code with the
 matrix-free implementation beyond the basis enumeration order, which is
 itself pinned by exact examples.  The slow references at the end are the
 computations that the package's fast paths replaced: dense and sparse
-products, the recursive basis enumeration, the COO assembly of a CSR matrix,
-the per-pair commutator actions and the complex path integration.  The
-case-table reference checks the package's own materialized T_ij.
+products, the recursive basis enumeration, the searched swap tables, the COO
+assembly of a CSR matrix, the per-pair commutator actions and the complex
+path integration.  The case-table reference checks the package's own
+materialized T_ij.
 """
 
 from functools import reduce
@@ -231,6 +232,19 @@ def enumerate_states_recursive(weight) -> np.ndarray:
 
     fill(0)
     return out
+
+
+def swap_table_search(basis, i: int, j: int):
+    """The slow reference for ``WeightBasis.swap_table``: one binary search per pair.
+
+    Exchanging letter a at site i with letter b at site j moves the code by
+    (b - a)(N^(n-1-i) - N^(n-1-j)); every pair ranks its moved codes.
+    """
+    i, j = min(i, j), max(i, j)
+    b_minus_a = basis.states[:, j] - basis.states[:, i]
+    shift = basis.N ** np.int64(basis.n - 1 - i) - basis.N ** np.int64(basis.n - 1 - j)
+    perm = basis.rank(basis.codes + b_minus_a.astype(np.int64) * shift)
+    return perm, np.sign(-b_minus_a)
 
 
 def materialize_coo(op) -> sp.csr_matrix:

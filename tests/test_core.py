@@ -8,6 +8,7 @@ import pytest
 from kzcal.core import (
     ModelParams,
     StateVector,
+    WeightBasis,
     WeightVector,
     _enumerate_states,
     get_basis,
@@ -23,6 +24,8 @@ from kzcal.errors import (
     SingularConfigurationError,
 )
 from kzcal.operators import permutation_operator
+
+from oracles import swap_table_search
 
 
 def states_of(weight):
@@ -164,6 +167,23 @@ def test_swap_table_matches_copy_and_encode(M):
             )
             assert sign.dtype == np.int8
             assert basis.swap_table(j, i)[0] is perm
+
+
+@pytest.mark.parametrize("M", [(3, 3), (2, 1, 2), (2, 3, 1, 2), (4, 4, 4)])
+@pytest.mark.parametrize("order", ["near-first", "far-first"])
+def test_swap_table_matches_search_oracle(M, order):
+    # tables composed from the adjacent ones equal one search per pair,
+    # dtypes included, whichever pair a fresh basis is asked for first
+    basis = WeightBasis(WeightVector(M))
+    pairs = [(i, j) for i in range(basis.n) for j in range(i + 1, basis.n)]
+    if order == "far-first":
+        pairs = [(j, i) for i, j in reversed(pairs)]
+    for i, j in pairs:
+        perm, sign = basis.swap_table(i, j)
+        want_perm, want_sign = swap_table_search(basis, i, j)
+        assert perm.dtype == want_perm.dtype and sign.dtype == want_sign.dtype
+        np.testing.assert_array_equal(perm, want_perm)
+        np.testing.assert_array_equal(sign, want_sign)
 
 
 def test_enumerate_basis_large_subspace():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kzcal.errors import (
     SingularPathError,
     UnsupportedOrderError,
 )
+from kzcal.kernel import PairKernel
 from kzcal.kz import (
     KzConnection,
     PathSpec,
@@ -140,6 +143,31 @@ def test_complex_state_transport_is_the_complex_oracle():
     phi = StateVector.random(W221, np.random.default_rng(13))
     out = integrate_path(phi, path, conn)
     np.testing.assert_array_equal(out.amplitudes, integrate_path_complex(phi, path, conn).amplitudes)
+
+
+def test_transport_frees_each_segment_solver():
+    # a finished DOP853 solver is a reference cycle holding 16 stage vectors;
+    # after the path, traced memory is back within a few state vectors
+    weight = WeightVector((4, 3, 2))
+    dim = weight.dimension()
+    assert dim >= 1000
+    params = ModelParams(
+        n=9, N=3, x=tuple(1.3 * k for k in range(9)), g=(1.0, 2.0, 2.7), hbar=1.0, kappa=0.2
+    )
+    conn = KzConnection(params, weight)
+    x = np.asarray(params.x)
+    path = PathSpec(start=params.x, waypoints=(tuple(x + 0.02 * np.arange(9)), tuple(x + 0.02)))
+    phi = StateVector.uniform(weight)
+    integrate_path(phi, path, conn)  # swap tables and operators are cached from here on
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = integrate_path(phi, path, conn)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert np.linalg.norm(out.amplitudes - phi.amplitudes) > 1e-4  # it moved
+    assert grown < 4 * out.amplitudes.nbytes, grown
 
 
 def test_first_order_taylor_step():
@@ -292,6 +320,23 @@ def test_flatness_residual_small_both_kinds():
     assert flatness_residual(trig, W21, rng) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_flatness_pins_the_even_kernel_derivative(kind, monkeypatch):
+    # hbar (d_j H_i - d_i H_j) v vanishes only because p' is even in dx: an
+    # odd first derivative moves flatness to order one, not commutativity
+    params = PAIRS.replace(kind=kind)
+    commutativity = _suite_commutativity(params, W221, np.random.default_rng(8))
+    assert flatness_residual(params, W221, np.random.default_rng(8)) < 1e-12
+    even = PairKernel.dp
+
+    def odd(self, dx, order):
+        return even(self, dx, order) * (np.sign(dx) if order == 1 else 1.0)
+
+    monkeypatch.setattr(PairKernel, "dp", odd)
+    assert flatness_residual(params, W221, np.random.default_rng(8)) > 0.1
+    assert _suite_commutativity(params, W221, np.random.default_rng(8)) == commutativity
+
+
 def test_single_site_sweeps_are_empty():
     params = ModelParams(n=1, N=1, x=(0.0,), g=(1.0,), hbar=1.0, kappa=0.3)
     w = WeightVector((1,))
@@ -327,19 +372,28 @@ def test_cached_h_actions_match_per_pair_recomputation(kind, monkeypatch):
         dij = conn.derivative(j, i).matvec(v)
         curvature.append(hbar * (dji - dij) + comm)
 
-    block_rows = [slice(lo, min(lo + 7, 30)) for lo in range(0, 30, 7)]
-    for sweep, vectors in ((kz._commutator_blocks, comms), (kz._curvature_blocks, curvature)):
-        blocks = list(sweep(conn, v))
-        assert [rows for rows, _ in blocks] == block_rows
-        for rows, C in blocks:
-            assert C.shape == (len(pairs), rows.stop - rows.start)
+    block_rows = [(lo, min(lo + 7, 30)) for lo in range(0, 30, 7)]
+    for sweep, vectors in ((kz._commutator_rows, comms), (kz._curvature_rows, curvature)):
+        rows = sweep(conn, v)
+        for lo, hi in block_rows:
+            C = rows(lo, hi)
+            assert C.shape == (len(pairs), hi - lo)
             for p, vec in enumerate(vectors):
-                np.testing.assert_array_equal(C[p], vec[rows])
+                np.testing.assert_array_equal(C[p], vec[lo:hi])
+
+    def norms(vectors):
+        # the sweeps' reduction applied to the oracle's vectors: squared
+        # moduli summed within each block, then over the blocks in row order
+        total = np.zeros(len(pairs))
+        for lo, hi in block_rows:
+            C = np.stack([vec[lo:hi] for vec in vectors])
+            total += np.sum(C.real * C.real + C.imag * C.imag, axis=1)
+        return np.sqrt(total)
 
     def reduced(vectors):
-        # the suites' reduction, block by block, applied to the oracle's vectors
-        blocks = ((rows, np.stack([vec[rows] for vec in vectors])) for rows in block_rows)
-        return max_or_nan([0.0, *kz._block_norms(blocks, len(pairs))])
+        return max_or_nan([0.0, *norms(vectors)])
+
+    np.testing.assert_array_equal(commutator_norms(conn, v), norms(comms))
 
     assert _suite_commutativity(params, W221, np.random.default_rng(11)) == reduced(comms)
     assert flatness_residual(params, W221, np.random.default_rng(11)) == reduced(curvature)
