@@ -59,7 +59,6 @@ from .quantum import (
 )
 from .classical import (
     JointSpectrumItem,
-    LaxMatrix,
     classical_hamiltonians,
     gaudin_joint_spectrum,
     lax_matrix,

@@ -14,7 +14,8 @@ spread into an arithmetic string of length M_a and step 2 kappa gamma
 
 from __future__ import annotations
 
-import functools
+import itertools
+import threading
 from dataclasses import dataclass, field
 
 import mpmath
@@ -37,7 +38,6 @@ from .kernel import PairKernel, site_terms
 from .operators import gaudin_hamiltonian
 
 __all__ = [
-    "LaxMatrix",
     "JointSpectrumItem",
     "QcReport",
     "lax_matrix",
@@ -56,19 +56,6 @@ DENSE_DIM_LIMIT = 2000
 
 
 @dataclass(frozen=True)
-class LaxMatrix:
-    entries: np.ndarray = field(repr=False)
-    kind: str
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.entries)
-
-
-@dataclass(frozen=True)
 class JointSpectrumItem:
     """One joint eigen-tuple of the Gaudin family with its eigenvector.
 
@@ -84,8 +71,8 @@ class JointSpectrumItem:
     p_hp: np.ndarray | None = field(default=None, repr=False)
 
 
-def lax_matrix(x, p, params: ModelParams) -> LaxMatrix:
-    """Lax matrix at coordinates x and momenta p."""
+def lax_matrix(x, p, params: ModelParams) -> np.ndarray:
+    """Lax matrix at coordinates x and momenta p, complex n x n."""
     x = np.asarray(x, dtype=float)
     p = np.asarray(p)
     n = x.size
@@ -95,19 +82,19 @@ def lax_matrix(x, p, params: ModelParams) -> LaxMatrix:
     np.fill_diagonal(dx, 1.0)
     off = PairKernel(params).lax(dx)
     np.fill_diagonal(off, 0.0)
-    entries = off.astype(np.complex128)
-    entries[np.diag_indices(n)] = p
-    return LaxMatrix(entries, params.kind)
+    L = off.astype(np.complex128)
+    L[np.diag_indices(n)] = p
+    return L
 
 
-def classical_hamiltonians(L: LaxMatrix, kmax: int) -> list[complex]:
+def classical_hamiltonians(L: np.ndarray, kmax: int) -> list[complex]:
     """Traces of Lax powers tr L^k for k = 1..kmax."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     traces = []
-    power = np.eye(L.n, dtype=np.complex128)
+    power = np.eye(L.shape[0], dtype=np.complex128)
     for _ in range(kmax):
-        power = power @ L.entries
+        power = power @ L
         traces.append(complex(np.trace(power)))
     return traces
 
@@ -184,13 +171,22 @@ def _refine_longdouble(params, weight, vecs) -> np.ndarray:
     return p
 
 
+_contexts = threading.local()
+
+
 def _mp_context(dps: int) -> mpmath.MPContext:
-    """A private mpmath context at dps digits.
+    """A private mpmath context at dps digits, one per thread and precision.
 
     Its precision belongs to the caller alone; the process-wide mpmath.mp
     is shared by concurrent suite threads and is neither read nor changed.
+    Making a context takes about as long as a small characteristic
+    polynomial, so each thread keeps one per precision; dps is set anew on
+    every call.
     """
-    ctx = mpmath.MPContext()
+    cache = _contexts.__dict__
+    if dps not in cache:
+        cache[dps] = mpmath.MPContext()
+    ctx = cache[dps]
     ctx.dps = dps
     return ctx
 
@@ -207,10 +203,13 @@ def _mp_coefficients(ctx, params: ModelParams):
     return [ctx.mpf(v) for v in params.g], pairs
 
 
-def _dd(value) -> tuple[float, float]:
-    """An mpf as an unevaluated pair of doubles, hi + lo."""
-    hi = float(value)
-    return hi, float(value - hi)
+def _dd(value, parts: int = 2) -> tuple[float, ...]:
+    """An mpf as an unevaluated sum of doubles, head first; four carry 60 digits exactly."""
+    out = []
+    for _ in range(parts):
+        out.append(float(value))
+        value = value - out[-1]
+    return tuple(out)
 
 
 def _split(a):
@@ -245,6 +244,92 @@ def _dd_residual(terms, Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return hi + lo
 
 
+#: bits below the largest term that an exact sum resolves, a little over 60 digits
+SUM_BITS = 210
+
+
+def _exact_sums(t: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """t @ W.T as an expansion along axis 0, for doubles t (..., N) and a 0/1 matrix W.
+
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008): with sigma a power of two at least 2 N max|t|, q = (sigma + t) -
+    sigma and t - q are exact, every q is a multiple of 2^-53 sigma and they
+    add to less than sigma, so q @ W.T is exact in any order, BLAS included.
+    The rest shrinks by 2^(51 - bit length of N) per round until it is below
+    2^-SUM_BITS of the largest term; its rounded sum is the last entry.
+    """
+    size = t.shape[-1]
+    sigma = np.ldexp(1.0, np.frexp(2 * size * np.max(np.abs(t), axis=-1, keepdims=True))[1])
+    gain = 51 - size.bit_length()
+    out = []
+    for _ in range(-(-SUM_BITS // gain)):
+        q = (sigma + t) - sigma
+        out.append(q @ W.T)
+        t = t - q
+        sigma = np.ldexp(sigma, -gain)
+    return np.stack(out + [t @ W.T])
+
+
+def _mp_sums(ctx, parts: np.ndarray) -> np.ndarray:
+    """The exact sums of the doubles over axis 0, each rounded once into ctx; NaN if not finite.
+
+    A double is an integer times 2^(exp - 53); Python adds the integers exactly.
+    """
+    finite = np.isfinite(parts).all(axis=0)
+    mant, exp = np.frexp(np.where(finite, parts, 0.0))
+    low = exp.min(axis=0)
+    man = np.ldexp(mant, 53).astype(np.int64).astype(object) << (exp - low).astype(object)
+    to_mpf = np.frompyfunc(lambda m, e: ctx.mpf((m, e - 53)), 2, 1)
+    sums = to_mpf(man.sum(axis=0), low.astype(object))
+    sums[~finite] = ctx.nan
+    return sums
+
+
+def _product_terms(a, b, a_lo, b_lo) -> np.ndarray:
+    """8 doubles per entry, in blocks along the last axis, adding up to (a - a_lo) (b - b_lo)."""
+    pairs = ((a, b), (-a, b_lo), (-a_lo, b), (a_lo, b_lo))
+    return np.concatenate([half for u, w in pairs for half in _exact_product(u, w)], axis=-1)
+
+
+def _rayleigh_momenta(ctx, basis, g, pairs, Q: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """Rayleigh quotients of every H_i at all columns of v = Q - D at once, in ctx.
+
+    v is an exact pair of doubles, so v_r v_s is 8 exact doubles.  Per block
+    of columns, error-free extraction sums them along rows into a few
+    doubles per pair sum v . P_ij v and per sum of v_r^2 over the rows with
+    letter a at site i (over a, the norm).  Their exact products with the
+    4-double coefficients g_a and +-p(x_i - x_j) are extracted once more per
+    H_i, so mpmath only adds a few doubles per quotient and per norm.
+    """
+    n, dim, nl = basis.n, basis.dim, len(g)
+    letters = np.stack([basis.letters(i) - 1 for i in range(n)])
+    groups = np.tile((letters[:, None, :] == np.arange(nl)[:, None]).reshape(n * nl, dim), 8)
+    perms = np.array([basis.swap_table(*ij)[0] for ij in pairs], dtype=np.intp).reshape(-1, dim)
+    # H_i's numerator: its letter sums and the sums of its pairs, times the coefficients C[i]
+    where, C = [], []
+    for i in range(n):
+        mine = [(k, c if i == ij[0] else -c) for k, (ij, c) in enumerate(pairs.items()) if i in ij]
+        where.append([*range(i * nl, i * nl + nl), *(n * nl + k for k, _ in mine)])
+        C.append([_dd(c, 4) for c in [*g, *(c for _, c in mine)]])
+    C = np.array(C).transpose(2, 0, 1)[:, None, None]  # (4, 1, 1, n, terms)
+    Qt, Dt = np.ascontiguousarray(Q.T), np.ascontiguousarray(D.T)
+    p = np.empty((n, Q.shape[1]), dtype=object)
+    ones = np.ones((1, 8 * dim))
+    step = max(1, (1 << 14) // (8 * dim * max(1, len(perms))))  # 128 kB arrays
+    for lo in range(0, Q.shape[1], step):
+        q, d = Qt[lo:lo + step], Dt[lo:lo + step]
+        letter_sums = _exact_sums(_product_terms(q, q, d, d), groups)
+        pair_terms = _product_terms(q[:, None], q[:, perms], d[:, None], d[:, perms])
+        sums = np.concatenate([letter_sums, _exact_sums(pair_terms, ones)[..., 0]], axis=-1)
+        # sums: (parts, block, n nl + pairs); t: (8, parts, block, n, terms)
+        t = np.concatenate(_exact_product(C, sums[:, :, where]))
+        t = np.moveaxis(t, (0, 1), (2, 3)).reshape(len(q), n, -1)
+        nums = _exact_sums(t, np.ones((1, t.shape[-1])))[..., 0]
+        norms = np.moveaxis(sums[:, :, :nl], 2, 1).reshape(-1, len(q))
+        p[:, lo:lo + step] = (_mp_sums(ctx, nums) / _mp_sums(ctx, norms)[:, None]).T
+    return p
+
+
 def _refine_newton(params, weight, Q: np.ndarray, coeffs, lam) -> np.ndarray:
     """Momenta at 60 digits from the float64 eigenpairs (lam, Q) of A = sum_i c_i H_i.
 
@@ -253,38 +338,25 @@ def _refine_newton(params, weight, Q: np.ndarray, coeffs, lam) -> np.ndarray:
     Newton step (Dongarra, Moler and Wilkinson) refines every column: the
     residual R of the exactly rebuilt A is taken in double-double and
     D = Q ((Q^T R) / (lam_k - lam_j)) in float64, leaving v = Q - D, an exact
-    pair of doubles, with error of order |R|^2.  The symmetric Rayleigh
-    quotients of v are then summed at 60 digits: each pair sum v . P_ij v
-    serves H_i and H_j, and the twist part is grouped by letter.
+    pair of doubles, with error of order |R|^2.  The Rayleigh quotients of v
+    then come from _rayleigh_momenta.
     """
     basis = get_basis(weight)
-    n, dim = params.n, Q.shape[1]
+    n = params.n
     ctx = _mp_context(60)
     g, pairs = _mp_coefficients(ctx, params)
     c = [ctx.mpf(float(v)) for v in coeffs]
-    letters = [basis.letters(i) - 1 for i in range(n)]
-    perms = {ij: basis.swap_table(*ij)[0] for ij in pairs}
     terms = []
     for i in range(n):
         hi, lo = np.array([_dd(c[i] * ga) for ga in g]).T
-        terms.append((hi[letters[i], None], lo[letters[i], None], None))
+        rows = basis.letters(i) - 1
+        terms.append((hi[rows, None], lo[rows, None], None))
     for (i, j), coeff in pairs.items():
-        terms.append((*map(np.array, _dd((c[i] - c[j]) * coeff)), perms[i, j]))
+        terms.append((*map(np.array, _dd((c[i] - c[j]) * coeff)), basis.swap_table(i, j)[0]))
     gaps = lam[:, None] - lam[None, :]
     np.fill_diagonal(gaps, np.inf)
     D = Q @ ((Q.T @ _dd_residual(terms, Q, lam)) / gaps)
-    by_letter = [[np.flatnonzero(row == a) for a in range(len(g))] for row in letters]
-    p = np.empty((n, dim), dtype=object)
-    for col in range(dim):
-        v = [ctx.mpf(a) - ctx.mpf(b) for a, b in zip(Q[:, col].tolist(), D[:, col].tolist())]
-        sq = [t * t for t in v]
-        shared = {ij: k * ctx.fdot(v, [v[r] for r in perms[ij]]) for ij, k in pairs.items()}
-        norm = ctx.fsum(sq)
-        for i in range(n):
-            twist = [ga * ctx.fsum(sq[r] for r in rows) for ga, rows in zip(g, by_letter[i])]
-            pair = [shared[i, j] if i < j else -shared[j, i] for j in range(n) if j != i]
-            p[i, col] = ctx.fsum(twist + pair) / norm
-    return p
+    return _rayleigh_momenta(ctx, basis, g, pairs, Q, D)
 
 
 def gaudin_joint_spectrum(
@@ -377,18 +449,33 @@ def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
 
 
 def _mp_momentum(ctx, value):
-    """A refined momentum as an mpmath number; longdouble input is converted exactly into ctx.
+    """A refined momentum as a number of ctx, with its exact value.
 
-    An mpf/mpc passes through unchanged, at its own precision; a longdouble
-    is the exact sum of two doubles, added at the precision of ctx.
+    An mpf/mpc of another context goes through ctx.convert: mpmath rounds a
+    binary operation at the precision of its left operand's context, so
+    arithmetic on the 60-digit momenta themselves would round there.  A
+    longdouble is the exact sum of two doubles, added at the precision of ctx.
     """
     if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
-        return value
+        return ctx.convert(value)
     if np.iscomplexobj(value):
         return ctx.mpc(_mp_momentum(ctx, value.real), _mp_momentum(ctx, value.imag))
     head = float(value)
     tail = float(np.longdouble(value) - np.longdouble(head))
     return ctx.mpf(head) + ctx.mpf(tail)
+
+
+def _lax_rows(ctx, p_hp, params: ModelParams) -> list[list]:
+    """The Lax matrix at the refined momenta, as rows of numbers of ctx."""
+    kern = PairKernel(params, ctx.mpf)
+    x = [ctx.mpf(v) for v in params.x]
+    A = [[None] * params.n for _ in range(params.n)]
+    for i, p in enumerate(p_hp):
+        A[i][i] = _mp_momentum(ctx, p)
+    for i, j in itertools.combinations(range(params.n), 2):
+        A[i][j] = kern.lax(x[i] - x[j])
+        A[j][i] = -A[i][j]  # the kernel is odd
+    return A
 
 
 def _lax_eigenvalues_eig(p_hp, params: ModelParams, dps: int) -> np.ndarray:
@@ -398,60 +485,46 @@ def _lax_eigenvalues_eig(p_hp, params: ModelParams, dps: int) -> np.ndarray:
     splits a Jordan block of size m by the m-th root of its backward error,
     so the working precision must grow with the largest multiplicity.
     """
-    n = params.n
     ctx = _mp_context(dps)
-    kern = PairKernel(params, ctx.mpf)
-    x = [ctx.mpf(v) for v in params.x]
-    A = ctx.zeros(n, n)
-    for i in range(n):
-        A[i, i] = _mp_momentum(ctx, p_hp[i])
-        for j in range(n):
-            if i != j:
-                A[i, j] = kern.lax(x[i] - x[j])
+    A = ctx.matrix(_lax_rows(ctx, p_hp, params))
     return np.array([complex(e) for e in ctx.eig(A, left=False, right=False)])
 
 
-@functools.lru_cache(maxsize=8)
-def _lax_minors(params: ModelParams, dps: int):
-    """A context at dps digits and the terms of det(lambda - diag(p) - K) that p leaves fixed.
+def _charpoly(ctx, A: list[list]) -> list:
+    """det(lambda - A), leading coefficient first, by Berkowitz's division-free method.
 
-    With K the Lax off-diagonal, det(lambda - diag(p) - K) is the sum over
-    subsets S of det(-K_S) prod_{i not in S} (lambda - p_i); the minors are
-    returned as (indices not in S, det(-K_S)).  K is antisymmetric, so odd
-    minors vanish and det(-K_S) = Pf(K_S)^2, each Pfaffian expanded along its
-    first row into smaller ones.  Only x, kind, kappa and gamma enter, so
-    every item of a sector shares one entry.  The context is only used for
-    arithmetic, which leaves its precision alone, so threads may share it.
+    For the trailing block [[a, R], [C, B]] of size k, det(lambda - block) is
+    the lower-triangular Toeplitz matrix of (1, -a, -R C, -R B C, ...,
+    -R B^(k-2) C) times det(lambda - B) (S. J. Berkowitz, Inform. Process.
+    Lett. 18, 1984): O(n^4) products, each dot product exact until rounded.
     """
-    n = params.n
-    ctx = _mp_context(dps)
-    kern = PairKernel(params, ctx.mpf)
-    x = [ctx.mpf(v) for v in params.x]
-    pfaffian = {0: ctx.one}
-    minors = [(tuple(range(n)), ctx.one)]
-    for mask in range(3, 1 << n):
-        members = [i for i in range(n) if mask >> i & 1]
-        if len(members) % 2:
-            continue
-        first, total = members[0], ctx.zero
-        for k, j in enumerate(members[1:]):
-            term = kern.lax(x[first] - x[j]) * pfaffian[mask ^ (1 << first) ^ (1 << j)]
-            total = total - term if k % 2 else total + term
-        pfaffian[mask] = total
-        minors.append((tuple(i for i in range(n) if not mask >> i & 1), total * total))
-    return ctx, minors
+    n = len(A)
+    poly = [ctx.one]
+    for s in range(n - 1, -1, -1):
+        R, w = A[s][s + 1:], [row[s] for row in A[s + 1:]]
+        B = [row[s + 1:] for row in A[s + 1:]]
+        toeplitz = [ctx.one, -A[s][s]]
+        for step in range(n - s - 1):
+            toeplitz.append(-ctx.fdot(R, w))
+            if step < n - s - 2:
+                w = [ctx.fdot(row, w) for row in B]
+        poly = [ctx.fdot(toeplitz[i::-1], poly) for i in range(n - s + 1)]
+    return poly
 
 
-def _shifted_charpoly(minors, d: list, m: int) -> list:
-    """q_0..q_m, the coefficients of mu^k in det(c + mu - diag(p) - K), with d_i = c - p_i."""
-    q = [0] * (m + 1)
-    for rest, minor in minors:
-        poly = [minor]  # minor * prod (mu + d_i) over the indices so far, truncated at mu^m
-        for i in rest:
-            grown = [poly[0] * d[i]] + [poly[k] * d[i] + poly[k - 1] for k in range(1, len(poly))]
-            poly = grown + poly[-1:] if len(poly) <= m else grown
-        for k, coeff in enumerate(poly):
-            q[k] += coeff
+def _taylor(poly: list, c, m: int) -> list:
+    """q_0..q_m, the coefficients of mu^k in P(c + mu) for poly leading first; O(n m).
+
+    Each Horner pass divides by lambda - c; the remainder is the next q.
+    """
+    q = []
+    for _ in range(m + 1):
+        acc, quotient = poly[0], []
+        for a in poly[1:]:
+            quotient.append(acc)
+            acc = acc * c + a
+        q.append(acc)
+        poly = quotient
     return q
 
 
@@ -460,21 +533,21 @@ def _lax_eigenvalues_hp(p_hp, params: ModelParams, target: np.ndarray, dps: int)
 
     The level-set Lax matrix is defective at repeated targets, and a cluster
     of m eigenvalues splits like the m-th root of the momentum error, so the
-    polynomial is expanded at each distinct target c in mu = lambda - c to
-    degree m, at dps digits; the float64 roots of that truncation, scaled to
-    unit size, give the cluster.  Where a root lies farther than 1e-3 of the
-    distance to the next target the truncation is not accurate (only a large
-    violation gets there) and the mpmath eigensolve answers instead.
+    polynomial, taken once per item, is expanded at each distinct target c in
+    mu = lambda - c to degree m, at dps digits; the float64 roots of that
+    truncation, scaled to unit size, give the cluster.  Where a root lies
+    farther than 1e-3 of the distance to the next target the truncation is
+    not accurate (only a large violation gets there) and the mpmath
+    eigensolve answers instead.
     """
-    ctx, minors = _lax_minors(params, dps)
-    p = [_mp_momentum(ctx, v) for v in p_hp]
+    ctx = _mp_context(dps)
+    poly = _charpoly(ctx, _lax_rows(ctx, p_hp, params))
     centers, counts = np.unique(target, return_counts=True)
     eigs = []
     for k, (c, m) in enumerate(zip(centers, counts)):
         m = int(m)
         gap = np.min(np.abs(np.delete(centers, k) - c), initial=np.inf)
-        c_mp = ctx.mpf(c)
-        q = _shifted_charpoly(minors, [c_mp - pi for pi in p], m)
+        q = _taylor(poly, ctx.mpf(c), m)
         if not q[m]:
             return _lax_eigenvalues_eig(p_hp, params, dps)
         # the Fujiwara bound: every root of the truncation has |mu| < 2 s
@@ -502,7 +575,8 @@ class QcReport:
 
     @property
     def ok(self) -> bool:
-        return self.max_mismatch < self.tolerance
+        """Both the eigenvalue mismatch and the trace error below tolerance; NaN fails."""
+        return bool(max_or_nan([self.max_mismatch, self.max_trace_rel_error]) < self.tolerance)
 
     def summary(self) -> str:
         status = "match" if self.ok else "VIOLATION"
@@ -537,7 +611,7 @@ def qc_check(
         dps = max(40, 15 * max(weight.M) + 10)
         eigs = _lax_eigenvalues_hp(item.p_hp, params, target, dps)
     else:
-        eigs = L.eigenvalues()
+        eigs = np.linalg.eigvals(L)
     eigs = eigs[np.argsort(eigs.real, kind="stable")]
     mismatch = float(np.max(np.abs(eigs - target)))
     traces = classical_hamiltonians(L, kmax)

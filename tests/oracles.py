@@ -6,10 +6,11 @@ weight subspace by row/column selection.  They share no code with the
 matrix-free implementation beyond the basis enumeration order, which is
 itself pinned by exact examples.  The slow references at the end are the
 computations that the package's fast paths replaced: dense and sparse
-products, the recursive basis enumeration, the searched swap tables, the COO
-assembly of a CSR matrix, the per-pair commutator actions and the complex
-path integration.  The case-table reference checks the package's own
-materialized T_ij.
+products, the per-column 60-digit Rayleigh quotients, the Lax characteristic
+polynomial by principal minors, the recursive basis enumeration, the searched
+swap tables, the COO assembly of a CSR matrix, the per-pair commutator actions
+and the complex path integration.  The case-table reference checks the
+package's own materialized T_ij.
 """
 
 from functools import reduce
@@ -22,6 +23,7 @@ from scipy.integrate import solve_ivp
 
 from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
 from kzcal.errors import IntegrationFailureError
+from kzcal.kernel import PairKernel
 from kzcal.kz import _check_segment, _segment_rhs
 from kzcal.operators import t_operator
 
@@ -141,6 +143,80 @@ def refine_momenta_invit(params, weight, vecs, columns, dps: int = 60):
             lam = _rayleigh(combo, v)
         out.append([_rayleigh(ham, v) for ham in hams])
     return out
+
+
+def rayleigh_momenta_per_column(ctx, basis, g, pairs, Q, D):
+    """The slow reference for ``kzcal.classical._rayleigh_momenta``: one column at a time.
+
+    v = Q - D is formed in ctx, each pair sum v . P_ij v is a ``ctx.fdot``
+    shared by H_i and H_j, the twist part is summed per letter, and every
+    quotient is an ``fsum`` at the precision of ctx.
+    """
+    n = basis.n
+    letters = [basis.letters(i) - 1 for i in range(n)]
+    perms = {ij: basis.swap_table(*ij)[0] for ij in pairs}
+    by_letter = [[np.flatnonzero(row == a) for a in range(len(g))] for row in letters]
+    p = np.empty((n, Q.shape[1]), dtype=object)
+    for col in range(Q.shape[1]):
+        v = [ctx.mpf(a) - ctx.mpf(b) for a, b in zip(Q[:, col].tolist(), D[:, col].tolist())]
+        sq = [t * t for t in v]
+        shared = {ij: k * ctx.fdot(v, [v[r] for r in perms[ij]]) for ij, k in pairs.items()}
+        norm = ctx.fsum(sq)
+        for i in range(n):
+            twist = [ga * ctx.fsum(sq[r] for r in rows) for ga, rows in zip(g, by_letter[i])]
+            pair = [shared[i, j] if i < j else -shared[j, i] for j in range(n) if j != i]
+            p[i, col] = ctx.fsum(twist + pair) / norm
+    return p
+
+
+# -- Lax characteristic polynomial by principal minors --------------------------
+
+
+def lax_minors(params, dps: int):
+    """A context at dps digits and the terms of det(lambda - diag(p) - K) that p leaves fixed.
+
+    The slow reference for ``kzcal.classical._charpoly``.  With K the Lax
+    off-diagonal, det(lambda - diag(p) - K) is the sum over subsets S of
+    det(-K_S) prod_{i not in S} (lambda - p_i); the minors are returned as
+    (indices not in S, det(-K_S)).  K is antisymmetric, so odd minors vanish
+    and det(-K_S) = Pf(K_S)^2, each Pfaffian expanded along its first row
+    into smaller ones.
+    """
+    n = params.n
+    ctx = mpmath.MPContext()
+    ctx.dps = dps
+    kern = PairKernel(params, ctx.mpf)
+    x = [ctx.mpf(v) for v in params.x]
+    pfaffian = {0: ctx.one}
+    minors = [(tuple(range(n)), ctx.one)]
+    for mask in range(3, 1 << n):
+        members = [i for i in range(n) if mask >> i & 1]
+        if len(members) % 2:
+            continue
+        first, total = members[0], ctx.zero
+        for k, j in enumerate(members[1:]):
+            term = kern.lax(x[first] - x[j]) * pfaffian[mask ^ (1 << first) ^ (1 << j)]
+            total = total - term if k % 2 else total + term
+        pfaffian[mask] = total
+        minors.append((tuple(i for i in range(n) if not mask >> i & 1), total * total))
+    return ctx, minors
+
+
+def shifted_charpoly(minors, d: list, m: int) -> list:
+    """q_0..q_m, the coefficients of mu^k in det(c + mu - diag(p) - K), with d_i = c - p_i.
+
+    The slow reference for ``kzcal.classical._taylor`` of the Berkowitz
+    polynomial: 2^(n-1) minors re-summed per target.
+    """
+    q = [0] * (m + 1)
+    for rest, minor in minors:
+        poly = [minor]  # minor * prod (mu + d_i) over the indices so far, truncated at mu^m
+        for i in rest:
+            grown = [poly[0] * d[i]] + [poly[k] * d[i] + poly[k - 1] for k in range(1, len(poly))]
+            poly = grown + poly[-1:] if len(poly) <= m else grown
+        for k, coeff in enumerate(poly):
+            q[k] += coeff
+    return q
 
 
 # -- signed-swap case tables by sparse matrix products -------------------------

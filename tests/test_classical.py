@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -23,7 +24,7 @@ def test_lax_matrix_hand_values():
     params = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(3.0, 4.0), hbar=1.0, kappa=0.5)
     L = lax_matrix((0.0, 1.0), (3.0, 4.0), params)
     # off-diagonal kernel is odd in i <-> j: kappa/(x_i - x_j)
-    np.testing.assert_allclose(L.entries.real, [[3.0, -0.5], [0.5, 4.0]], atol=1e-15)
+    np.testing.assert_allclose(L.real, [[3.0, -0.5], [0.5, 4.0]], atol=1e-15)
     tr1, tr2 = classical_hamiltonians(L, 2)
     assert tr1.real == pytest.approx(7.0)
     # tr L^2 = sum p_i^2 - sum_{i != j} kappa^2/(x_i - x_j)^2 = 25 - 0.5
@@ -33,7 +34,7 @@ def test_lax_matrix_hand_values():
 def test_lax_kappa_zero_is_diagonal():
     params = HAND.replace(kappa=0.0)
     L = lax_matrix((0.0, 1.0), (3.0, 4.0), params)
-    np.testing.assert_allclose(L.entries, np.diag([3.0, 4.0]))
+    np.testing.assert_allclose(L, np.diag([3.0, 4.0]))
     assert classical_hamiltonians(L, 3)[2].real == pytest.approx(27 + 64)
 
 
@@ -41,7 +42,7 @@ def test_lax_trig_small_gamma_limit():
     params = HAND.replace(kind="trigonometric", gamma=1e-3)
     rat = lax_matrix((0.0, 1.0), (3.0, 4.0), HAND)
     trig = lax_matrix((0.0, 1.0), (3.0, 4.0), params)
-    assert np.max(np.abs(trig.entries - rat.entries)) < 1e-6  # O(gamma^2)
+    assert np.max(np.abs(trig - rat)) < 1e-6  # O(gamma^2)
 
 
 def test_lax_collision_rejected():
@@ -239,21 +240,18 @@ def test_shifted_momenta_take_the_eig_fallback(monkeypatch):
     assert report.max_mismatch == pytest.approx(0.05, rel=1e-6)
 
 
-def test_qc_check_threads_share_the_minor_cache():
-    # more threads than cores on one sector's cached minors, while another
-    # thread keeps changing the global mpmath precision
+def test_qc_check_is_thread_and_precision_independent():
+    # more threads than cores on one sector, while another thread keeps
+    # changing the global mpmath precision
     import sys
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
     import mpmath
 
-    from kzcal import classical
-
     params, weight = _oracle_sectors()[1]
     items = gaudin_joint_spectrum(params, weight, seed=11)
     serial = [qc_check(item, params, weight).lax_eigenvalues for item in items]
-    classical._lax_minors.cache_clear()
     saved_interval, saved_dps = sys.getswitchinterval(), mpmath.mp.dps
     done = threading.Event()
 
@@ -276,6 +274,98 @@ def test_qc_check_threads_share_the_minor_cache():
     assert not flipper.is_alive()
     for a, b in zip(serial, threaded, strict=True):
         assert np.array_equal(a, b)
+
+
+# level sets with Jordan blocks of size 7 (n = 9) and 6 (n = 12) in the Lax matrix
+X9 = (-2.4, -1.7, -1.1, -0.5, 0.1, 0.7, 1.3, 1.9, 2.6)
+X12 = (-3.9, -3.158, -2.455, -1.793, -1.138, -0.548, 0.186, 0.933, 1.649, 2.321, 2.973, 3.633)
+LEVEL_SETS = {
+    f"({a},{b})": (
+        ModelParams(n=a + b, N=2, x=x, g=(1.1, 2.05), hbar=1.0, kappa=0.25),
+        WeightVector((a, b)),
+    )
+    for a, b, x in [(7, 2, X9), (6, 6, X12)]
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def _refined_columns(params, weight, columns, monkeypatch, **kwargs):
+    """60-digit momenta (n, len(columns)) of a few joint eigenvectors, by the package's refinement.
+
+    Each column of the Newton correction D depends only on its own column of
+    the residual, so the residual is taken on the chosen columns alone; the
+    Rayleigh pass then runs on those columns and the rest of the sector is
+    never refined.
+    """
+    from kzcal import classical
+
+    residual, rayleigh = classical._dd_residual, classical._rayleigh_momenta
+
+    def chosen_residual(terms, Q, lam):
+        R = np.zeros_like(Q)
+        R[:, columns] = residual(terms, Q[:, columns], lam[columns])
+        return R
+
+    def chosen_rayleigh(ctx, basis, g, pairs, Q, D):
+        raise _Captured(rayleigh(ctx, basis, g, pairs, Q[:, columns], D[:, columns]))
+
+    monkeypatch.setattr(classical, "_dd_residual", chosen_residual)
+    monkeypatch.setattr(classical, "_rayleigh_momenta", chosen_rayleigh)
+    with pytest.raises(_Captured) as captured:
+        gaudin_joint_spectrum(params, weight, seed=11, **kwargs)
+    monkeypatch.undo()
+    return captured.value.args[0]
+
+
+@pytest.mark.parametrize("case", LEVEL_SETS)
+def test_charpoly_matches_eig_oracle_on_defective_level_sets(case, monkeypatch):
+    from kzcal import classical
+
+    params, weight = LEVEL_SETS[case]
+    columns = [0, 35] if case == "(7,2)" else [0]
+    p_hp = _refined_columns(params, weight, columns, monkeypatch, max_retries=1)
+    oracle = classical._lax_eigenvalues_eig
+    fallbacks = []
+    monkeypatch.setattr(classical, "_lax_eigenvalues_eig", lambda *a: fallbacks.append(a) or oracle(*a))
+    target = string_spectrum(weight, params)
+    dps = 15 * max(weight.M) + 10
+    for p in p_hp.T:
+        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(p, params, target, dps), target)
+        ref = _sorted_mismatch(oracle(p, params, dps), target)
+        # a split cluster; at (7,2) it exceeds 1e-8, as 60-digit momenta allow
+        assert 1e-12 < ref < 1e-7
+        assert abs(ours - ref) <= 1e-6 * ref + 1e-15
+    assert not fallbacks
+
+
+@pytest.mark.parametrize("sector", [*range(5), "(7,2)"])
+def test_shifted_charpoly_matches_minors_oracle(sector):
+    # the Taylor coefficients of the Berkowitz polynomial at every target
+    # against the re-summed principal minors, on the level set where the
+    # lower ones cancel
+    from kzcal import classical
+
+    from oracles import lax_minors, shifted_charpoly
+
+    params, weight = LEVEL_SETS[sector] if sector == "(7,2)" else _oracle_sectors()[sector]
+    dps = max(40, 15 * max(weight.M) + 10)
+    ctx = classical._mp_context(dps)
+    minors_ctx, minors = lax_minors(params, dps)
+    centers, counts = np.unique(string_spectrum(weight, params), return_counts=True)
+    for item in gaudin_joint_spectrum(params, weight, seed=11)[:4]:
+        poly = classical._charpoly(ctx, classical._lax_rows(ctx, item.p_hp, params))
+        assert len(poly) == params.n + 1 and poly[0] == 1
+        p = [classical._mp_momentum(minors_ctx, v) for v in item.p_hp]
+        for c, m in zip(centers, counts):
+            ours = classical._taylor(poly, ctx.mpf(c), int(m))
+            ref = shifted_charpoly(minors, [minors_ctx.mpf(c) - v for v in p], int(m))
+            for a, b in zip(ours, ref, strict=True):
+                assert abs(a - b) <= 10.0 ** (5 - dps)
+            if sector == "(7,2)":  # q_0 cancels to 1e-58..1e-63, still 35 digits above the bound
+                assert abs(ref[0]) > 10.0 ** (40 - dps)
 
 
 def test_partial_spectrum_large_sector():
@@ -408,6 +498,91 @@ def test_newton_momenta_match_invit_oracle(sector):
     for col, ref in zip(columns, reference, strict=True):
         for ours, theirs in zip(items[col].p_hp, ref, strict=True):
             assert abs(ours - theirs) <= 1e-45 * abs(theirs)
+
+
+RAYLEIGH_SECTORS = [
+    (ModelParams(n=6, N=len(g), x=(0.0, 1.3, -0.7, 2.2, 3.1, 4.4), g=g, hbar=1.0, kappa=0.35), M)
+    for g, M in [((1.0, 1.9, 3.1), (2, 2, 2)), ((1.0, 1.9, 3.1), (4, 1, 1)), ((1.0, 2.2), (3, 3))]
+]
+
+
+@pytest.mark.parametrize("sector", range(3), ids=["(2,2,2)", "(4,1,1)", "(3,3)"])
+def test_rayleigh_pass_matches_per_column_oracle(sector, monkeypatch):
+    from kzcal import classical
+
+    from oracles import rayleigh_momenta_per_column
+
+    params, M = RAYLEIGH_SECTORS[sector]
+    weight = WeightVector(M)
+    seen = []
+    rayleigh = classical._rayleigh_momenta
+    monkeypatch.setattr(classical, "_rayleigh_momenta", lambda *a: seen.append(a) or rayleigh(*a))
+    items = gaudin_joint_spectrum(params, weight, seed=11)
+    reference = rayleigh_momenta_per_column(*seen[0])
+    assert reference.shape == (params.n, len(items))
+    for k, item in enumerate(items):
+        for ours, theirs in zip(item.p_hp, reference[:, k], strict=True):
+            assert abs(ours - theirs) <= 1e-50 * abs(theirs)
+
+
+def _exact_column_sums(t, W):
+    """The exact sums (t @ W.T) of doubles, as mpf at 1400 bits."""
+    ctx = mpmath.MPContext()
+    ctx.prec = 1400
+    return [[ctx.fsum(float(v) for v, w in zip(row, weights) if w) for weights in W] for row in t]
+
+
+def _spread_columns():
+    """Rows of 600 doubles: plain; one-signed; over 30 decades; over 30 decades summing to ~1e-40."""
+    rng = np.random.default_rng(5)
+    plain = rng.standard_normal(600)
+    positive = 1 + rng.random(600)
+    spread = rng.standard_normal(600) * 10.0 ** rng.uniform(-30, 0, 600)
+    a = spread[:290]
+    cancel = rng.permutation(np.concatenate([a, -a, 1e-40 * rng.standard_normal(20)]))
+    return np.stack([plain, positive, spread, cancel])
+
+
+def test_extraction_rounds_sum_exactly():
+    # every entry but the last is the exact sum (BLAS included) of what one
+    # round extracts, q = (sigma + rest) - sigma; the entries add up to the
+    # exact sums to 2^-SUM_BITS of the largest term
+    from kzcal.classical import SUM_BITS, _exact_sums
+
+    t = _spread_columns()
+    # three interleaved groups and the whole row
+    W = np.vstack([np.arange(600)[None] % 3 == np.arange(3)[:, None], np.ones(600)]).astype(float)
+    expansion = _exact_sums(t, W)
+    ctx = mpmath.MPContext()
+    ctx.prec = 1400
+    gain = 51 - t.shape[1].bit_length()
+    sigma = np.ldexp(1.0, np.frexp(2 * 600 * np.max(np.abs(t), axis=1, keepdims=True))[1])
+    rest = t
+    for entry in expansion[:-1]:
+        q = (sigma + rest) - sigma
+        for row, q_row, new_row in zip(rest.tolist(), q.tolist(), (rest - q).tolist()):
+            assert [ctx.mpf(a) for a in row] == [ctx.mpf(b) + c for b, c in zip(q_row, new_row)]
+        assert [[ctx.mpf(v) for v in row] for row in entry.tolist()] == _exact_column_sums(q, W)
+        rest, sigma = rest - q, np.ldexp(sigma, -gain)
+    assert len(expansion) - 1 == -(-SUM_BITS // gain)
+    exact = _exact_column_sums(t, W)
+    for col in range(len(t)):
+        bound = ctx.ldexp(float(np.max(np.abs(t[col]))), -SUM_BITS)
+        for g in range(len(W)):
+            ours = ctx.fsum(float(v) for v in expansion[:, col, g])
+            assert abs(ours - exact[col][g]) <= bound
+    assert 0 < abs(exact[3][3]) < 1e-38 * np.sum(np.abs(t[3]))  # the cancellation is deep
+
+
+def test_mp_sums_round_the_exact_sum_once():
+    from kzcal.classical import _mp_context, _mp_sums
+
+    ctx = _mp_context(60)
+    parts = _spread_columns().T  # 600 parts per sum
+    ours = _mp_sums(ctx, parts)
+    for k in range(parts.shape[1]):
+        assert ours[k] == ctx.fsum(float(v) for v in parts[:, k])
+    assert ctx.isnan(_mp_sums(ctx, np.array([[1.0], [np.nan]]))[0])
 
 
 def test_trace_and_momentum_errors_at_a_vanishing_power_sum():

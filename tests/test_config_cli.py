@@ -334,6 +334,42 @@ def test_nan_pair_coefficient_fails_commutativity_and_flatness(tmp_path, monkeyp
     assert cli.main(["verify", "--config", path]) == 1
 
 
+QC_ARGS = [
+    "--n", "2", "--N", "2", "--x", "0,1", "--g", "1,2",
+    "--weight", "1,1", "--kappa", "0.1", "--seed", "4",
+]
+
+
+def _patched_qc_check(monkeypatch, **fields):
+    """Make every QC report carry the given fields, on top of the real check."""
+    import dataclasses
+
+    real = cli.qc_check
+
+    def patched(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), **fields)
+
+    monkeypatch.setattr(cli, "qc_check", patched)
+
+
+def test_cli_qc_worst_line_shows_a_nan_mismatch(monkeypatch, capsys):
+    _patched_qc_check(monkeypatch, max_mismatch=float("nan"))
+    assert cli.main(["qc", *QC_ARGS]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all("mismatch nan" in line for line in lines[:-1])
+    assert lines[-1] == "worst eigenvalue mismatch over 2 items: nan"
+
+
+@pytest.mark.parametrize("trace_error", [1.0, float("nan")])
+def test_cli_qc_fails_on_the_trace_error(monkeypatch, capsys, trace_error):
+    _patched_qc_check(monkeypatch, max_trace_rel_error=trace_error)
+    assert cli.main(["qc", *QC_ARGS]) == 1
+    out = capsys.readouterr().out
+    assert out.count("VIOLATION") == 2
+    assert out.splitlines()[-1].startswith("worst eigenvalue mismatch over 2 items: ")
+    assert "nan" not in out.splitlines()[-1]  # the eigenvalues themselves match
+
+
 def test_cli_qc_arpack_failure_is_infrastructure_error(monkeypatch):
     import scipy.sparse.linalg
 
