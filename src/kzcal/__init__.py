@@ -37,7 +37,6 @@ from .errors import (
 )
 from .operators import (
     TermOperator,
-    apply_site_matrix,
     gaudin_derivative,
     gaudin_hamiltonian,
     weight_operator,

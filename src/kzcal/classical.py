@@ -219,10 +219,10 @@ def _split(a):
     return hi, a - hi
 
 
-def _exact_product(a, b):
-    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise (Dekker)."""
+def _exact_product(a, b, b_split=None):
+    """(p, e) with p = fl(a b) and p + e = a b exactly, elementwise (Dekker); b_split: _split(b)."""
     p = a * b
-    (ah, al), (bh, bl) = _split(a), _split(b)
+    (ah, al), (bh, bl) = _split(a), b_split or _split(b)
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 
@@ -231,12 +231,14 @@ def _dd_residual(terms, Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
 
     A is the sum over terms (hi, lo, perm) of diag(hi + lo) times the row
     permutation perm (None: identity).  Products are exact and sums keep
-    their rounding errors (two-sum), so R survives the cancellation.
+    their rounding errors (two-sum), so R survives the cancellation.  Q is
+    split once: the split of Q[perm] is the split of Q, permuted.
     """
     hi, lo = _exact_product(Q, -lam)
+    halves = _split(Q)
     for a_hi, a_lo, perm in terms:
-        block = Q if perm is None else Q[perm]
-        prod, err = _exact_product(a_hi, block)
+        block, split = (Q, halves) if perm is None else (Q[perm], tuple(h[perm] for h in halves))
+        prod, err = _exact_product(a_hi, block, split)
         total = hi + prod
         back = total - hi
         lo = lo + ((hi - (total - back)) + (prod - back)) + err + a_lo * block

@@ -122,23 +122,44 @@ def covariant_power(i: int, k: int, state: StateVector, conn: KzConnection) -> S
     return StateVector(state.weight, _covariant_powers(i, k, state.amplitudes, conn)[-1])
 
 
+def _constant_rmatvec(op: TermOperator, c) -> np.ndarray:
+    """op^T (c, ..., c) from the term coefficients alone.
+
+    A swap table is a permutation, so a transposed swap maps a constant
+    covector to itself.  Each term adds what ``apply_terms`` adds, in term
+    order, so the result equals op.rmatvec(np.full(op.dim, c)) bitwise.
+    """
+    out = np.zeros(op.dim)
+    for term in op.terms:
+        tag = term[0]
+        if tag == "diag":
+            out += term[1] * c
+        elif tag == "swap":
+            out += term[2] * c
+        else:
+            _, _, sign, coeff = term
+            out -= coeff * (sign * c)
+    return out
+
+
 def covariant_row(i: int, k: int, conn: KzConnection) -> np.ndarray:
     """The all-ones covector slid through A_k: the row omega^T A_k^(i)."""
     if k not in (1, 2, 3):
         raise UnsupportedOrderError(f"covariant power must be 1..3, got {k}")
     hbar = conn.params.hbar
     H = conn.hamiltonian(i)
-    omega = np.ones(conn.basis.dim)
-    r1 = H.rmatvec(omega)
+    r1 = _constant_rmatvec(H, 1.0)
     if k == 1:
         return r1
     dH = conn.derivative(i, order=1)
+    w = _constant_rmatvec(dH, 1.0)
     if k == 2:
-        return hbar * dH.rmatvec(omega) + H.rmatvec(r1)
+        return hbar * w + H.rmatvec(r1)
     d2H = conn.derivative(i, order=2)
+    # dH's terms are swaps (a zero diag at n = 1), so its row w is constant too
     return (
-        hbar**2 * d2H.rmatvec(omega)
-        + 2.0 * hbar * H.rmatvec(dH.rmatvec(omega))
+        hbar**2 * _constant_rmatvec(d2H, 1.0)
+        + 2.0 * hbar * _constant_rmatvec(H, w[0])
         + hbar * dH.rmatvec(r1)
         + H.rmatvec(H.rmatvec(r1))
     )
@@ -313,19 +334,25 @@ def _curvature_rows(conn: KzConnection, v: np.ndarray):
     """rows(lo, hi) -> C; C[p] is rows lo:hi of the curvature action of the p-th pair.
 
     The curvature of the connection hbar d_i - H_i in directions (i, j) is
-    hbar (d_j H_i - d_i H_j) + [H_i, H_j]; its derivative rows come from one
-    CSR product of the rows of every d_j H_i with v's real view.
+    hbar (d_j H_i - d_i H_j) + [H_i, H_j].  d_j H_i and d_i H_j are the one
+    swap P_ij with coefficients a and b, so the derivative rows are
+    hbar (a - b) v[perm], added to the commutator rows.  A pair with
+    a - b = 0 adds nothing: a v[perm] - b v[perm] would be exactly +0 there.
     """
     n, hbar = conn.params.n, conn.params.hbar
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    ders = [conn.derivative(i, j) for i, j in pairs] + [conn.derivative(j, i) for i, j in pairs]
-    vr = v.view(np.float64).reshape(-1, 2)
+    skew = []
+    for p, (i, j) in enumerate((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)):
+        ((_, perm, a),) = conn.derivative(i, j).terms
+        ((_, _, b),) = conn.derivative(j, i).terms
+        if a - b != 0.0:  # zero exactly when a == b is finite
+            skew.append((p, perm, hbar * (a - b)))
     commutator = _commutator_rows(conn, v)
 
     def rows(lo: int, hi: int) -> np.ndarray:
-        # D[0, p] = rows of d_j H_i v, D[1, p] = rows of d_i H_j v
-        D = (csr_rows(ders, lo, hi) @ vr).view(np.complex128).reshape(2, len(pairs), hi - lo)
-        return hbar * (D[0] - D[1]) + commutator(lo, hi)
+        C = commutator(lo, hi)
+        for p, perm, s in skew:
+            C[p] += s * v[perm[lo:hi]]
+        return C
 
     return rows
 

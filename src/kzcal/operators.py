@@ -34,7 +34,6 @@ __all__ = [
     "apply_terms",
     "csr_rows",
     "split_rows",
-    "apply_site_matrix",
     "weight_operator",
     "twist_operator",
     "permutation_operator",
@@ -94,24 +93,28 @@ def csr_rows(ops: list[TermOperator], lo: int, hi: int) -> sp.csr_matrix:
     shape = (len(ops), hi - lo, width)
     col = np.empty(shape, dtype=np.int32)
     val = np.empty(shape)
-    keep = np.zeros(shape, dtype=bool)
+    # a mask only where a row may hold fewer than `width` entries
+    masked = any(len(op.terms) < width or any(t[0] == "tswap" for t in op.terms) for op in ops)
+    keep = np.zeros(shape, dtype=bool) if masked else None
     for o, op in enumerate(ops):
+        # every swap coefficient in one broadcast; diag and signed columns follow
+        val[o, :, : len(op.terms)] = [t[2] if t[0] == "swap" else 0.0 for t in op.terms]
+        if masked:
+            keep[o, :, : len(op.terms)] = True
         for k, term in enumerate(op.terms):
             tag = term[0]
-            keep[o, :, k] = True
             if tag == "diag":
                 col[o, :, k] = np.arange(lo, hi)
                 val[o, :, k] = term[1][lo:hi]
             elif tag == "swap":
                 col[o, :, k] = term[1][lo:hi]
-                val[o, :, k] = term[2]
             else:
                 _, perm, sign, coeff = term
                 col[o, :, k] = perm[lo:hi]
                 val[o, :, k] = coeff * sign[lo:hi]
                 keep[o, :, k] = sign[lo:hi] != 0
     nrows = len(ops) * (hi - lo)
-    if keep.all():  # every row has `width` entries: skip the masking passes
+    if keep is None:  # every row has `width` entries: no masking passes
         indptr = np.arange(0, nrows * width + 1, width, dtype=np.int32)
         arrays = (val.ravel(), col.ravel(), indptr)
     else:
@@ -218,39 +221,6 @@ def _check_site(i: int, n: int) -> int:
     if not 1 <= i <= n:
         raise InvalidSitesError(f"site must lie in 1..{n}, got {i}")
     return i - 1
-
-
-# -- elementary actions ------------------------------------------------------
-
-
-def apply_site_matrix(i: int, a: int, b: int, state: StateVector) -> StateVector:
-    """e_ab^(i): send letter b at site i to letter a, annihilate other states.
-
-    For a != b the result lives in the shifted weight subspace
-    M + e_a - e_b.  When that subspace is empty (M_b = 0) the zero vector is
-    returned in the original subspace.
-    """
-    basis = get_basis(state.weight)
-    i0 = _check_site(i, basis.n)
-    N = basis.N
-    if not (1 <= a <= N and 1 <= b <= N):
-        raise InvalidSitesError(f"letters must lie in 1..{N}, got ({a}, {b})")
-    if a == b:
-        mask = basis.letters(i0) == a
-        return StateVector(state.weight, np.where(mask, state.amplitudes, 0.0))
-    M = list(state.weight.M)
-    if M[b - 1] == 0:
-        return StateVector.zeros(state.weight)
-    M[a - 1] += 1
-    M[b - 1] -= 1
-    target_weight = WeightVector(tuple(M))
-    target = get_basis(target_weight)
-    src = basis.letters(i0) == b
-    shift = (a - b) * basis.N ** np.int64(basis.n - 1 - i0)
-    new_codes = basis.codes[src] + shift
-    out = np.zeros(target.dim, dtype=np.complex128)
-    out[target.rank(new_codes)] = state.amplitudes[src]
-    return StateVector(target_weight, out)
 
 
 # -- assembled operators ------------------------------------------------------

@@ -7,9 +7,11 @@ matrix-free implementation beyond the basis enumeration order, which is
 itself pinned by exact examples.  The slow references at the end are the
 computations that the package's fast paths replaced: dense and sparse
 products, the per-column 60-digit Rayleigh quotients, the Lax characteristic
-polynomial by principal minors, the recursive basis enumeration, the searched
-swap tables, the COO assembly of a CSR matrix, the per-pair commutator actions
-and the complex path integration.  The case-table reference checks the
+polynomial by principal minors, the double-double residual that splits every
+permuted block anew, the recursive basis enumeration, the searched swap
+tables, the COO assembly of a CSR matrix, the CSR row builder that masks every
+term, the per-pair commutator actions, the covariant rows and curvature rows
+by full operator applications and the complex path integration.  The case-table reference checks the
 package's own materialized T_ij.
 """
 
@@ -21,11 +23,12 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from kzcal.classical import _exact_product
 from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
 from kzcal.errors import IntegrationFailureError
 from kzcal.kernel import PairKernel
-from kzcal.kz import _check_segment, _segment_rhs
-from kzcal.operators import t_operator
+from kzcal.kz import _check_segment, _commutator_rows, _segment_rhs
+from kzcal.operators import csr_rows, t_operator
 
 
 def elementary(N: int, a: int, b: int) -> np.ndarray:
@@ -222,6 +225,19 @@ def shifted_charpoly(minors, d: list, m: int) -> list:
 # -- signed-swap case tables by sparse matrix products -------------------------
 
 
+def dd_residual_per_term_split(terms, Q, lam):
+    """The slow reference for ``kzcal.classical._dd_residual``: each Q[perm] split anew."""
+    hi, lo = _exact_product(Q, -lam)
+    for a_hi, a_lo, perm in terms:
+        block = Q if perm is None else Q[perm]
+        prod, err = _exact_product(a_hi, block)
+        total = hi + prod
+        back = total - hi
+        lo = lo + ((hi - (total - back)) + (prod - back)) + err + a_lo * block
+        hi = total
+    return hi + lo
+
+
 def _sparse_max_abs_diff(a, b) -> float:
     diff = (a - b).tocoo()
     return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
@@ -350,6 +366,84 @@ def materialize_coo(op) -> sp.csr_matrix:
         shape=(dim, dim),
     )
     return mat.tocsr()
+
+
+def csr_rows_masked(ops, lo: int, hi: int) -> sp.csr_matrix:
+    """The slow reference for ``kzcal.operators.csr_rows``: one mask entry and one
+    strided coefficient write per term, for every operator."""
+    width = max(len(op.terms) for op in ops)
+    shape = (len(ops), hi - lo, width)
+    col = np.empty(shape, dtype=np.int32)
+    val = np.empty(shape)
+    keep = np.zeros(shape, dtype=bool)
+    for o, op in enumerate(ops):
+        for k, term in enumerate(op.terms):
+            tag = term[0]
+            keep[o, :, k] = True
+            if tag == "diag":
+                col[o, :, k] = np.arange(lo, hi)
+                val[o, :, k] = term[1][lo:hi]
+            elif tag == "swap":
+                col[o, :, k] = term[1][lo:hi]
+                val[o, :, k] = term[2]
+            else:
+                _, perm, sign, coeff = term
+                col[o, :, k] = perm[lo:hi]
+                val[o, :, k] = coeff * sign[lo:hi]
+                keep[o, :, k] = sign[lo:hi] != 0
+    nrows = len(ops) * (hi - lo)
+    if keep.all():
+        indptr = np.arange(0, nrows * width + 1, width, dtype=np.int32)
+        arrays = (val.ravel(), col.ravel(), indptr)
+    else:
+        indptr = np.zeros(nrows + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
+        arrays = (val[keep], col[keep], indptr)
+    return sp.csr_matrix(arrays, shape=(nrows, ops[0].dim))
+
+
+def covariant_row_rmatvec(i: int, k: int, conn) -> np.ndarray:
+    """The slow reference for ``kzcal.kz.covariant_row``: every product an rmatvec.
+
+    The all-ones covector and the constant row dH^T omega are gathered
+    through every swap table like any other covector.
+    """
+    hbar = conn.params.hbar
+    H = conn.hamiltonian(i)
+    omega = np.ones(conn.basis.dim)
+    r1 = H.rmatvec(omega)
+    if k == 1:
+        return r1
+    dH = conn.derivative(i, order=1)
+    if k == 2:
+        return hbar * dH.rmatvec(omega) + H.rmatvec(r1)
+    d2H = conn.derivative(i, order=2)
+    return (
+        hbar**2 * d2H.rmatvec(omega)
+        + 2.0 * hbar * H.rmatvec(dH.rmatvec(omega))
+        + hbar * dH.rmatvec(r1)
+        + H.rmatvec(H.rmatvec(r1))
+    )
+
+
+def curvature_rows_csr(conn, v):
+    """The slow reference for ``kzcal.kz._curvature_rows``: derivative rows by CSR products.
+
+    The rows of every d_j H_i and d_i H_j multiply v's real view in one CSR
+    product per block; their difference, times hbar, is added to the
+    commutator rows.
+    """
+    n, hbar = conn.params.n, conn.params.hbar
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    ders = [conn.derivative(i, j) for i, j in pairs] + [conn.derivative(j, i) for i, j in pairs]
+    vr = v.view(np.float64).reshape(-1, 2)
+    commutator = _commutator_rows(conn, v)
+
+    def rows(lo: int, hi: int) -> np.ndarray:
+        D = (csr_rows(ders, lo, hi) @ vr).view(np.complex128).reshape(2, len(pairs), hi - lo)
+        return hbar * (D[0] - D[1]) + commutator(lo, hi)
+
+    return rows
 
 
 def commutator_actions(conn, v):

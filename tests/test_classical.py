@@ -525,6 +525,26 @@ def test_rayleigh_pass_matches_per_column_oracle(sector, monkeypatch):
             assert abs(ours - theirs) <= 1e-50 * abs(theirs)
 
 
+@pytest.mark.parametrize("sector", [1, 2], ids=["(4,1,1)", "(3,3)"])
+def test_dd_residual_matches_per_term_split_oracle(sector, monkeypatch):
+    # splitting Q once and permuting both halves is the split of Q[perm],
+    # so the residual is bitwise the one that splits every block anew
+    from kzcal import classical
+
+    from oracles import dd_residual_per_term_split
+
+    params, M = RAYLEIGH_SECTORS[sector]
+    seen = []
+    residual = classical._dd_residual
+    monkeypatch.setattr(classical, "_dd_residual", lambda *a: seen.append(a) or residual(*a))
+    gaudin_joint_spectrum(params, WeightVector(M), seed=11)
+    terms, Q, lam = seen[0]
+    assert any(perm is not None for _, _, perm in terms)
+    got, want = residual(terms, Q, lam), dd_residual_per_term_split(terms, Q, lam)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got)) > 0.0
+
+
 def _exact_column_sums(t, W):
     """The exact sums (t @ W.T) of doubles, as mpf at 1400 bits."""
     ctx = mpmath.MPContext()

@@ -11,6 +11,7 @@ from kzcal.errors import (
     UnsupportedOrderError,
 )
 from kzcal.kernel import PairKernel
+from kzcal.operators import permutation_operator, t_operator, twist_operator
 from kzcal.kz import (
     KzConnection,
     PathSpec,
@@ -24,7 +25,12 @@ from kzcal.kz import (
 )
 from kzcal.suites import _suite_commutativity
 
-from oracles import commutator_actions, integrate_path_complex
+from oracles import (
+    commutator_actions,
+    covariant_row_rmatvec,
+    curvature_rows_csr,
+    integrate_path_complex,
+)
 
 HAND = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
 W11 = WeightVector((1, 1))
@@ -37,6 +43,14 @@ PAIRS = ModelParams(
     gamma=0.6,
 )
 W221 = WeightVector((2, 2, 1))
+
+SINGLE = ModelParams(n=1, N=1, x=(0.0,), g=(1.0,), hbar=1.0, kappa=0.3)
+W1 = WeightVector((1,))
+
+
+def assert_bitwise(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def kz_rhs(i, state, conn):
@@ -105,6 +119,38 @@ def test_covariant_row_matches_power():
             via_row = np.dot(covariant_row(i, k, conn), phi.amplitudes)
             via_power = omega_pairing(covariant_power(i, k, phi, conn))
             assert via_row == pytest.approx(via_power, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_constant_rmatvec_matches_rmatvec_of_a_constant(kind):
+    # op^T (c, ..., c) from the coefficients alone is the gathering transpose
+    # action bitwise, signed zeros included, for every operator kind the
+    # covariant rows meet; T_ij has zero-sign rows on (2, 2, 1)
+    params = PAIRS.replace(kind=kind)
+    conn = KzConnection(params, W221)
+    ops = [
+        twist_operator(2, params, W221),
+        permutation_operator(1, 3, W221),
+        t_operator(2, 4, W221),
+        KzConnection(SINGLE, W1).derivative(1),  # one zero diag term
+    ]
+    for i in range(1, 6):
+        ops += [conn.hamiltonian(i), conn.derivative(i), conn.derivative(i, order=2)]
+    slid = kz._constant_rmatvec(conn.derivative(1), 1.0)
+    assert np.all(slid == slid[0])
+    for op in ops:
+        for c in (1.0, slid[0], -0.37):
+            assert_bitwise(kz._constant_rmatvec(op, c), op.rmatvec(np.full(op.dim, c)))
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_covariant_row_matches_rmatvec_oracle(kind):
+    # the rows skip the gathers of constant covectors and stay bitwise equal
+    for params, weight in ((PAIRS.replace(kind=kind), W221), (SINGLE.replace(kind=kind, gamma=0.6), W1)):
+        conn = KzConnection(params, weight)
+        for i in range(1, params.n + 1):
+            for k in (1, 2, 3):
+                assert_bitwise(covariant_row(i, k, conn), covariant_row_rmatvec(i, k, conn))
 
 
 # -- path integration ----------------------------------------------------------
@@ -335,6 +381,31 @@ def test_flatness_pins_the_even_kernel_derivative(kind, monkeypatch):
     monkeypatch.setattr(PairKernel, "dp", odd)
     assert flatness_residual(params, W221, np.random.default_rng(8)) > 0.1
     assert _suite_commutativity(params, W221, np.random.default_rng(8)) == commutativity
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_flatness_equals_the_commutator_norm_on_the_same_state(kind, monkeypatch):
+    # p' is even, so d_j H_i - d_i H_j is exactly zero: the flatness residual
+    # is the largest commutator norm on the same random state, and the
+    # curvature rows equal those of the CSR derivative products
+    monkeypatch.setattr(kz, "SWEEP_ROWS", 7)  # 30 states: blocks end inside the sector
+    params = PAIRS.replace(kind=kind)
+    conn = KzConnection(params, W221)
+    v = StateVector.random(W221, np.random.default_rng(12)).amplitudes
+    largest = max_or_nan([0.0, *commutator_norms(conn, v)])
+    assert largest > 0.0
+    assert flatness_residual(params, W221, np.random.default_rng(12)) == largest
+    rows, oracle = kz._curvature_rows(conn, v), curvature_rows_csr(conn, v)
+    for lo in range(0, 30, 7):
+        np.testing.assert_array_equal(rows(lo, min(lo + 7, 30)), oracle(lo, min(lo + 7, 30)))
+    # with an odd p' every pair adds hbar (a - b) v[perm]; the oracle rounds
+    # a v[perm] and b v[perm] apart, so the two agree to rounding only
+    even = PairKernel.dp
+    monkeypatch.setattr(PairKernel, "dp", lambda self, dx, order: even(self, dx, order) * dx)
+    conn = KzConnection(params, W221)
+    got, want = kz._curvature_rows(conn, v)(0, 30), curvature_rows_csr(conn, v)(0, 30)
+    assert np.max(np.abs(want)) > 0.1
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.max(np.abs(want)))
 
 
 def test_single_site_sweeps_are_empty():

@@ -4,7 +4,7 @@ import pytest
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis, omega_pairing
 from kzcal.errors import InvalidSitesError, UnsupportedOrderError
 from kzcal.operators import (
-    apply_site_matrix,
+    csr_rows,
     gaudin_derivative,
     gaudin_hamiltonian,
     permutation_operator,
@@ -13,7 +13,7 @@ from kzcal.operators import (
     weight_operator,
 )
 
-from oracles import gaudin_full, permutation_full, restrict, t_full, twist_full
+from oracles import csr_rows_masked, gaudin_full, permutation_full, restrict, t_full, twist_full
 
 HAND = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
 W11 = WeightVector((1, 1))
@@ -150,39 +150,6 @@ def test_omega_absorbs_permutation():
         assert omega_pairing(P(i, j, state)) == pytest.approx(
             omega_pairing(state), abs=1e-14
         )
-
-
-# -- site matrices -------------------------------------------------------------
-
-
-def test_site_matrix_projector():
-    state = StateVector.basis_state(W11, (1, 2))
-    out = apply_site_matrix(1, 1, 1, state)
-    np.testing.assert_array_equal(out.amplitudes, state.amplitudes)
-
-
-def test_site_matrix_raising():
-    w = WeightVector((0, 2))
-    state = StateVector.basis_state(w, (2, 2))
-    out = apply_site_matrix(1, 1, 2, state)
-    assert out.weight == WeightVector((1, 1))
-    np.testing.assert_array_equal(
-        out.amplitudes, StateVector.basis_state(WeightVector((1, 1)), (1, 2)).amplitudes
-    )
-
-
-def test_site_matrix_annihilates():
-    state = StateVector.basis_state(W11, (1, 2))
-    out = apply_site_matrix(1, 1, 2, state)  # site 1 holds letter 1, not 2
-    assert out.weight == WeightVector((2, 0))
-    np.testing.assert_array_equal(out.amplitudes, 0.0)
-
-
-def test_site_matrix_empty_target():
-    w = WeightVector((2, 0))
-    state = StateVector.basis_state(w, (1, 1))
-    out = apply_site_matrix(1, 1, 2, state)  # no letter 2 anywhere
-    np.testing.assert_array_equal(out.amplitudes, 0.0)
 
 
 # -- weight operators ----------------------------------------------------------
@@ -407,3 +374,33 @@ def test_trig_to_rational_limit():
         worst = max(worst, np.max(np.abs(diff)))
     assert worst < 10 * gamma * params.kappa * params.n
     assert worst > 0.0
+
+
+@pytest.mark.parametrize(
+    "case", ["rational", "rational-padded", "trigonometric", "trigonometric-all-signed", "single-site"]
+)
+def test_csr_rows_match_the_masked_builder_exactly(case):
+    # the lean build (no mask without a signed swap or a short row, swap
+    # coefficients in one broadcast) gives the same CSR arrays; the
+    # (1, 1, 1) sector has no zero sign, so its T_ij rows are all full
+    if case == "single-site":
+        params = ModelParams(n=1, N=1, x=(0.0,), g=(1.5,), hbar=1.0, kappa=0.3)
+        weight = WeightVector((1,))
+    elif case == "trigonometric-all-signed":
+        params, weight = trig_instance(n=3, N=3), WeightVector((1, 1, 1))
+    elif case == "trigonometric":
+        params, weight = trig_instance(n=5), WeightVector((3, 2))
+    else:
+        params, weight = rational_instance(n=5), WeightVector((3, 2))
+    n = params.n
+    ops = [gaudin_hamiltonian(i, params, weight) for i in range(1, n + 1)]
+    if case in ("rational-padded", "single-site"):
+        ops += [gaudin_derivative(i, i, 1, params, weight) for i in range(1, n + 1)]
+    dim = ops[0].dim
+    for lo, hi in ((0, dim), (dim // 3, dim), (1, max(2, dim // 2))):
+        hi = min(hi, dim)
+        got, want = csr_rows(ops, lo, hi), csr_rows_masked(ops, lo, hi)
+        assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
