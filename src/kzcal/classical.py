@@ -178,7 +178,7 @@ def _mp_context(dps: int) -> mpmath.MPContext:
     """A private mpmath context at dps digits, one per thread and precision.
 
     Its precision belongs to the caller alone; the process-wide mpmath.mp
-    is shared by concurrent suite threads and is neither read nor changed.
+    is shared with callers' threads and is neither read nor changed.
     Making a context takes about as long as a small characteristic
     polynomial, so each thread keeps one per precision; dps is set anew on
     every call.

@@ -7,7 +7,8 @@ Subcommands:
   integrate  propagate a state along a piecewise-linear path (demo)
 
 Exit codes: 0 all checks passed, 1 a verification failed, 2 infrastructure
-error (eigensolver or integrator gave up), 3 configuration error.
+error (eigensolver or integrator gave up), 3 configuration or usage error (a
+bad config file, option or argument value).
 """
 
 from __future__ import annotations
@@ -40,6 +41,17 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(v) for v in text.split(","))
 
 
+def _waypoints(text: str) -> tuple[tuple[float, ...], ...]:
+    return tuple(_floats(part) for part in text.split(";"))
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as ConfigError: one line on stderr and exit 3."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True, help="number of marked points")
     parser.add_argument("--N", type=int, required=True, help="dimension of the site space")
@@ -54,23 +66,29 @@ def _add_instance_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _instance_from_args(args) -> tuple[ModelParams, WeightVector]:
-    params = ModelParams(
-        n=args.n,
-        N=args.N,
-        x=args.x,
-        g=args.g,
-        hbar=args.hbar,
-        kappa=args.kappa,
-        gamma=args.gamma,
-        kind=args.kind,
-    )
-    weight = WeightVector(args.weight)
-    weight.validate_for(params.n)
+    """The instance the options describe; an invalid one is a ConfigError (exit 3)."""
+    try:
+        params = ModelParams(
+            n=args.n,
+            N=args.N,
+            x=args.x,
+            g=args.g,
+            hbar=args.hbar,
+            kappa=args.kappa,
+            gamma=args.gamma,
+            kind=args.kind,
+        )
+        weight = WeightVector(args.weight)
+        weight.validate_for(params.n)
+    except KzcalError as exc:
+        raise ConfigError(str(exc)) from exc
+    if weight.N != params.N:
+        raise ConfigError(f"weight has {weight.N} species but N = {params.N}")
     return params, weight
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="kzcal", description=__doc__.split("\n")[0])
+    parser = _Parser(prog="kzcal", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     ver = sub.add_parser("verify", help="run verification suites from a config file")
@@ -78,7 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--seed", type=int, default=None, help="override the config seed")
     ver.add_argument("--out", default=None, help="override the report output path")
     ver.add_argument("--format", choices=("json", "csv"), default=None)
-    ver.add_argument("--jobs", type=int, default=1, help="parallel workers across instances")
     ver.add_argument(
         "--tolerance-scale",
         type=float,
@@ -99,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(integ)
     integ.add_argument(
         "--waypoints",
+        type=_waypoints,
         required=True,
         help="semicolon-separated coordinate snapshots, e.g. '0.1,1,2;0.1,1.3,2'",
     )
@@ -114,7 +132,7 @@ def _cmd_verify(args) -> int:
         config = replace(config, output=args.out)
     if args.format is not None:
         config = replace(config, format=args.format)
-    report = run_suites(config, jobs=args.jobs, tolerance_scale=args.tolerance_scale)
+    report = run_suites(config, tolerance_scale=args.tolerance_scale)
     for name, suite in report.suites.items():
         status = "PASS" if suite.passed else "FAIL"
         print(
@@ -166,12 +184,14 @@ def _cmd_qc(args) -> int:
 
 def _cmd_integrate(args) -> int:
     params, weight = _instance_from_args(args)
+    try:
+        path = PathSpec(start=params.x, waypoints=args.waypoints, tolerance=args.tolerance)
+    except KzcalError as exc:
+        raise ConfigError(str(exc)) from exc
     conn = KzConnection(params, weight)
-    waypoints = tuple(_floats(part) for part in args.waypoints.split(";"))
-    path = PathSpec(start=params.x, waypoints=waypoints, tolerance=args.tolerance)
     initial = StateVector.uniform(weight)
     final = integrate_path(initial, path, conn)
-    end_params = params.replace(x=waypoints[-1])
+    end_params = params.replace(x=path.waypoints[-1])
     end_conn = KzConnection(end_params, weight)
     ders = mc_derivatives(final, end_conn, max_order=1)
     print(f"initial wavefunction: {mc_wavefunction(initial):.12g}")
@@ -181,7 +201,6 @@ def _cmd_integrate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "verify": _cmd_verify,
         "spectrum": _cmd_spectrum,
@@ -189,6 +208,7 @@ def main(argv=None) -> int:
         "integrate": _cmd_integrate,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -236,18 +236,25 @@ def verify_trig_identities(
     )
 
     if n >= 3:
-        t_ops = {(i, j): t_operator(i + 1, j + 1, weight) for i, j in permutations(range(n), 2)}
-        omega = np.ones(basis.dim)
-        slid = {pair: op.rmatvec(omega) for pair, op in t_ops.items()}
-        row = np.zeros(basis.dim)
-        for i, j, l in permutations(range(n), 3):
-            row += t_ops[i, l].rmatvec(slid[i, j])
+        row = _t_triple_row(weight)
         expected = -(n * (n - 1) * (n - 2) - float(np.dot(M, (M - 1.0) * (M - 2.0)))) / 3.0
         scale = max(abs(expected), float(n * (n - 1) * (n - 2)))
         report["t_triple_sum"] = _entry(float(np.max(np.abs(row - expected))), scale)
     else:
         report["t_triple_sum"] = IdentityResidual(0.0, 0.0)
     return report
+
+
+def _t_triple_row(weight: WeightVector) -> np.ndarray:
+    """The all-ones covector slid through the sum of T_ij T_il over distinct (i, j, l).
+
+    Summed over j before T_il^T applies, so each T^T applies twice, not n - 1
+    times; the entries are small integers, so the sum is exact in any order.
+    """
+    t_ops = {(i, j): t_operator(i + 1, j + 1, weight) for i, j in permutations(range(weight.n), 2)}
+    slid = {pair: op.rmatvec(np.ones(op.dim)) for pair, op in t_ops.items()}
+    total = [sum(slid[i, j] for j in range(weight.n) if j != i) for i in range(weight.n)]
+    return sum(op.rmatvec(total[i] - slid[i, l]) for (i, l), op in t_ops.items())
 
 
 def _monomial_map(mat) -> tuple[np.ndarray, np.ndarray] | None:

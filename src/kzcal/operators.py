@@ -189,8 +189,8 @@ def split_rows(fn, stop: int, step: int = 1) -> list:
     Every range end but the last is a multiple of `step`.  fn may only read
     data built before the call (operator terms, swap tables, bases), since
     the package's lazy caches are not locked, and must not call split_rows
-    itself.  No range then waits on another, so threads that call
-    split_rows at the same time (``--jobs``) share the pool safely.
+    itself.  No range then waits on another, so callers' threads that call
+    split_rows at the same time share the pool safely.
     """
     full = stop // step  # whole steps; the last range also takes the rest
     parts = min(_WORKERS + 1, full // -(-MIN_CHUNK_ROWS // step))

@@ -15,14 +15,13 @@ import json
 import os
 import time
 import uuid
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import __version__
 from .classical import gaudin_joint_spectrum, qc_check, string_energy
-from .config import ExplicitSpec, RandomSpec, RunConfig
+from .config import ConfigError, ExplicitSpec, RandomSpec, RunConfig
 from .core import (
     RATIONAL,
     TRIGONOMETRIC,
@@ -266,39 +265,31 @@ def build_instances(config: RunConfig) -> list[tuple[ModelParams, WeightVector]]
     return instances
 
 
-def _run_one_suite(name, instances, tolerance, seed, sweep, jobs) -> SuiteResult:
+def _run_one_suite(name, instances, tolerance, seed, sweep) -> SuiteResult:
     body = _SUITE_BODIES[name]
 
-    def residual_for(idx_inst):
-        idx, (params, weight) = idx_inst
-        rng = rng_for(seed if seed is not None else 0, name, idx)
-        return float(body(params, weight, rng))
+    def residuals(instance_set, *labels):
+        # one Philox stream per instance, keyed by the suite, the labels and the index
+        return [
+            float(body(params, weight, rng_for(seed or 0, name, *labels, idx)))
+            for idx, (params, weight) in enumerate(instance_set)
+        ]
 
     started = time.perf_counter()
-    work = list(enumerate(instances))
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            residuals = list(pool.map(residual_for, work))
-    else:
-        residuals = [residual_for(w) for w in work]
+    plain = residuals(instances)
     sweep_rows = []
     if sweep:
-        param, values = sweep["param"], sweep["values"]
-        for value in values:
-            swept = [
-                (params.replace(**{param: value}), weight)
-                for params, weight in instances
-            ]
-            vals = [
-                float(body(p, w, rng_for(seed or 0, name, param, value, i)))
-                for i, (p, w) in enumerate(swept)
-            ]
-            sweep_rows.append({"value": value, "max_residual": max_or_nan(vals)})
+        param = sweep["param"]
+        for value in sweep["values"]:
+            swept = [(params.replace(**{param: value}), weight) for params, weight in instances]
+            sweep_rows.append(
+                {"value": value, "max_residual": max_or_nan(residuals(swept, param, value))}
+            )
     elapsed = time.perf_counter() - started
     return SuiteResult(
         name=name,
         tolerance=tolerance,
-        residuals=residuals,
+        residuals=plain,
         wall_time_s=elapsed,
         instances=[_instance_digest(p, w) for p, w in instances],
         sweep=sweep_rows,
@@ -310,12 +301,16 @@ def run_suites(config: RunConfig, jobs: int = 1, tolerance_scale: float = 1.0) -
 
     Infrastructure errors (eigensolver non-convergence, integration failure)
     propagate so the caller can distinguish them from verification failures.
+    Instances run one after another on the calling thread.  `jobs` stays for
+    callers that pass jobs=1; any other value raises ConfigError.
     """
+    if jobs != 1:
+        raise ConfigError(f"jobs={jobs!r}: instances run on one thread; only jobs=1 is accepted")
     instances = build_instances(config)
     suites: dict[str, SuiteResult] = {}
     for name in config.suites:
         tol = config.tolerances[name] * tolerance_scale
-        suites[name] = _run_one_suite(name, instances, tol, config.seed, config.sweep, jobs)
+        suites[name] = _run_one_suite(name, instances, tol, config.seed, config.sweep)
     report = RunReport(seed=config.seed, config_echo=config.echo(), suites=suites)
     if config.output:
         write_report(report, config.output, config.format)
@@ -357,14 +352,12 @@ def _write_atomic(path: str, payload: str) -> None:
         raise
 
 
-def emit_plot_data(report: RunReport | dict, kind: str = "residual-vs-param", out_path: str = "sweep.csv"):
+def emit_plot_data(report: RunReport | dict, out_path: str = "sweep.csv"):
     """CSV (suite, parameter value, residual) of every swept suite, LF endings, atomic.
 
     Returns the path written, or None (writing nothing) when the report holds
     no sweep data.
     """
-    if kind != "residual-vs-param":
-        raise ValueError(f"unknown plot kind {kind!r}")
     data = report.to_dict() if isinstance(report, RunReport) else report
     rows = [
         f"{name},{entry['value']!r},{entry['max_residual']!r}"

@@ -11,7 +11,8 @@ polynomial by principal minors, the double-double residual that splits every
 permuted block anew, the recursive basis enumeration, the searched swap
 tables, the COO assembly of a CSR matrix, the CSR row builder that masks every
 term, the per-pair commutator actions, the covariant rows and curvature rows
-by full operator applications and the complex path integration.  The case-table reference checks the
+by full operator applications, the signed-swap triple row one triple at a
+time and the complex path integration.  The case-table reference checks the
 package's own materialized T_ij.
 """
 
@@ -236,6 +237,17 @@ def dd_residual_per_term_split(terms, Q, lam):
         lo = lo + ((hi - (total - back)) + (prod - back)) + err + a_lo * block
         hi = total
     return hi + lo
+
+
+def t_triple_row_per_triple(weight) -> np.ndarray:
+    """The slow reference for ``kzcal.identities._t_triple_row``: one T_il^T per triple."""
+    n, dim = weight.n, weight.dimension()
+    t_ops = {(i, j): t_operator(i + 1, j + 1, weight) for i, j in permutations(range(n), 2)}
+    slid = {pair: op.rmatvec(np.ones(dim)) for pair, op in t_ops.items()}
+    row = np.zeros(dim)
+    for i, j, l in permutations(range(n), 3):
+        row += t_ops[i, l].rmatvec(slid[i, j])
+    return row
 
 
 def _sparse_max_abs_diff(a, b) -> float:

@@ -262,21 +262,20 @@ def test_cli_explicit_verify_instance(tmp_path):
     assert cli.main(["verify", "--config", path]) == 0
 
 
-def test_jobs_parallel_matches_serial(tmp_path):
-    # every suite on a config where a shared mpmath precision made jobs=2 fail qc-rational
+def test_rerun_matches_on_every_suite(tmp_path):
+    # every suite on a config where a shared mpmath precision once made
+    # concurrent runs fail qc-rational; a second run gives the same residuals
     payload = {
         "suites": list(SUITE_NAMES),
         "seed": 7,
         "instance": {"random": {"n": 5, "N": 2, "count": 6, "dim_cap": 30}},
     }
     config = load_config(write_config(tmp_path, payload))
-    serial = run_suites(config, jobs=1)
-    for _ in range(3):
-        for jobs in (1, 2):
-            again = run_suites(config, jobs=jobs)
-            for name in SUITE_NAMES:
-                assert again.suites[name].residuals == serial.suites[name].residuals, (name, jobs)
-    assert serial.suites["qc-rational"].passed
+    first = run_suites(config)
+    again = run_suites(config)
+    for name in SUITE_NAMES:
+        assert again.suites[name].residuals == first.suites[name].residuals, name
+    assert first.suites["qc-rational"].passed
 
 
 def test_readme_config_passes_qc_rational_with_multiplicity_three(tmp_path):
@@ -386,3 +385,32 @@ def test_cli_qc_arpack_failure_is_infrastructure_error(monkeypatch):
         "--weight", "2,1", "--kappa", "0.1", "--seed", "4",
     ]
     assert cli.main(["qc", *args]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify"],
+        ["verify", "--config", "cfg.json", "--jobs", "2"],
+        ["qc", "--n", "2", "--N", "2", "--x", "0", "--g", "1,2", "--weight", "1,1"],
+        ["qc", "--n", "2", "--N", "2", "--x", "0,1", "--g", "1,2", "--weight", "2"],
+        ["integrate", *QC_ARGS, "--waypoints", "a,b"],
+        ["integrate", *QC_ARGS, "--waypoints", "0.1,1;0.2"],
+    ],
+    ids=["no-config", "jobs", "short-x", "short-weight", "bad-waypoint", "short-waypoint"],
+)
+def test_command_line_input_errors_exit_3(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, MINIMAL)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+def test_verify_help_exits_0_without_jobs(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["verify", "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--config" in out and "--jobs" not in out

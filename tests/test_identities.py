@@ -130,6 +130,16 @@ def test_t_triple_sum_coefficient_by_brute_force():
     assert verify_trig_identities(params, weight)["t_triple_sum"].scaled < 1e-13
 
 
+@pytest.mark.parametrize("M", [(1, 11), (2, 10), (3, 2, 2), (2, 2, 1), (5,), (1, 1, 1, 1)])
+def test_t_triple_row_matches_per_triple_oracle(M):
+    # the covectors summed over j before T_il^T applies: the same row, bit for bit
+    weight = WeightVector(M)
+    got = identities._t_triple_row(weight)
+    want = oracles.t_triple_row_per_triple(weight)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", ["trigonometric"])
 def test_trig_identities_random(kind):
     for k in range(10):

@@ -153,9 +153,9 @@ def test_kernels_do_not_depend_on_worker_count(rows_on, workers, params, weight)
     assert (pool.submitted > 0) == (params.n > 1)
 
 
-def test_jobs_threads_share_the_row_pool(rows_on, tmp_path):
-    # instance threads (jobs=2) hand row ranges to the pool at the same
-    # time; the reports equal the serial ones and the run ends
+def test_caller_threads_share_the_row_pool(rows_on, tmp_path):
+    # two threads of a library caller hand row ranges to the pool at the
+    # same time; each report equals the serial one and both runs end
     path = tmp_path / "cfg.json"
     suites = ["commutativity", "flatness", "mc-h2", "mc-h3", "momentum", "trig-mc", "kz-integrate"]
     payload = {
@@ -166,16 +166,23 @@ def test_jobs_threads_share_the_row_pool(rows_on, tmp_path):
     path.write_text(json.dumps(payload))
     config = load_config(str(path))
     rows_on(0)
-    serial = run_suites(config, jobs=1)
+    serial = run_suites(config)
     pool = rows_on(3)
-    result = {}
-    runner = threading.Thread(target=lambda: result.setdefault("report", run_suites(config, jobs=2)))
-    runner.start()
-    runner.join(timeout=120)
-    assert not runner.is_alive()
+    reports = [None, None]
+
+    def run(k):
+        reports[k] = run_suites(config)
+
+    runners = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+    for runner in runners:
+        runner.start()
+    for runner in runners:
+        runner.join(timeout=120)
+    assert not any(runner.is_alive() for runner in runners)
     assert pool.submitted > 0
-    for name in suites:
-        assert result["report"].suites[name].residuals == serial.suites[name].residuals, name
+    for report in reports:
+        for name in suites:
+            assert report.suites[name].residuals == serial.suites[name].residuals, name
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")

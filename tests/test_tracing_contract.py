@@ -11,9 +11,13 @@ import sys
 from collections import defaultdict
 
 import numpy as np
+import pytest
 
 from kzcal import core, kz, operators
+from kzcal.config import validate_config
 from kzcal.core import ModelParams, WeightVector
+from kzcal.errors import ConfigError
+from kzcal.suites import run_suites
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
 _write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True  # no cache in perfbench/
@@ -43,3 +47,18 @@ def test_term_cost_reads_trigonometric_terms():
     tracing._term_cost(counts, (op, v), op.matvec(v))
     assert counts["operators.term_apps"] == len(op.terms) == 1 + 2 * 3
     assert counts["operators.bytes_computed"] > 3 * len(op.terms) * v.nbytes
+
+
+def test_benchmark_call_of_run_suites():
+    # perfbench/worker.py calls run_suites(config, jobs=1)
+    config = validate_config({
+        "suites": ["identities", "mc-h2", "qc-rational"],
+        "seed": 3,
+        "instance": {"random": {"n": 4, "N": 2, "count": 2}},
+    })
+    plain = run_suites(config)
+    pinned = run_suites(config, jobs=1)
+    for name, suite in plain.suites.items():
+        assert pinned.suites[name].residuals == suite.residuals, name
+    with pytest.raises(ConfigError, match="jobs=2"):
+        run_suites(config, jobs=2)
