@@ -34,7 +34,7 @@ from .core import (
     min_pairwise_gap,
 )
 from .errors import DegenerateSpectrumError, SingularConfigurationError
-from .kernel import PairKernel, site_terms
+from .kernel import PairKernel
 from .operators import gaudin_hamiltonian
 
 __all__ = [
@@ -54,21 +54,30 @@ JOINT_RESIDUAL_TOL = 1e-8
 #: sectors above this dimension fall back to partial iterative extraction
 DENSE_DIM_LIMIT = 2000
 
+#: random combinations tried before a joint spectrum is reported degenerate
+JOINT_RETRIES = 5
+
+#: eigenpairs the partial extraction asks ARPACK for
+PARTIAL_EIGENPAIRS = 6
+
 
 @dataclass(frozen=True)
 class JointSpectrumItem:
     """One joint eigen-tuple of the Gaudin family with its eigenvector.
 
-    p_hp carries the momenta refined in extended precision; with repeated
-    twist values the Lax matrix on the level set is non-diagonalizable, so a
+    p_hp carries the momenta that the Lax check reads.  In a dense rational
+    sector they are refined to 60 digits (mpf): with repeated twist values
+    the Lax matrix on the level set is non-diagonalizable, so a
     multiplicity-m eigenvalue splits like the m-th root of the momentum error
-    and double precision alone cannot resolve the multiset to 1e-8.
+    and double precision alone cannot resolve the multiset to 1e-8.  Elsewhere
+    (trigonometric strings are simple eigenvalues, and the partial extraction
+    above the dense limit) they are the float64 Rayleigh quotients p.
     """
 
     p: np.ndarray  # (n,) complex, one eigenvalue per H_i
     eigvec: StateVector
     residuals: np.ndarray  # per-i eigen-residual norms
-    p_hp: np.ndarray | None = field(default=None, repr=False)
+    p_hp: np.ndarray = field(repr=False)
 
 
 def lax_matrix(x, p, params: ModelParams) -> np.ndarray:
@@ -120,7 +129,11 @@ def string_energy(weight: WeightVector, params: ModelParams, k: int) -> float:
 
 
 def _attempt_joint_diagonalization(mats, dim, n, rng, symmetric):
-    """Diagonalize one random combination sum_i c_i H_i; the refinement reuses (c, eigenvalues)."""
+    """Diagonalize one random combination sum_i c_i H_i; the refinement reuses (c, eigenvalues).
+
+    Returns (eigenvectors, residuals, worst residual, (c, eigenvalues), p),
+    p[i, k] the Rayleigh quotient of H_i at the k-th eigenvector.
+    """
     coeffs = rng.standard_normal(n)
     combo = sum(c * m for c, m in zip(coeffs, mats)).toarray()
     lam, vecs = (np.linalg.eigh if symmetric else scipy.linalg.eig)(combo)
@@ -133,42 +146,7 @@ def _attempt_joint_diagonalization(mats, dim, n, rng, symmetric):
         p[i] = np.einsum("ij,ij->j", vecs.conj(), mv)
         residuals[i] = np.linalg.norm(mv - vecs * p[i], axis=0)
     worst = float(residuals.max()) if dim else 0.0
-    return vecs, residuals, worst, (coeffs, lam)
-
-
-def _add_dense(terms, out: np.ndarray) -> np.ndarray:
-    """Add the matrix of the terms into the dense array out, term by term."""
-    rows = np.arange(out.shape[0])
-    for term in terms:
-        if term[0] == "diag":
-            out[rows, rows] += term[1]
-        elif term[0] == "swap":
-            np.add.at(out, (rows, term[1]), term[2])
-        else:
-            np.add.at(out, (rows, term[1]), term[2] * term[3])
-    return out
-
-
-def _refine_longdouble(params, weight, vecs) -> np.ndarray:
-    """Rayleigh quotients against the Hamiltonians rebuilt in longdouble.
-
-    The float64 materialization rounds each pair coefficient, which alone
-    perturbs the joint eigenvalues by ~1e-15; the eigenvector error enters
-    the quotient only quadratically, so with exactly rebuilt entries the
-    momentum error drops to longdouble rounding (~1e-17).
-    """
-    basis = get_basis(weight)
-    kern = PairKernel(params, np.longdouble)
-    g = np.asarray(params.g, dtype=np.longdouble)
-    x = np.asarray(params.x, dtype=np.longdouble)
-    V = vecs.astype(np.clongdouble)
-    norms = np.einsum("ij,ij->j", V.conj(), V)
-    p = np.empty((params.n, vecs.shape[1]), dtype=np.clongdouble)
-    for i0 in range(params.n):
-        dense = np.zeros((basis.dim, basis.dim), dtype=np.longdouble)
-        mv = _add_dense(site_terms(basis, i0, kern, g, x), dense) @ V
-        p[i0] = np.einsum("ij,ij->j", V.conj(), mv) / norms
-    return p
+    return vecs, residuals, worst, (coeffs, lam), p
 
 
 _contexts = threading.local()
@@ -362,21 +340,17 @@ def _refine_newton(params, weight, Q: np.ndarray, coeffs, lam) -> np.ndarray:
 
 
 def gaudin_joint_spectrum(
-    params: ModelParams,
-    weight: WeightVector,
-    seed: int,
-    tol: float = JOINT_RESIDUAL_TOL,
-    max_retries: int = 5,
-    n_partial: int | None = None,
+    params: ModelParams, weight: WeightVector, seed: int
 ) -> list[JointSpectrumItem]:
     """Joint eigen-tuples (p_1, ..., p_n) of the Gaudin family on the sector.
 
     Diagonalizes one random real combination of the commuting family (the
     generic combination separates the joint spectrum), then reads each p_i as
-    a Rayleigh quotient and verifies every per-i eigen-residual.  The
-    combination is re-randomized up to max_retries times before a degenerate
-    spectrum is reported.  Sectors larger than the dense limit are handled by
-    partial iterative extraction of n_partial eigenpairs.
+    a Rayleigh quotient and verifies every per-i eigen-residual against
+    JOINT_RESIDUAL_TOL.  The combination is drawn up to JOINT_RETRIES times
+    before a degenerate spectrum is reported.  Sectors larger than
+    DENSE_DIM_LIMIT are handled by partial iterative extraction of
+    PARTIAL_EIGENPAIRS eigenpairs.
     """
     basis = get_basis(weight)
     n, dim = params.n, basis.dim
@@ -384,13 +358,13 @@ def gaudin_joint_spectrum(
     symmetric = params.kind == RATIONAL
 
     if dim > DENSE_DIM_LIMIT:
-        return _partial_spectrum(mats, params, weight, seed, tol, n_partial or 6)
+        return _partial_spectrum(mats, params, weight, seed)
 
     # retry toward a quality target well below the contract tolerance: a
     # clean random combination typically lands near 1e-13
-    quality = min(tol, 1e-11)
+    quality = min(JOINT_RESIDUAL_TOL, 1e-11)
     best = None
-    for attempt in range(max_retries):
+    for attempt in range(JOINT_RETRIES):
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         )
@@ -399,19 +373,18 @@ def gaudin_joint_spectrum(
             best = trial
         if trial[2] < quality:
             break
-    vecs, residuals, worst, (coeffs, lam) = best
-    if worst >= tol:
+    vecs, residuals, worst, (coeffs, lam), p = best
+    if worst >= JOINT_RESIDUAL_TOL:
         raise DegenerateSpectrumError(
-            f"joint diagonalization residual {worst:.3e} exceeds {tol:.1e} after "
-            f"{max_retries} re-randomizations; the sector may be degenerate"
+            f"joint diagonalization residual {worst:.3e} exceeds {JOINT_RESIDUAL_TOL:.1e} "
+            f"after {JOINT_RETRIES} re-randomizations; the sector may be degenerate"
         )
     # rational sectors with repeated twists feed a defective Lax matrix, so
-    # their momenta go to 60 digits; trigonometric strings are simple
-    # eigenvalues and longdouble is already far below their tolerance
-    if symmetric:
-        p_hp = _refine_newton(params, weight, vecs.real, coeffs, lam)
-    else:
-        p_hp = _refine_longdouble(params, weight, vecs)
+    # their momenta go to 60 digits.  Trigonometric strings are simple
+    # eigenvalues, and their H_i are not symmetric (T_ij^T = -T_ij): a
+    # Rayleigh quotient is off linearly in the float64 eigenvector error,
+    # ~1e-13, which exactly rebuilt coefficients would not reduce.
+    p_hp = _refine_newton(params, weight, vecs.real, coeffs, lam) if symmetric else p
     return [
         JointSpectrumItem(
             p=p_hp[:, k].astype(np.complex128),
@@ -423,7 +396,7 @@ def gaudin_joint_spectrum(
     ]
 
 
-def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
+def _partial_spectrum(mats, params, weight, seed):
     n = params.n
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
@@ -431,7 +404,7 @@ def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
     coeffs = rng.standard_normal(n)
     combo = sum(c * m for c, m in zip(coeffs, mats))
     try:
-        _, vecs = scipy.sparse.linalg.eigs(combo.tocsc(), k=n_partial, which="LM")
+        _, vecs = scipy.sparse.linalg.eigs(combo.tocsc(), k=PARTIAL_EIGENPAIRS, which="LM")
     except scipy.sparse.linalg.ArpackError as exc:
         raise DegenerateSpectrumError(f"partial eigensolve failed: {exc}") from exc
     items = []
@@ -443,28 +416,26 @@ def _partial_spectrum(mats, params, weight, seed, tol, n_partial):
             mv = mat @ v
             p[i] = np.vdot(v, mv)
             residuals[i] = np.linalg.norm(mv - p[i] * v)
-        if residuals.max() < tol:
-            items.append(JointSpectrumItem(p, StateVector(weight, v), residuals))
+        if residuals.max() < JOINT_RESIDUAL_TOL:
+            items.append(JointSpectrumItem(p, StateVector(weight, v), residuals, p_hp=p))
     if not items:
         raise DegenerateSpectrumError("no converged joint eigenpairs in partial mode")
     return items
 
 
 def _mp_momentum(ctx, value):
-    """A refined momentum as a number of ctx, with its exact value.
+    """A momentum of p_hp as a number of ctx, with its exact value.
 
     An mpf/mpc of another context goes through ctx.convert: mpmath rounds a
     binary operation at the precision of its left operand's context, so
     arithmetic on the 60-digit momenta themselves would round there.  A
-    longdouble is the exact sum of two doubles, added at the precision of ctx.
+    double or complex double converts exactly.
     """
     if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
         return ctx.convert(value)
     if np.iscomplexobj(value):
-        return ctx.mpc(_mp_momentum(ctx, value.real), _mp_momentum(ctx, value.imag))
-    head = float(value)
-    tail = float(np.longdouble(value) - np.longdouble(head))
-    return ctx.mpf(head) + ctx.mpf(tail)
+        return ctx.mpc(float(value.real), float(value.imag))
+    return ctx.mpf(float(value))
 
 
 def _lax_rows(ctx, p_hp, params: ModelParams) -> list[list]:
@@ -594,32 +565,28 @@ def qc_check(
     params: ModelParams,
     weight: WeightVector,
     tol: float | None = None,
-    kmax: int | None = None,
 ) -> QcReport:
     """Compare the Lax spectrum at one joint eigen-tuple with the prediction.
 
     Sort-and-pair multiset matching (by real part, then the full complex
     distance as the metric); a mismatch above tolerance is reported as a
-    finding, not raised.  The traces tr L^k are compared for k = 1..kmax,
-    by default 1..n, where by Newton's identities they fix det(lambda - L).
+    finding, not raised.  The Lax eigenvalues come from item.p_hp at
+    15 max(M) + 10 digits, at least 40.  The traces tr L^k are compared for
+    k = 1..n, where by Newton's identities they fix det(lambda - L).
     """
     if tol is None:
         tol = 1e-8 if params.kind == RATIONAL else 1e-7
-    if kmax is None:
-        kmax = params.n
     L = lax_matrix(params.x, item.p, params)
     target = string_spectrum(weight, params)
-    if item.p_hp is not None:
-        dps = max(40, 15 * max(weight.M) + 10)
-        eigs = _lax_eigenvalues_hp(item.p_hp, params, target, dps)
-    else:
-        eigs = np.linalg.eigvals(L)
+    dps = max(40, 15 * max(weight.M) + 10)
+    eigs = _lax_eigenvalues_hp(item.p_hp, params, target, dps)
     eigs = eigs[np.argsort(eigs.real, kind="stable")]
     mismatch = float(np.max(np.abs(eigs - target)))
-    traces = classical_hamiltonians(L, kmax)
-    trace_targets = [string_energy(weight, params, k) for k in range(1, kmax + 1)]
+    powers = range(1, params.n + 1)
+    traces = classical_hamiltonians(L, params.n)
+    trace_targets = [string_energy(weight, params, k) for k in powers]
     # relative to sum |target|^k, which a cancelling power sum does not shrink
-    scales = [float(np.sum(np.abs(target) ** k)) for k in range(1, kmax + 1)]
+    scales = [float(np.sum(np.abs(target) ** k)) for k in powers]
     trace_err = max_or_nan(
         [abs(t - s) / max(a, 1e-30) for t, s, a in zip(traces, trace_targets, scales)]
     )

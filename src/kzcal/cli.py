@@ -23,9 +23,9 @@ import numpy as np
 from .classical import gaudin_joint_spectrum, qc_check
 from .config import ConfigError, load_config
 from .core import ModelParams, StateVector, WeightVector, max_or_nan
-from .errors import KzcalError
+from .errors import KzcalError, SingularPathError
 from .kz import KzConnection, PathSpec, integrate_path, mc_derivatives, mc_wavefunction
-from .suites import emit_plot_data, run_suites
+from .suites import check_writable, emit_plot_data, run_suites, write_atomic
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -132,6 +132,8 @@ def _cmd_verify(args) -> int:
         config = replace(config, output=args.out)
     if args.format is not None:
         config = replace(config, format=args.format)
+    if args.plot_data:
+        check_writable(args.plot_data)
     report = run_suites(config, tolerance_scale=args.tolerance_scale)
     for name, suite in report.suites.items():
         status = "PASS" if suite.passed else "FAIL"
@@ -148,6 +150,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     params, weight = _instance_from_args(args)
+    if args.out:
+        check_writable(args.out)
     items = gaudin_joint_spectrum(params, weight, seed=args.seed)
     payload = {
         "dimension": len(items),
@@ -161,8 +165,7 @@ def _cmd_spectrum(args) -> int:
     }
     text = json.dumps(payload, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text + "\n")
+        write_atomic(args.out, text + "\n")
     else:
         print(text)
     return EXIT_PASS
@@ -184,13 +187,13 @@ def _cmd_qc(args) -> int:
 
 def _cmd_integrate(args) -> int:
     params, weight = _instance_from_args(args)
-    try:
-        path = PathSpec(start=params.x, waypoints=args.waypoints, tolerance=args.tolerance)
-    except KzcalError as exc:
-        raise ConfigError(str(exc)) from exc
     conn = KzConnection(params, weight)
     initial = StateVector.uniform(weight)
-    final = integrate_path(initial, path, conn)
+    try:
+        path = PathSpec(start=params.x, waypoints=args.waypoints, tolerance=args.tolerance)
+        final = integrate_path(initial, path, conn)
+    except SingularPathError as exc:  # the path is checked before the first segment runs
+        raise ConfigError(str(exc)) from exc
     end_params = params.replace(x=path.waypoints[-1])
     end_conn = KzConnection(end_params, weight)
     ders = mc_derivatives(final, end_conn, max_order=1)

@@ -9,12 +9,13 @@ One kernel, in four roles:
     Lax off-diagonal          kappa / dx          kappa gamma / sinh(gamma dx)
 
 with dx = x_i - x_j.  The kernel computes in the caller's number type: float
-and numpy.longdouble through numpy, the mpf type of an mpmath context
-(``ctx.mpf``) through that context, at its precision.
+through numpy, the mpf type of an mpmath context (``ctx.mpf``) through that
+context, at its precision.
 
-Every Hamiltonian in the package is a sum of such pair terms over the swap
-tables of the basis, assembled by ``hamiltonian_terms``; the float64 H_i, the
-path-segment right-hand side and the extended-precision H_i all go through it.
+Every float64 Hamiltonian in the package is a sum of such pair terms over the
+swap tables of the basis, assembled by ``hamiltonian_terms``; the H_i and the
+path-segment right-hand side both go through it.  The 60-digit momentum
+refinement takes its pair coefficients from the same kernel in mpf.
 """
 
 from __future__ import annotations
@@ -101,6 +102,6 @@ def hamiltonian_terms(diag, table, x, kern: PairKernel) -> list[tuple]:
 
 
 def site_terms(basis: WeightBasis, i0: int, kern: PairKernel, g, x) -> list[tuple]:
-    """Terms of H_i at 0-based site i0; g and x are arrays in the kernel's number type."""
+    """Terms of H_i at 0-based site i0; g is a float array, x the float coordinates."""
     table = pair_table(basis, [(i0, j0, 1) for j0 in range(basis.n) if j0 != i0])
     return hamiltonian_terms(g[basis.letters(i0) - 1], table, x, kern)

@@ -232,8 +232,10 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
 def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> StateVector:
     """Propagate a state along the path; returns the value at the endpoint.
 
-    The result is deterministic for fixed inputs.  Segments of zero length are
-    skipped exactly, so a trivial path returns the initial amplitudes bitwise.
+    The result is deterministic for fixed inputs.  Every snapshot and segment
+    is checked against collisions before the first segment is integrated.
+    Segments of zero length are skipped exactly, so a trivial path returns
+    the initial amplitudes bitwise.
     Initial amplitudes with zero imaginary part are integrated in float64.
     """
     if initial.weight != conn.weight:
@@ -245,15 +247,15 @@ def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> 
     for s in snaps:
         if min_pairwise_gap(s) <= eps:
             raise SingularPathError("a path snapshot has coincident coordinates")
+    segments = [(a, b) for a, b in zip(snaps[:-1], snaps[1:]) if not np.array_equal(a, b)]
+    for a, b in segments:
+        _check_segment(a, b, eps)
     y = initial.amplitudes
     if not np.any(y.imag):
         # every H_i is real, so a real state stays real along the path
         y = y.real
     y = y.copy()
-    for a, b in zip(snaps[:-1], snaps[1:]):
-        if np.array_equal(a, b):
-            continue
-        _check_segment(a, b, eps)
+    for a, b in segments:
         sol = solve_ivp(
             _segment_rhs(conn, a, b),
             (0.0, 1.0),

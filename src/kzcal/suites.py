@@ -301,11 +301,15 @@ def run_suites(config: RunConfig, jobs: int = 1, tolerance_scale: float = 1.0) -
 
     Infrastructure errors (eigensolver non-convergence, integration failure)
     propagate so the caller can distinguish them from verification failures.
+    An output path that cannot be written raises ConfigError before any suite
+    runs.
     Instances run one after another on the calling thread.  `jobs` stays for
     callers that pass jobs=1; any other value raises ConfigError.
     """
     if jobs != 1:
         raise ConfigError(f"jobs={jobs!r}: instances run on one thread; only jobs=1 is accepted")
+    if config.output:
+        check_writable(config.output)
     instances = build_instances(config)
     suites: dict[str, SuiteResult] = {}
     for name in config.suites:
@@ -329,10 +333,25 @@ def write_report(report: RunReport, path: str, fmt: str = "json") -> None:
                 f"{s.median_residual!r},{s.tolerance!r}"
             )
         payload = "\n".join(lines) + "\n"
-    _write_atomic(path, payload)
+    write_atomic(path, payload)
 
 
-def _write_atomic(path: str, payload: str) -> None:
+def check_writable(path: str) -> None:
+    """Raise ConfigError unless write_atomic can create path.
+
+    write_atomic makes the missing directories, so the nearest existing
+    ancestor of path's directory must be a writable directory.
+    """
+    parent = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if os.path.isdir(path):
+        raise ConfigError(f"cannot write {path}: it is a directory")
+    if not (os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write {path}: {parent} is not a writable directory")
+
+
+def write_atomic(path: str, payload: str) -> None:
     """Write payload to path through a temp file in the same directory and a rename.
 
     The temp file is created with mode 0o666 less the umask, as open() would
@@ -366,5 +385,5 @@ def emit_plot_data(report: RunReport | dict, out_path: str = "sweep.csv"):
     ]
     if not rows:
         return None
-    _write_atomic(out_path, "\n".join(["suite,parameter,residual", *rows]) + "\n")
+    write_atomic(out_path, "\n".join(["suite,parameter,residual", *rows]) + "\n")
     return out_path

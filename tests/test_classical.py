@@ -161,7 +161,10 @@ def test_qc_mismatch_is_a_finding_not_an_exception():
     params = HAND
     items = gaudin_joint_spectrum(params, W11, seed=1)
     broken = JointSpectrumItem(
-        p=items[0].p + 0.05, eigvec=items[0].eigvec, residuals=items[0].residuals
+        p=items[0].p + 0.05,
+        eigvec=items[0].eigvec,
+        residuals=items[0].residuals,
+        p_hp=items[0].p_hp + 0.05,
     )
     report = qc_check(broken, params, W11)
     assert not report.ok
@@ -292,7 +295,7 @@ class _Captured(Exception):
     pass
 
 
-def _refined_columns(params, weight, columns, monkeypatch, **kwargs):
+def _refined_columns(params, weight, columns, monkeypatch):
     """60-digit momenta (n, len(columns)) of a few joint eigenvectors, by the package's refinement.
 
     Each column of the Newton correction D depends only on its own column of
@@ -312,10 +315,11 @@ def _refined_columns(params, weight, columns, monkeypatch, **kwargs):
     def chosen_rayleigh(ctx, basis, g, pairs, Q, D):
         raise _Captured(rayleigh(ctx, basis, g, pairs, Q[:, columns], D[:, columns]))
 
+    monkeypatch.setattr(classical, "JOINT_RETRIES", 1)
     monkeypatch.setattr(classical, "_dd_residual", chosen_residual)
     monkeypatch.setattr(classical, "_rayleigh_momenta", chosen_rayleigh)
     with pytest.raises(_Captured) as captured:
-        gaudin_joint_spectrum(params, weight, seed=11, **kwargs)
+        gaudin_joint_spectrum(params, weight, seed=11)
     monkeypatch.undo()
     return captured.value.args[0]
 
@@ -326,7 +330,7 @@ def test_charpoly_matches_eig_oracle_on_defective_level_sets(case, monkeypatch):
 
     params, weight = LEVEL_SETS[case]
     columns = [0, 35] if case == "(7,2)" else [0]
-    p_hp = _refined_columns(params, weight, columns, monkeypatch, max_retries=1)
+    p_hp = _refined_columns(params, weight, columns, monkeypatch)
     oracle = classical._lax_eigenvalues_eig
     fallbacks = []
     monkeypatch.setattr(classical, "_lax_eigenvalues_eig", lambda *a: fallbacks.append(a) or oracle(*a))
@@ -368,14 +372,17 @@ def test_shifted_charpoly_matches_minors_oracle(sector):
                 assert abs(ref[0]) > 10.0 ** (40 - dps)
 
 
-def test_partial_spectrum_large_sector():
+def test_partial_spectrum_large_sector(monkeypatch):
     # above the dense limit the extraction is partial but still verified
+    from kzcal import classical
+
+    monkeypatch.setattr(classical, "PARTIAL_EIGENPAIRS", 4)
     n = 14
     x = tuple(np.linspace(0.0, 6.5, n))
     params = ModelParams(n=n, N=2, x=x, g=(1.0, 2.0), hbar=1.0, kappa=0.3)
     weight = WeightVector((7, 7))
     assert weight.dimension() == 3432
-    items = gaudin_joint_spectrum(params, weight, seed=2, n_partial=4)
+    items = gaudin_joint_spectrum(params, weight, seed=2)
     assert 0 < len(items) <= 4
     target = float(np.dot(weight.M, params.g))
     for it in items:
@@ -383,10 +390,34 @@ def test_partial_spectrum_large_sector():
         assert np.sum(it.p).real == pytest.approx(target, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_partial_items_take_the_extended_precision_lax_check(kind, monkeypatch):
+    # ARPACK items carry p_hp = p, so qc_check reads them through the
+    # characteristic polynomial like every dense item
+    from kzcal import classical
+
+    params = _oracle_instance(kind).replace(N=4, g=(1.0, 1.9, 3.1, 4.2))
+    weight = WeightVector((1, 1, 1, 1))
+    monkeypatch.setattr(classical, "DENSE_DIM_LIMIT", 2)
+    hp = classical._lax_eigenvalues_hp
+    calls = []
+    monkeypatch.setattr(classical, "_lax_eigenvalues_hp", lambda *a: calls.append(a) or hp(*a))
+    items = gaudin_joint_spectrum(params, weight, seed=3)
+    assert 0 < len(items) <= classical.PARTIAL_EIGENPAIRS < weight.dimension()
+    for item in items:
+        assert item.p_hp.dtype == np.complex128 and np.array_equal(item.p_hp, item.p)
+        report = qc_check(item, params, weight)
+        assert report.ok
+    assert len(calls) == len(items)
+
+
 def test_arpack_failure_maps_to_degenerate_spectrum(monkeypatch):
     import scipy.sparse.linalg
 
+    from kzcal import classical
     from kzcal.errors import DegenerateSpectrumError
+
+    monkeypatch.setattr(classical, "PARTIAL_EIGENPAIRS", 4)
 
     def no_convergence(*args, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence("synthetic", np.empty(0), np.empty((0, 0)))
@@ -396,10 +427,10 @@ def test_arpack_failure_maps_to_degenerate_spectrum(monkeypatch):
     params = ModelParams(n=n, N=2, x=tuple(np.linspace(0.0, 6.5, n)), g=(1.0, 2.0), hbar=1.0, kappa=0.3)
     weight = WeightVector((7, 7))  # above the dense limit
     with pytest.raises(DegenerateSpectrumError, match="partial eigensolve"):
-        gaudin_joint_spectrum(params, weight, seed=2, n_partial=4)
+        gaudin_joint_spectrum(params, weight, seed=2)
 
 
-# -- extended-precision Hamiltonians against the Kronecker oracle ----------------
+# -- extended-precision coefficients against the Kronecker oracle ---------------
 
 
 def _oracle_instance(kind):
@@ -407,27 +438,6 @@ def _oracle_instance(kind):
         n=4, N=3, x=(0.0, 1.3, -0.7, 2.2), g=(1.0, 1.9, 3.1), hbar=1.0, kappa=0.35
     )
     return params if kind == "rational" else params.replace(kind="trigonometric", gamma=0.6)
-
-
-@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
-def test_longdouble_hamiltonian_matches_kron_oracle(kind):
-    from kzcal.classical import _add_dense
-    from kzcal.kernel import PairKernel, site_terms
-
-    from oracles import gaudin_full, restrict
-
-    params = _oracle_instance(kind)
-    weight = WeightVector((2, 1, 1))
-    basis = get_basis(weight)
-    kern = PairKernel(params, np.longdouble)
-    g = np.asarray(params.g, dtype=np.longdouble)
-    x = np.asarray(params.x, dtype=np.longdouble)
-    for i in range(1, params.n + 1):
-        dense = np.zeros((basis.dim, basis.dim), dtype=np.longdouble)
-        ours = _add_dense(site_terms(basis, i - 1, kern, g, x), dense)
-        assert ours.dtype == np.longdouble
-        full = restrict(gaudin_full(params, i), weight)
-        np.testing.assert_allclose(ours.astype(float), full, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])

@@ -396,8 +396,16 @@ def test_cli_qc_arpack_failure_is_infrastructure_error(monkeypatch):
         ["qc", "--n", "2", "--N", "2", "--x", "0,1", "--g", "1,2", "--weight", "2"],
         ["integrate", *QC_ARGS, "--waypoints", "a,b"],
         ["integrate", *QC_ARGS, "--waypoints", "0.1,1;0.2"],
+        ["integrate", *QC_ARGS, "--waypoints", "1,0"],
+        ["spectrum", *QC_ARGS, "--out", "cfg.json/x.json"],
+        ["verify", "--config", "cfg.json", "--out", "cfg.json/r.json"],
+        ["verify", "--config", "cfg.json", "--plot-data", "cfg.json/s.csv"],
     ],
-    ids=["no-config", "jobs", "short-x", "short-weight", "bad-waypoint", "short-waypoint"],
+    ids=[
+        "no-config", "jobs", "short-x", "short-weight", "bad-waypoint", "short-waypoint",
+        "colliding-path", "spectrum-out-under-file", "verify-out-under-file",
+        "plot-data-under-file",
+    ],
 )
 def test_command_line_input_errors_exit_3(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -406,6 +414,13 @@ def test_command_line_input_errors_exit_3(tmp_path, monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+def test_spectrum_out_makes_missing_directories(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    assert cli.main(["spectrum", *QC_ARGS, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert json.loads(out.read_text())["dimension"] == 2
 
 
 def test_verify_help_exits_0_without_jobs(capsys):

@@ -257,7 +257,7 @@ def test_two_routes_agree():
     assert np.linalg.norm(a.amplitudes - b.amplitudes) < 1e-10
 
 
-def test_collision_crossing_rejected():
+def test_collision_crossing_rejected(monkeypatch):
     conn = KzConnection(GENTLE, W21)
     phi = StateVector.uniform(W21)
     crossing = PathSpec(start=(0.0, 1.1, 2.3), waypoints=((1.5, 1.1, 2.3),))
@@ -266,6 +266,13 @@ def test_collision_crossing_rejected():
     touching = PathSpec(start=(0.0, 1.1, 2.3), waypoints=((1.1, 1.1, 2.3),))
     with pytest.raises(SingularPathError):
         integrate_path(phi, touching, conn)
+    # a crossing on the second segment is found before the first one runs
+    calls = []
+    monkeypatch.setattr(kz, "solve_ivp", lambda *a, **k: calls.append(a))
+    late = PathSpec(start=(0.0, 1.1, 2.3), waypoints=((0.1, 1.1, 2.3), (1.5, 1.1, 2.3)))
+    with pytest.raises(SingularPathError, match="x_1 and x_2"):
+        integrate_path(phi, late, conn)
+    assert calls == []
 
 
 def test_path_wrong_subspace_rejected():
