@@ -311,14 +311,16 @@ class StateVector:
     @classmethod
     def random(cls, weight: WeightVector, rng: np.random.Generator) -> "StateVector":
         dim = weight.dimension()
-        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        return cls(weight, amps / np.linalg.norm(amps))
+        state = cls(weight, rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+        return cls(weight, state.amplitudes / state.norm())
 
     def copy(self) -> "StateVector":
         return StateVector(self.weight, self.amplitudes.copy())
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
+        # a plain reduction: numpy's BLAS would split a large state over its threads
+        v = self.amplitudes
+        return float(np.sqrt(np.sum(v.real * v.real + v.imag * v.imag)))
 
 
 def omega_pairing(state: StateVector) -> complex:

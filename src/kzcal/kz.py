@@ -15,11 +15,10 @@ the all-ones projection Psi = sum_J Phi_J.
 
 from __future__ import annotations
 
-import gc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .core import (
     ModelParams,
@@ -229,6 +228,122 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     return rhs
 
 
+# scipy's DOP853 tableau (a private module, so a test pins its shapes)
+_STAGES = dop853.N_STAGES
+_A, _B, _C = dop853.A[:_STAGES, :_STAGES], dop853.B, dop853.C[:_STAGES]
+
+
+@dataclass(frozen=True)
+class Transport:
+    """What ``solve_ivp`` returns: the state at t = 1 and its solver facts."""
+
+    y: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+def _weighted_rows(K: list, coeffs, lo: int, hi: int) -> np.ndarray:
+    """Rows lo:hi of sum_j coeffs[j] K[j], in stage order; zero coefficients add nothing."""
+    acc = None
+    for j, c in enumerate(coeffs):
+        if c != 0.0:
+            if acc is None:
+                acc = K[j][lo:hi] * c
+            else:
+                acc += K[j][lo:hi] * c
+    return acc
+
+
+def _stage_state(K: list, coeffs, h: float, y: np.ndarray) -> np.ndarray:
+    """y + (sum_j coeffs[j] K[j]) h, each range of the row pool in one pass."""
+    out = np.empty_like(y)
+
+    def rows(lo: int, hi: int) -> None:
+        out[lo:hi] = y[lo:hi] + _weighted_rows(K, coeffs, lo, hi) * h
+
+    split_rows(rows, y.size)
+    return out
+
+
+def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float, max_step: float = np.inf):
+    """kzcal's DOP853 stepper: y(1) for y' = fun(t, y), y(0) = y0, real or complex.
+
+    Every step decision is that of scipy's ``solve_ivp(method="DOP853")``
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4): its tableau, its
+    first step (``select_initial_step``), its step control (safety 0.9,
+    factors 0.2 to 10, exponent -1/8, no growth right after a rejection), its
+    err5/err3 error norm and its TOO_SMALL_STEP failure, which here also ends
+    a NaN step, on which scipy would loop forever.  The stage sums run on the
+    ranges of ``split_rows`` and the norms come from ``_block_norms``, with
+    no BLAS call, so the result does not depend on the CPU count or the BLAS
+    threads.  The function keeps scipy's name because the traced benchmark
+    counts right-hand sides by wrapping ``kz.solve_ivp`` and reading
+    ``nfev`` and ``success`` from the returned ``Transport``.
+    """
+    dim = y0.size
+    rtol = max(rtol, 100 * np.finfo(float).eps)
+    nfev = 0
+
+    def f(t, y):
+        nonlocal nfev
+        nfev += 1
+        return fun(t, y)
+
+    def norms(rows, count):
+        return _block_norms(rows, dim, count, whole=True)
+
+    y = y0
+    K = [f(0.0, y)] + [None] * _STAGES
+    scale = atol + np.abs(y) * rtol
+    d0, d1 = norms(lambda lo, hi: np.stack([y[lo:hi], K[0][lo:hi]]) / scale[lo:hi], 2) / dim**0.5
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, 1.0)
+    df = f(h0, y + h0 * K[0]) - K[0]
+    (d2,) = norms(lambda lo, hi: (df[lo:hi] / scale[lo:hi])[None], 1) / dim**0.5 / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, 1.0, max_step)
+
+    def error_rows(lo, hi):  # the err5 and err3 rows of the step to y_new
+        scale = atol + np.maximum(np.abs(y[lo:hi]), np.abs(y_new[lo:hi])) * rtol
+        errors = [_weighted_rows(K, E, lo, hi) for E in (dop853.E5, dop853.E3)]
+        return np.stack(errors) / scale
+
+    t = 0.0
+    while t < 1.0:
+        min_step = 10 * (np.nextafter(t, np.inf) - t)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        rejected = False
+        while True:
+            if not h_abs >= min_step:
+                message = "Required step size is less than spacing between numbers."
+                return Transport(y, nfev, False, message)
+            t_new = min(t + h_abs, 1.0)
+            h = h_abs = t_new - t
+            for s in range(1, _STAGES):
+                K[s] = f(t + _C[s] * h, _stage_state(K, _A[s, :s], h, y))
+            y_new = _stage_state(K, _B, h, y)
+            K[-1] = f(t + h, y_new)
+            e5, e3 = norms(error_rows, 2) ** 2
+            if e5 == 0 and e3 == 0:
+                error_norm = 0.0
+            else:
+                error_norm = h * e5 / np.sqrt((e5 + 0.01 * e3) * dim)
+            factor = 10.0 if error_norm == 0 else 0.9 * error_norm ** (-1 / 8)
+            if error_norm < 1:
+                h_abs *= min(1.0 if rejected else 10.0, factor)
+                break
+            h_abs *= max(0.2, factor)  # also when error_norm is NaN
+            rejected = True
+        t, y, K[0] = t_new, y_new, K[-1]
+    return Transport(y, nfev, True, "The solver reached the end of the interval.")
+
+
 def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> StateVector:
     """Propagate a state along the path; returns the value at the endpoint.
 
@@ -256,26 +371,12 @@ def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> 
         y = y.real
     y = y.copy()
     for a, b in segments:
-        sol = solve_ivp(
-            _segment_rhs(conn, a, b),
-            (0.0, 1.0),
-            y,
-            method="DOP853",
-            rtol=path.tolerance,
-            atol=path.atol,
-            max_step=path.max_step,
-        )
+        sol = solve_ivp(_segment_rhs(conn, a, b), y, path.tolerance, path.atol, path.max_step)
         if not sol.success:
             raise IntegrationFailureError(
                 f"integration failed on segment {a} -> {b}: {sol.message}"
             )
-        y = sol.y[:, -1].copy()  # a view would keep every step's state alive
-        # the finished solver holds a closure over itself (OdeSolver.fun), so
-        # its stage arrays (16 states for DOP853) wait for a cyclic
-        # collection.  It is still in the youngest generation, whose
-        # collection takes microseconds; collecting older ones would bring
-        # on full collections, which take tens of ms beside mpmath state.
-        gc.collect(0)
+        y = sol.y
     return StateVector(initial.weight, y)
 
 
@@ -301,9 +402,10 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
     return out
 
 
-#: rows per block of the commutator sweeps.  A block holds the CSR rows of
-#: all n H_i, their product with the n columns of U = [H_1 v ... H_n v] and
-#: those rows of every pair's commutator: about 25 MB at n = 14.
+#: rows per block of the commutator sweeps and of every norm's sum of
+#: squares.  A sweep block holds the CSR rows of all n H_i, their
+#: product with the n columns of U = [H_1 v ... H_n v] and those rows of
+#: every pair's commutator: about 25 MB at n = 14.
 SWEEP_ROWS = 2048
 
 
@@ -359,21 +461,31 @@ def _curvature_rows(conn: KzConnection, v: np.ndarray):
     return rows
 
 
-def _block_norms(rows, dim: int, npairs: int) -> np.ndarray:
-    """Per-pair 2-norms of rows(0, dim), one SWEEP_ROWS block at a time.
+def _block_norms(rows, dim: int, count: int, whole: bool = False) -> np.ndarray:
+    """2-norms of the `count` rows of rows(0, dim), summed one SWEEP_ROWS block at a time.
 
-    The squared moduli are summed within each block, then over the blocks in
-    row order, however ``split_rows`` shares the blocks out.
+    rows is called on one block at a time, or with whole=True on each range
+    of ``split_rows`` at once.  The squared moduli are summed within each
+    block, then over the blocks in row order, however ``split_rows`` shares
+    the blocks out.  Every norm of the float64 suites comes from here.
     """
 
     def sums(lo: int, hi: int) -> list:
         out = []
-        for b in range(lo, hi, SWEEP_ROWS):
-            C = rows(b, min(b + SWEEP_ROWS, hi))
-            out.append(np.sum(C.real * C.real + C.imag * C.imag, axis=1))
+        step = hi - lo if whole else SWEEP_ROWS
+        for c in range(lo, hi, step):
+            C = rows(c, min(c + step, hi))
+            sq = C.real * C.real
+            if np.iscomplexobj(C):
+                sq += C.imag * C.imag
+            blocks = sq.shape[1] // SWEEP_ROWS
+            full = blocks * SWEEP_ROWS
+            out.extend(np.sum(sq[:, :full].reshape(count, blocks, SWEEP_ROWS), axis=2).T)
+            if full < sq.shape[1]:
+                out.append(np.sum(sq[:, full:], axis=1))
         return out
 
-    total = np.zeros(npairs)
+    total = np.zeros(count)
     for chunk in split_rows(sums, dim, SWEEP_ROWS):
         for block in chunk:
             total += block

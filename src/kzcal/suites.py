@@ -42,6 +42,7 @@ from .instances import random_instance, rng_for
 from .kz import (
     KzConnection,
     PathSpec,
+    _block_norms,
     commutator_norms,
     flatness_residual,
     integrate_path,
@@ -235,7 +236,8 @@ def _suite_kz_integrate(params, weight, rng):
     conn = KzConnection(params, weight)
     initial = StateVector.uniform(weight)
     final = integrate_path(initial, loop, conn)
-    loop_gap = float(np.linalg.norm(final.amplitudes - initial.amplitudes))
+    gap = final.amplitudes - initial.amplitudes
+    loop_gap = float(_block_norms(lambda lo, hi: gap[None, lo:hi], gap.size, 1, whole=True)[0])
     pde = pde_residual_on_solution(final, conn, "h2")
     return max_or_nan([loop_gap, pde])
 

@@ -134,6 +134,42 @@ MUTANTS = [
         "if False:",
         ("tests/test_tracing_contract.py",),
     ),
+    # -- the DOP853 stepper and the block norms ----------------------------------
+    Mutant(
+        "stepper-error-exponent-1/7",
+        "kz.py",
+        "0.9 * error_norm ** (-1 / 8)",
+        "0.9 * error_norm ** (-1 / 7)",
+        ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
+    ),
+    Mutant(
+        "stepper-e3-weight-0.1",
+        "kz.py",
+        "(e5 + 0.01 * e3)",
+        "(e5 + 0.1 * e3)",
+        ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
+    ),
+    Mutant(
+        "stepper-grows-after-rejection",
+        "kz.py",
+        "min(1.0 if rejected else 10.0, factor)",
+        "min(10.0, factor)",
+        ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
+    ),
+    Mutant(
+        "stepper-stage-row-off-by-one",
+        "kz.py",
+        "_stage_state(K, _A[s, :s], h, y)",
+        "_stage_state(K, _A[s - 1, :s], h, y)",
+        ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
+    ),
+    Mutant(
+        "block-norms-reverse-order",
+        "kz.py",
+        "        for block in chunk:\n",
+        "        for block in chunk[::-1]:\n",
+        ("tests/test_row_split.py", "-k", "block_norms"),
+    ),
     # -- float64 operator work ---------------------------------------------------
     Mutant(
         "t-triple-keeps-l",

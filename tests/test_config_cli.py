@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from kzcal import cli
+from kzcal import cli, kz
 from kzcal.config import DEFAULT_TOLERANCES, SUITE_NAMES, load_config, validate_config
 from kzcal.errors import ConfigError, DegenerateSpectrumError
 from kzcal.suites import build_instances, emit_plot_data, run_suites
@@ -385,6 +385,16 @@ def test_cli_qc_arpack_failure_is_infrastructure_error(monkeypatch):
         "--weight", "2,1", "--kappa", "0.1", "--seed", "4",
     ]
     assert cli.main(["qc", *args]) == 2
+
+
+def test_cli_integration_failure_is_infrastructure_error(monkeypatch, capsys):
+    # a right-hand side that is NaN everywhere: the stepper gives up on the
+    # first segment, and the command prints one line and exits 2
+    monkeypatch.setattr(kz, "_segment_rhs", lambda *a: lambda t, y: y * np.nan)
+    assert cli.main(["integrate", *QC_ARGS, "--waypoints", "0.05,1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: integration failed on segment")
 
 
 @pytest.mark.parametrize(

@@ -2,10 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp as scipy_solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from kzcal import kz
 from kzcal.core import ModelParams, StateVector, WeightVector, max_or_nan, omega_pairing
 from kzcal.errors import (
+    IntegrationFailureError,
     InvalidWeightError,
     SingularPathError,
     UnsupportedOrderError,
@@ -25,6 +28,7 @@ from kzcal.kz import (
 )
 from kzcal.suites import _suite_commutativity
 
+import oracles
 from oracles import (
     commutator_actions,
     covariant_row_rmatvec,
@@ -164,10 +168,30 @@ def test_zero_length_path_is_exact_identity():
     assert np.array_equal(out.amplitudes, phi.amplitudes)
 
 
+def counted_rhs(monkeypatch, module):
+    """t of every right-hand side call of the segments that `module` integrates."""
+    calls = []
+    make = module._segment_rhs
+
+    def counting(*args):
+        rhs = make(*args)
+
+        def counted(t, y):
+            calls.append(t)
+            return rhs(t, y)
+
+        return counted
+
+    monkeypatch.setattr(module, "_segment_rhs", counting)
+    return calls
+
+
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
-def test_real_state_transport_matches_complex_oracle(kind):
+def test_real_state_transport_matches_complex_oracle(kind, monkeypatch):
     # a real initial state is integrated in float64 and ends within 1e-12 of
-    # the complex integration, with an imaginary part of exactly zero
+    # the complex integration, with an imaginary part of exactly zero, after
+    # as many right-hand sides as scipy's DOP853 takes
+    ours, theirs = counted_rhs(monkeypatch, kz), counted_rhs(monkeypatch, oracles)
     params = PAIRS.replace(kind=kind)
     conn = KzConnection(params, W221)
     x = np.asarray(params.x)
@@ -180,20 +204,94 @@ def test_real_state_transport_matches_complex_oracle(kind):
         assert np.linalg.norm(out.amplitudes - want.amplitudes) < 1e-12
         assert not np.any(out.amplitudes.imag)
         assert np.linalg.norm(out.amplitudes - phi.amplitudes) > 1e-3  # it moved
+        assert len(ours) == len(theirs) > 0
+        ours.clear()
+        theirs.clear()
 
 
-def test_complex_state_transport_is_the_complex_oracle():
-    conn = KzConnection(PAIRS, W221)
-    x = np.asarray(PAIRS.x)
-    path = PathSpec(start=PAIRS.x, waypoints=(tuple(x + 0.1 * np.arange(5)), tuple(x + 0.1)))
-    phi = StateVector.random(W221, np.random.default_rng(13))
-    out = integrate_path(phi, path, conn)
-    np.testing.assert_array_equal(out.amplitudes, integrate_path_complex(phi, path, conn).amplitudes)
+def test_complex_state_transport_is_the_complex_oracle(monkeypatch):
+    # complex states take the same stepper as real ones: within 1e-12 of
+    # scipy's DOP853, after as many right-hand sides
+    ours, theirs = counted_rhs(monkeypatch, kz), counted_rhs(monkeypatch, oracles)
+    for kind in ("rational", "trigonometric"):
+        params = PAIRS.replace(kind=kind)
+        conn = KzConnection(params, W221)
+        x = np.asarray(params.x)
+        path = PathSpec(start=params.x, waypoints=(tuple(x + 0.1 * np.arange(5)), tuple(x + 0.1)))
+        phi = StateVector.random(W221, np.random.default_rng(13))
+        out = integrate_path(phi, path, conn)
+        want = integrate_path_complex(phi, path, conn)
+        assert np.linalg.norm(out.amplitudes - want.amplitudes) < 1e-12
+        assert np.linalg.norm(out.amplitudes.imag) > 1e-3
+        assert len(ours) == len(theirs) > 0
+        ours.clear()
+        theirs.clear()
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_stepper_takes_the_steps_of_scipy_dop853(kind):
+    # at a loose tolerance another step sequence would end ~1e-7 away, so
+    # equal right-hand side counts and endpoints within 1e-12 mean equal
+    # step decisions; the second segment has rejected steps
+    params = PAIRS.replace(kind=kind)
+    conn = KzConnection(params, W221)
+    x = np.asarray(params.x)
+    rng = np.random.default_rng(14)
+    rejections = 0
+    for b in (x + 0.1 * np.arange(5), x + np.array([0.0, 1.0, 0.0, 0.0, 0.0])):
+        rhs = kz._segment_rhs(conn, x, b)
+        real, complex_ = StateVector.uniform(W221), StateVector.random(W221, rng)
+        for y0 in (real.amplitudes.real, complex_.amplitudes):
+            for rtol, atol in ((1e-10, 1e-12), (1e-6, 1e-8)):
+                want = scipy_solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=atol)
+                got = kz.solve_ivp(rhs, y0, rtol, atol)
+                assert got.success and got.y.dtype == y0.dtype
+                assert got.nfev == want.nfev
+                assert np.linalg.norm(got.y - want.y[:, -1]) < 1e-12
+                rejections += want.nfev - 2 - 12 * (len(want.t) - 1)
+    assert rejections > 0
+
+
+def test_dop853_tableau_is_pinned():
+    # the stepper reads scipy's private DOP853 module; its layout is pinned here
+    assert kz.dop853 is dop853_coefficients
+    assert dop853_coefficients.N_STAGES == 12
+    assert dop853_coefficients.A.shape == (16, 16)
+    assert dop853_coefficients.B.shape == (12,)
+    assert dop853_coefficients.C.shape == (16,)
+    assert dop853_coefficients.E3.shape == dop853_coefficients.E5.shape == (13,)
+
+
+def test_nan_right_hand_side_fails_with_too_small_step(monkeypatch):
+    # a right-hand side that turns NaN halfway shrinks the step by 0.2 per
+    # rejection until it is below ten spacings of t: scipy's failure, after
+    # scipy's count of right-hand sides
+    make = kz._segment_rhs
+
+    def nan_after_half(*args):
+        rhs = make(*args)
+        return lambda t, y: rhs(t, y) * (np.nan if t > 0.5 else 1.0)
+
+    conn = KzConnection(GENTLE, W21)
+    end = (0.3, 1.1, 2.3)
+    rhs = nan_after_half(conn, np.asarray(GENTLE.x), np.asarray(end))
+    y0 = StateVector.uniform(W21).amplitudes.real
+    got = kz.solve_ivp(rhs, y0, 1e-10, 1e-12)
+    want = scipy_solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-10, atol=1e-12)
+    assert not got.success and not want.success
+    assert got.nfev == want.nfev > 100 and got.message == want.message
+    # NaN from the first call: the step is NaN at once, which scipy would
+    # shrink forever
+    assert not kz.solve_ivp(lambda t, y: y * np.nan, y0, 1e-10, 1e-12).success
+    monkeypatch.setattr(kz, "_segment_rhs", nan_after_half)
+    path = PathSpec(start=GENTLE.x, waypoints=(end,))
+    with pytest.raises(IntegrationFailureError, match="Required step size"):
+        integrate_path(StateVector.uniform(W21), path, conn)
 
 
 def test_transport_frees_each_segment_solver():
-    # a finished DOP853 solver is a reference cycle holding 16 stage vectors;
-    # after the path, traced memory is back within a few state vectors
+    # the stepper keeps no reference to a finished segment's stages; after
+    # the path, traced memory is back within a few state vectors
     weight = WeightVector((4, 3, 2))
     dim = weight.dimension()
     assert dim >= 1000

@@ -3,6 +3,7 @@
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -10,9 +11,17 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import kzcal
 from kzcal import kz, operators
 from kzcal.core import ModelParams, StateVector, WeightVector
-from kzcal.kz import KzConnection, _segment_rhs, commutator_norms, flatness_residual
+from kzcal.kz import (
+    KzConnection,
+    PathSpec,
+    _segment_rhs,
+    commutator_norms,
+    flatness_residual,
+    integrate_path,
+)
 from kzcal.config import load_config
 from kzcal.operators import split_rows, t_operator
 from kzcal.suites import run_suites
@@ -39,8 +48,9 @@ class CountingPool(ThreadPoolExecutor):
 def rows_on(monkeypatch):
     """rows_on(workers): share rows with that many pool threads, in chunks of >= 4 rows.
 
-    workers=0 is the serial path.  The sweeps use 3-row blocks throughout,
-    so that the serial and split reductions add the same block sums.
+    workers=0 is the serial path.  The sweeps and the norms use 3-row blocks
+    throughout, so that the serial and split reductions add the same block
+    sums.
     """
     pools = []
     monkeypatch.setattr(kz, "SWEEP_ROWS", 3)
@@ -120,6 +130,8 @@ def kernel_results(params, weight):
         if n > 1:
             x = np.asarray(params.x)
             out.append(_segment_rhs(conn, x, x + 0.05 * np.arange(n))(0.3, v))
+            path = PathSpec(start=params.x, waypoints=(tuple(x + 0.05 * np.arange(n)),))
+            out.append(integrate_path(StateVector(weight, v), path, conn).amplitudes)
         out.append(commutator_norms(conn, v.astype(complex)))
     out.append(flatness_residual(params, weight, np.random.default_rng(22)))
     return out
@@ -136,7 +148,8 @@ def kernel_results(params, weight):
     ids=["rational", "trigonometric", "n=1"],
 )
 def test_kernels_do_not_depend_on_worker_count(rows_on, workers, params, weight):
-    # chunk edges fall inside the 30-state sector; a short switch interval
+    # chunk edges fall inside the 30-state sector, also in the stepper's
+    # stage sums and norms; a short switch interval
     # interleaves the threads as often as the interpreter allows
     rows_on(0)
     serial = kernel_results(params, weight)
@@ -200,3 +213,37 @@ def test_forked_child_splits_rows_on_its_own_pool(rows_on):
         os._exit(0 if ok and operators._POOL is not None else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+BLAS_PROBE = """
+from kzcal.config import validate_config
+from kzcal.suites import run_suites
+
+SUITES = ["kz-integrate", "commutativity", "flatness"]
+config = validate_config({
+    "suites": SUITES,
+    "seed": 5,
+    "instance": {"explicit": {
+        "n": 11, "N": 3, "x": [1.3 * k for k in range(11)], "g": [1.0, 2.0, 2.7],
+        "hbar": 1.0, "kappa": 0.5, "weight": [4, 4, 3],
+    }},
+})
+report = run_suites(config)
+print(repr([report.suites[name].residuals for name in SUITES]))
+"""
+
+
+def test_residuals_do_not_depend_on_blas_threads():
+    # dim 11550: OpenBLAS splits a dot product or a norm of more than 10000
+    # elements over its threads, so a BLAS call on these paths would round
+    # differently under one and two threads
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kzcal.__file__)))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True,
+            timeout=300, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0].startswith("[[") and outputs[0] == outputs[1]

@@ -35,6 +35,24 @@ def test_traced_functions_resolve():
     assert callable(kz.solve_ivp)
 
 
+def test_stepper_result_has_what_the_tracer_reads():
+    # tracing.on_ivp adds result.nfev to kz.rhs_evals and counts results
+    # whose success is False in kz.ivp_failures
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return -y
+
+    done = kz.solve_ivp(rhs, np.ones(3), 1e-10, 1e-12)
+    assert type(done.nfev) is int and done.nfev == len(calls) > 0
+    assert done.success is True
+    calls.clear()
+    failed = kz.solve_ivp(lambda t, y: rhs(t, y) * np.nan, np.ones(3), 1e-10, 1e-12)
+    assert type(failed.nfev) is int and failed.nfev == len(calls) > 0
+    assert failed.success is False
+
+
 def test_term_cost_reads_trigonometric_terms():
     params = ModelParams(
         n=4, N=2, x=(0.0, 1.1, 2.3, 3.2), g=(1.0, 2.0), hbar=1.0, kappa=0.3,
