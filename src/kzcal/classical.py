@@ -423,28 +423,17 @@ def _partial_spectrum(mats, params, weight, seed):
     return items
 
 
-def _mp_momentum(ctx, value):
-    """A momentum of p_hp as a number of ctx, with its exact value.
-
-    An mpf/mpc of another context goes through ctx.convert: mpmath rounds a
-    binary operation at the precision of its left operand's context, so
-    arithmetic on the 60-digit momenta themselves would round there.  A
-    double or complex double converts exactly.
-    """
-    if hasattr(value, "_mpf_") or hasattr(value, "_mpc_"):
-        return ctx.convert(value)
-    if np.iscomplexobj(value):
-        return ctx.mpc(float(value.real), float(value.imag))
-    return ctx.mpf(float(value))
-
-
 def _lax_rows(ctx, p_hp, params: ModelParams) -> list[list]:
     """The Lax matrix at the refined momenta, as rows of numbers of ctx."""
     kern = PairKernel(params, ctx.mpf)
     x = [ctx.mpf(v) for v in params.x]
     A = [[None] * params.n for _ in range(params.n)]
     for i, p in enumerate(p_hp):
-        A[i][i] = _mp_momentum(ctx, p)
+        # exact: an mpf/mpc of another context keeps its digits (mpmath rounds
+        # a binary operation at its left operand's precision, so arithmetic on
+        # the 60-digit momenta would round there), and numpy scalars convert
+        # as the float or complex they subclass
+        A[i][i] = ctx.convert(p)
     for i, j in itertools.combinations(range(params.n), 2):
         A[i][j] = kern.lax(x[i] - x[j])
         A[j][i] = -A[i][j]  # the kernel is odd

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classical import gaudin_joint_spectrum, qc_check
 from .config import ConfigError, load_config
-from .core import ModelParams, StateVector, WeightVector, max_or_nan
+from .core import ModelParams, StateVector, WeightVector, check_instance, max_or_nan
 from .errors import KzcalError, SingularPathError
 from .kz import KzConnection, PathSpec, integrate_path, mc_derivatives, mc_wavefunction
 from .suites import check_writable, emit_plot_data, run_suites, write_atomic
@@ -79,11 +79,9 @@ def _instance_from_args(args) -> tuple[ModelParams, WeightVector]:
             kind=args.kind,
         )
         weight = WeightVector(args.weight)
-        weight.validate_for(params.n)
+        check_instance(params, weight)
     except KzcalError as exc:
         raise ConfigError(str(exc)) from exc
-    if weight.N != params.N:
-        raise ConfigError(f"weight has {weight.N} species but N = {params.N}")
     return params, weight
 
 
@@ -173,6 +171,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_qc(args) -> int:
     params, weight = _instance_from_args(args)
+    if args.tol is not None and not 0 < args.tol < np.inf:
+        raise ConfigError(f"--tol {args.tol!r} must be positive and finite")
     items = gaudin_joint_spectrum(params, weight, seed=args.seed)
     mismatches = [0.0]
     ok = True

@@ -8,24 +8,12 @@ reproducible.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .core import RATIONAL, TRIGONOMETRIC, ModelParams, WeightVector
+from .core import RATIONAL, TRIGONOMETRIC, ModelParams, WeightVector, check_instance
 from .errors import ConfigError, KzcalError
-
-SUITE_NAMES = (
-    "identities",
-    "commutativity",
-    "flatness",
-    "mc-h2",
-    "mc-h3",
-    "momentum",
-    "trig-mc",
-    "qc-rational",
-    "qc-trig",
-    "kz-integrate",
-)
 
 DEFAULT_TOLERANCES = {
     "identities": 1e-11,
@@ -39,6 +27,8 @@ DEFAULT_TOLERANCES = {
     "qc-trig": 1e-7,
     "kz-integrate": 1e-8,
 }
+
+SUITE_NAMES = tuple(DEFAULT_TOLERANCES)
 
 SWEEP_PARAMS = ("gamma", "hbar", "kappa")
 
@@ -130,6 +120,15 @@ def _positive_int(value: Any, path: str) -> int:
     return value
 
 
+def _finite(value: Any, path: str) -> float:
+    _require(
+        isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value),
+        path,
+        "must be a finite number",
+    )
+    return value
+
+
 def load_config(path: str) -> RunConfig:
     """Parse and validate a JSON run configuration."""
     try:
@@ -170,7 +169,7 @@ def validate_config(raw: Any) -> RunConfig:
     tolerances = dict(DEFAULT_TOLERANCES)
     for key, value in (raw.get("tolerances") or {}).items():
         _require(key in SUITE_NAMES, f"tolerances.{key}", "unknown suite name")
-        _require(isinstance(value, (int, float)) and value > 0, f"tolerances.{key}", "must be > 0")
+        _require(_finite(value, f"tolerances.{key}") > 0, f"tolerances.{key}", "must be > 0")
         tolerances[key] = float(value)
 
     sweep = raw.get("sweep")
@@ -180,7 +179,7 @@ def validate_config(raw: Any) -> RunConfig:
         values = sweep.get("values")
         _require(isinstance(values, list) and values, "sweep.values", "must be a non-empty list")
         for k, v in enumerate(values):
-            _require(isinstance(v, (int, float)) and v > 0, f"sweep.values[{k}]", "must be > 0")
+            _require(_finite(v, f"sweep.values[{k}]") > 0, f"sweep.values[{k}]", "must be > 0")
         sweep = {"param": sweep["param"], "values": [float(v) for v in values]}
 
     fmt = raw.get("format", "json")
@@ -206,6 +205,19 @@ def validate_config(raw: Any) -> RunConfig:
             "instance.random.kind",
             f"must be '{RATIONAL}' or '{TRIGONOMETRIC}'",
         )
+        _finite(options["min_gap"], "instance.random.min_gap")
+        _positive_int(options["dim_cap"], "instance.random.dim_cap")
+        _positive_int(options["min_dim"], "instance.random.min_dim")
+        if options["max_multiplicity"] is not None:
+            _positive_int(options["max_multiplicity"], "instance.random.max_multiplicity")
+        _require(
+            isinstance(options["require_multiplicity"], bool),
+            "instance.random.require_multiplicity",
+            "must be true or false",
+        )
+        for key in ("hbar", "kappa", "gamma"):
+            if options[key] is not None:
+                _finite(options[key], f"instance.random.{key}")
         instance: RandomSpec | ExplicitSpec = RandomSpec(n=n, N=N, count=count, options=options)
     else:
         spec = instance_raw["explicit"]
@@ -225,12 +237,8 @@ def validate_config(raw: Any) -> RunConfig:
                 strict=bool(spec.get("strict", True)),
             )
             weight = WeightVector(tuple(spec["weight"]))
-            weight.validate_for(params.n)
-            if len(weight.M) != params.N:
-                raise ConfigError("instance.explicit.weight: length must equal N")
-        except ConfigError:
-            raise
-        except KzcalError as exc:
+            check_instance(params, weight)
+        except (KzcalError, TypeError, ValueError) as exc:  # ValueError: float("abc")
             raise ConfigError(f"instance.explicit: {exc}")
         instance = ExplicitSpec(params=params, weight=weight)
 

@@ -65,6 +65,8 @@ class ModelParams:
             raise InvalidParamsError(f"len(x)={len(self.x)} does not match n={self.n}")
         if len(self.g) != self.N:
             raise InvalidParamsError(f"len(g)={len(self.g)} does not match N={self.N}")
+        if not all(map(math.isfinite, (*self.x, *self.g, self.hbar, self.kappa, self.gamma))):
+            raise InvalidParamsError("x, g, hbar, kappa and gamma must be finite")
         if self.hbar == 0.0:
             raise InvalidParamsError("hbar must be nonzero")
         if self.kind not in KINDS:
@@ -149,6 +151,13 @@ class WeightVector:
     def validate_for(self, n: int) -> None:
         if self.n != n:
             raise InvalidWeightError(f"weight {self.M} sums to {self.n}, expected n={n}")
+
+
+def check_instance(params: ModelParams, weight: WeightVector) -> None:
+    """Raise InvalidWeightError unless weight is a sector of params: n sites, N letters."""
+    weight.validate_for(params.n)
+    if weight.N != params.N:
+        raise InvalidWeightError(f"weight has {weight.N} species but N = {params.N}")
 
 
 class WeightBasis:

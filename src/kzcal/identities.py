@@ -1,8 +1,8 @@
 """Standalone numerical checks of the auxiliary identities behind the proofs.
 
-Each check reports a raw residual and a residual scaled by the size of the
-largest contributing term, so catastrophic cancellation shows up instead of
-hiding.  Sums over empty index ranges return exactly zero.
+Each check returns named residuals, each scaled by the size of the largest
+contributing term, so catastrophic cancellation shows up instead of hiding.
+Sums over empty index ranges return exactly zero.
 
 Several of the operator sums are diagonal in the canonical basis (twist sums,
 squared signed swaps), so their residuals are evaluated as exact operator
@@ -13,7 +13,6 @@ through the all-ones covector, which also quantifies over every state at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
@@ -28,30 +27,39 @@ from .core import (
 from .operators import t_operator
 
 __all__ = [
-    "IdentityResidual",
-    "rational_scalar_identity_report",
     "verify_rational_scalar_identities",
-    "twist_sum_identity_report",
     "verify_twist_sum_identities",
-    "omega_weight_identity_report",
     "verify_omega_weight_identity",
     "verify_trig_identities",
     "verify_t_case_tables",
 ]
 
 
-@dataclass(frozen=True)
-class IdentityResidual:
-    raw: float
-    scaled: float
+def _sum_residual(terms, expected=0.0) -> float:
+    """|sum - expected| / max(largest |term|, |expected|, 1e-300); 0.0 for no terms.
+
+    terms is an array with one float per summand, or an iterable of per-state
+    arrays (stacked they could take gigabytes).  Either way the sum runs in
+    the given order, so it has the bits of the plain loop.
+    """
+    if isinstance(terms, np.ndarray):
+        if terms.size == 0:
+            return 0.0
+        total, biggest = np.cumsum(terms)[-1], np.max(np.abs(terms))
+    else:
+        total, biggest = 0.0, 0.0
+        for term in terms:
+            total = total + term
+            biggest = max(biggest, np.max(np.abs(term)))
+    return float(np.max(np.abs(total - expected))) / max(biggest, abs(expected), 1e-300)
 
 
-def _entry(total: float, scale: float) -> IdentityResidual:
-    scale = max(scale, 1e-300)
-    return IdentityResidual(raw=abs(total), scaled=abs(total) / scale)
+def _tuples(n: int, k: int) -> np.ndarray:
+    """The k-tuples of distinct indices below n, as k index rows in permutations order."""
+    return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k).T
 
 
-def rational_scalar_identity_report(x) -> dict[str, IdentityResidual]:
+def verify_rational_scalar_identities(x) -> dict[str, float]:
     """Vanishing sums of products of pole kernels over distinct indices.
 
     pair_product:    sum over distinct (i, j, l)    of 1/((x_i-x_j)(x_i-x_l))
@@ -59,44 +67,21 @@ def rational_scalar_identity_report(x) -> dict[str, IdentityResidual]:
     partial_fraction: the three-point identity behind the pair sum
     """
     x = np.asarray(x, dtype=float)
-    n = x.size
-    report: dict[str, IdentityResidual] = {}
-
-    total, biggest = 0.0, 0.0
-    for i, j, l in permutations(range(n), 3):
-        term = 1.0 / ((x[i] - x[j]) * (x[i] - x[l]))
-        total += term
-        biggest = max(biggest, abs(term))
-    report["pair_product"] = _entry(total, biggest) if n >= 3 else _entry(0.0, 1.0)
-
-    total, biggest = 0.0, 0.0
-    for i, j, k, l in permutations(range(n), 4):
-        term = 1.0 / ((x[i] - x[j]) * (x[i] - x[k]) * (x[i] - x[l]))
-        total += term
-        biggest = max(biggest, abs(term))
-    report["triple_product"] = _entry(total, biggest) if n >= 4 else _entry(0.0, 1.0)
-
-    worst_raw, worst_scaled = 0.0, 0.0
-    for i, j, l in permutations(range(n), 3):
-        a, b, c = x[i] - x[j], x[i] - x[l], x[j] - x[l]
-        terms = (1.0 / (a * b), -1.0 / (a * c), 1.0 / (b * c))
-        resid = sum(terms)
-        worst_raw = max(worst_raw, abs(resid))
-        worst_scaled = max(worst_scaled, abs(resid) / max(abs(t) for t in terms))
-    if n >= 3:
-        report["partial_fraction"] = IdentityResidual(worst_raw, worst_scaled)
-    else:
-        report["partial_fraction"] = IdentityResidual(0.0, 0.0)
-    return report
+    i, j, l = _tuples(x.size, 3)
+    a, b, c = x[i] - x[j], x[i] - x[l], x[j] - x[l]
+    terms = (1.0 / (a * b), -1.0 / (a * c), 1.0 / (b * c))
+    scale = np.max(np.abs(terms), axis=0)
+    i4, j4, k4, l4 = _tuples(x.size, 4)
+    return {
+        "pair_product": _sum_residual(terms[0]),
+        "triple_product": _sum_residual(
+            1.0 / ((x[i4] - x[j4]) * (x[i4] - x[k4]) * (x[i4] - x[l4]))
+        ),
+        "partial_fraction": max_or_nan([0.0, *(np.abs(sum(terms)) / scale)]),
+    }
 
 
-def verify_rational_scalar_identities(x) -> float:
-    return max_or_nan([e.scaled for e in rational_scalar_identity_report(x).values()])
-
-
-def twist_sum_identity_report(
-    params: ModelParams, weight: WeightVector
-) -> dict[str, IdentityResidual]:
+def verify_twist_sum_identities(params: ModelParams, weight: WeightVector) -> dict[str, float]:
     """Vanishing twist-weighted kernel sums; all are diagonal operators.
 
     pair_twist:        sum_{i != j} (g^(i) + g^(j)) / (x_i - x_j)
@@ -108,50 +93,25 @@ def twist_sum_identity_report(
     x = np.asarray(params.x)
     g = np.asarray(params.g)
     gsite = [g[basis.letters(i0) - 1] for i0 in range(basis.n)]
-    n = basis.n
-    report: dict[str, IdentityResidual] = {}
-
-    def kernel_sum(kernel) -> tuple[np.ndarray, float]:
-        diag = np.zeros(basis.dim)
-        biggest = 0.0
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                c = kernel(x[i] - x[j])
-                term = c * (gsite[i] + gsite[j])
-                diag += term
-                biggest = max(biggest, float(np.max(np.abs(term))))
-        return diag, biggest
-
-    diag, biggest = kernel_sum(lambda dx: 1.0 / dx)
-    report["pair_twist"] = _entry(float(np.max(np.abs(diag))), biggest)
-
+    pairs = list(permutations(range(basis.n), 2))
+    report = {
+        "pair_twist": _sum_residual(
+            1.0 / (x[i] - x[j]) * (gsite[i] + gsite[j]) for i, j in pairs
+        )
+    }
     if params.kind == TRIGONOMETRIC:
-        diag, biggest = kernel_sum(lambda dx: 1.0 / np.tanh(params.gamma * dx))
-        report["pair_twist_coth"] = _entry(float(np.max(np.abs(diag))), biggest)
-
-    diag = np.zeros(basis.dim)
-    biggest = 0.0
-    for i, j, k in permutations(range(n), 3):
-        c = 1.0 / ((x[i] - x[j]) * (x[i] - x[k]))
-        term = c * (gsite[i] + gsite[j] + gsite[k])
-        diag += term
-        biggest = max(biggest, float(np.max(np.abs(term))))
-    if n >= 3:
-        report["triple_twist"] = _entry(float(np.max(np.abs(diag))), biggest)
-    else:
-        report["triple_twist"] = IdentityResidual(0.0, 0.0)
+        report["pair_twist_coth"] = _sum_residual(
+            1.0 / np.tanh(params.gamma * (x[i] - x[j])) * (gsite[i] + gsite[j])
+            for i, j in pairs
+        )
+    report["triple_twist"] = _sum_residual(
+        1.0 / ((x[i] - x[j]) * (x[i] - x[k])) * (gsite[i] + gsite[j] + gsite[k])
+        for i, j, k in permutations(range(basis.n), 3)
+    )
     return report
 
 
-def verify_twist_sum_identities(params: ModelParams, weight: WeightVector) -> float:
-    return max_or_nan([e.scaled for e in twist_sum_identity_report(params, weight).values()])
-
-
-def omega_weight_identity_report(
-    params: ModelParams, weight: WeightVector
-) -> dict[str, IdentityResidual]:
+def verify_omega_weight_identity(params: ModelParams, weight: WeightVector) -> dict[str, float]:
     """Letter-count identities sum_i g_{J_i}^k = sum_a M_a g_a^k per basis state.
 
     Checked for k = 2 (quadratic eigenvalue) and k = 3 (cubic analogue); the
@@ -168,17 +128,11 @@ def omega_weight_identity_report(
             per_state += g[basis.letters(i0) - 1] ** k
         expected = float(np.dot(M, g**k))
         resid = float(np.max(np.abs(per_state - expected)))
-        report[f"letter_power_{k}"] = _entry(resid, max(abs(expected), 1.0))
+        report[f"letter_power_{k}"] = resid / max(abs(expected), 1.0)
     return report
 
 
-def verify_omega_weight_identity(params: ModelParams, weight: WeightVector) -> float:
-    return max_or_nan([e.scaled for e in omega_weight_identity_report(params, weight).values()])
-
-
-def verify_trig_identities(
-    params: ModelParams, weight: WeightVector
-) -> dict[str, IdentityResidual]:
+def verify_trig_identities(params: ModelParams, weight: WeightVector) -> dict[str, float]:
     """Identities specific to the signed-swap (trigonometric) structure.
 
     coth_pair_product: sum over distinct (i, j, l) of coth coth equals
@@ -195,53 +149,35 @@ def verify_trig_identities(
     gamma = params.gamma if params.kind == TRIGONOMETRIC else 1.0
     n = basis.n
     M = np.asarray(weight.M, dtype=float)
-    report: dict[str, IdentityResidual] = {}
 
-    coth = lambda u: 1.0 / np.tanh(u)
-
-    total, biggest = 0.0, 0.0
-    for i, j, l in permutations(range(n), 3):
-        term = coth(gamma * (x[i] - x[j])) * coth(gamma * (x[i] - x[l]))
-        total += term
-        biggest = max(biggest, abs(term))
-    expected = n * (n - 1) * (n - 2) / 3.0
-    if n >= 3:
-        report["coth_pair_product"] = _entry(total - expected, max(biggest, expected))
-    else:
-        report["coth_pair_product"] = IdentityResidual(0.0, 0.0)
-
-    worst_raw, worst_scaled = 0.0, 0.0
-    for i, j, l in permutations(range(n), 3):
-        cij = coth(gamma * (x[i] - x[j]))
-        cil = coth(gamma * (x[i] - x[l]))
-        clj = coth(gamma * (x[l] - x[j]))
-        cjl = -clj
-        resid = cij * cil + cij * clj + cil * cjl - 1.0
-        scale = max(abs(cij * cil), abs(cij * clj), abs(cil * cjl), 1.0)
-        worst_raw = max(worst_raw, abs(resid))
-        worst_scaled = max(worst_scaled, abs(resid) / scale)
-    report["coth_addition"] = (
-        IdentityResidual(worst_raw, worst_scaled) if n >= 3 else IdentityResidual(0.0, 0.0)
-    )
+    i, j, l = _tuples(n, 3)
+    cij = 1.0 / np.tanh(gamma * (x[i] - x[j]))
+    cil = 1.0 / np.tanh(gamma * (x[i] - x[l]))
+    clj = 1.0 / np.tanh(gamma * (x[l] - x[j]))
+    cjl = -clj
+    scale = np.maximum(np.max(np.abs([cij * cil, cij * clj, cil * cjl]), axis=0), 1.0)
+    report = {
+        "coth_pair_product": _sum_residual(cij * cil, n * (n - 1) * (n - 2) / 3.0),
+        "coth_addition": max_or_nan(
+            [0.0, *(np.abs(cij * cil + cij * clj + cil * cjl - 1.0) / scale)]
+        ),
+    }
 
     # sum of squared signed swaps: diagonal pair count, exact per basis state
     diag = np.zeros(basis.dim)
-    for i0 in range(n):
-        for j0 in range(n):
-            if i0 != j0:
-                diag -= (basis.letters(i0) != basis.letters(j0)).astype(float)
+    for i0, j0 in permutations(range(n), 2):
+        diag -= (basis.letters(i0) != basis.letters(j0)).astype(float)
     expected = -(n * (n - 1) - float(np.dot(M, M - 1.0)))
-    report["t_square_sum"] = _entry(
-        float(np.max(np.abs(diag - expected))), max(abs(expected), float(n * (n - 1)))
+    report["t_square_sum"] = float(np.max(np.abs(diag - expected))) / max(
+        abs(expected), n * (n - 1), 1.0
     )
 
+    report["t_triple_sum"] = 0.0
     if n >= 3:
         row = _t_triple_row(weight)
         expected = -(n * (n - 1) * (n - 2) - float(np.dot(M, (M - 1.0) * (M - 2.0)))) / 3.0
         scale = max(abs(expected), float(n * (n - 1) * (n - 2)))
-        report["t_triple_sum"] = _entry(float(np.max(np.abs(row - expected))), scale)
-    else:
-        report["t_triple_sum"] = IdentityResidual(0.0, 0.0)
+        report["t_triple_sum"] = float(np.max(np.abs(row - expected))) / scale
     return report
 
 

@@ -24,6 +24,7 @@ from .core import (
     ModelParams,
     StateVector,
     WeightVector,
+    check_instance,
     get_basis,
     max_or_nan,
     min_pairwise_gap,
@@ -62,11 +63,7 @@ class KzConnection:
     """Cached operator family of one instance: H_i and its x_i-derivatives."""
 
     def __init__(self, params: ModelParams, weight: WeightVector):
-        weight.validate_for(params.n)
-        if weight.N != params.N:
-            raise InvalidWeightError(
-                f"weight has {weight.N} species but params.N = {params.N}"
-            )
+        check_instance(params, weight)
         self.params = params
         self.weight = weight
         self.basis = get_basis(weight)
@@ -172,18 +169,19 @@ class PathSpec:
     waypoints: tuple[tuple[float, ...], ...]
     tolerance: float = 1e-10
     atol: float = 1e-12
-    max_step: float = np.inf
 
     def __post_init__(self):
         object.__setattr__(self, "start", tuple(float(v) for v in self.start))
         object.__setattr__(
             self, "waypoints", tuple(tuple(float(v) for v in w) for w in self.waypoints)
         )
-        if self.tolerance <= 0 or self.atol <= 0:
-            raise SingularPathError("path tolerances must be positive")
+        if not (0 < self.tolerance < np.inf and 0 < self.atol < np.inf):
+            raise SingularPathError("path tolerances must be positive and finite")
         for w in self.waypoints:
             if len(w) != len(self.start):
                 raise SingularPathError("waypoint length differs from start")
+        if not np.isfinite([self.start, *self.waypoints]).all():
+            raise SingularPathError("path coordinates must be finite")
 
     def snapshots(self) -> list[np.ndarray]:
         return [np.asarray(self.start)] + [np.asarray(w) for w in self.waypoints]
@@ -266,7 +264,7 @@ def _stage_state(K: list, coeffs, h: float, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float, max_step: float = np.inf):
+def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float):
     """kzcal's DOP853 stepper: y(1) for y' = fun(t, y), y(0) = y0, real or complex.
 
     Every step decision is that of scipy's ``solve_ivp(method="DOP853")``
@@ -304,7 +302,7 @@ def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float, max_step: float = n
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs = min(100 * h0, h1, 1.0, max_step)
+    h_abs = min(100 * h0, h1, 1.0)
 
     def error_rows(lo, hi):  # the err5 and err3 rows of the step to y_new
         scale = atol + np.maximum(np.abs(y[lo:hi]), np.abs(y_new[lo:hi])) * rtol
@@ -314,9 +312,7 @@ def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float, max_step: float = n
     t = 0.0
     while t < 1.0:
         min_step = 10 * (np.nextafter(t, np.inf) - t)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
+        if h_abs < min_step:
             h_abs = min_step
         rejected = False
         while True:
@@ -371,7 +367,7 @@ def integrate_path(initial: StateVector, path: PathSpec, conn: KzConnection) -> 
         y = y.real
     y = y.copy()
     for a, b in segments:
-        sol = solve_ivp(_segment_rhs(conn, a, b), y, path.tolerance, path.atol, path.max_step)
+        sol = solve_ivp(_segment_rhs(conn, a, b), y, path.tolerance, path.atol)
         if not sol.success:
             raise IntegrationFailureError(
                 f"integration failed on segment {a} -> {b}: {sol.message}"

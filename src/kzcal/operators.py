@@ -25,7 +25,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 import numpy as np
 import scipy.sparse as sp
 
-from .core import ModelParams, StateVector, WeightBasis, WeightVector, get_basis
+from .core import ModelParams, StateVector, WeightVector, check_instance, get_basis
 from .errors import InvalidSitesError, InvalidWeightError, UnsupportedOrderError
 from .kernel import PairKernel, site_terms, t_term
 
@@ -256,18 +256,10 @@ def weight_operator(a: int, weight: WeightVector) -> TermOperator:
     return TermOperator(weight, [("diag", counts)])
 
 
-def _check_instance(params: ModelParams, weight: WeightVector) -> WeightBasis:
-    weight.validate_for(params.n)
-    if weight.N != params.N:
-        raise InvalidWeightError(
-            f"weight has {weight.N} species but params.N = {params.N}"
-        )
-    return get_basis(weight)
-
-
 def gaudin_hamiltonian(i: int, params: ModelParams, weight: WeightVector) -> TermOperator:
     """The i-th Gaudin Hamiltonian on the weight subspace (1-based site)."""
-    basis = _check_instance(params, weight)
+    check_instance(params, weight)
+    basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
     terms = site_terms(basis, i0, PairKernel(params), np.asarray(params.g), params.x)
     return TermOperator(weight, terms)
@@ -283,7 +275,8 @@ def gaudin_derivative(
     """
     if order not in (1, 2):
         raise UnsupportedOrderError(f"derivative order must be 1 or 2, got {order}")
-    basis = _check_instance(params, weight)
+    check_instance(params, weight)
+    basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
     j0 = _check_site(j, basis.n)
     kern = PairKernel(params)

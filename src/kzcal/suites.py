@@ -31,6 +31,7 @@ from .core import (
     max_or_nan,
     min_pairwise_gap,
 )
+from .errors import KzcalError
 from .identities import (
     verify_omega_weight_identity,
     verify_rational_scalar_identities,
@@ -151,12 +152,11 @@ def _as_kind(params: ModelParams, kind: str) -> ModelParams:
 
 def _suite_identities(params, weight, rng):
     residuals = [
-        verify_rational_scalar_identities(params.x),
-        verify_twist_sum_identities(params, weight),
-        verify_omega_weight_identity(params, weight),
+        *verify_rational_scalar_identities(params.x).values(),
+        *verify_twist_sum_identities(params, weight).values(),
+        *verify_omega_weight_identity(params, weight).values(),
+        *verify_trig_identities(_as_kind(params, TRIGONOMETRIC), weight).values(),
     ]
-    trig = _as_kind(params, TRIGONOMETRIC)
-    residuals.extend(e.scaled for e in verify_trig_identities(trig, weight).values())
     if weight.dimension() <= T_TABLE_DIM_LIMIT:
         residuals.append(verify_t_case_tables(weight))
     return max_or_nan(residuals)
@@ -263,7 +263,10 @@ def build_instances(config: RunConfig) -> list[tuple[ModelParams, WeightVector]]
     instances = []
     for k in range(spec.count):
         rng = rng_for(config.seed, "instance", k)
-        instances.append(random_instance(rng, spec.n, spec.N, **spec.options))
+        try:
+            instances.append(random_instance(rng, spec.n, spec.N, **spec.options))
+        except (KzcalError, ValueError) as exc:  # e.g. hbar 0, or no weight under dim_cap
+            raise ConfigError(f"instance.random: {exc}") from exc
     return instances
 
 
@@ -303,13 +306,16 @@ def run_suites(config: RunConfig, jobs: int = 1, tolerance_scale: float = 1.0) -
 
     Infrastructure errors (eigensolver non-convergence, integration failure)
     propagate so the caller can distinguish them from verification failures.
-    An output path that cannot be written raises ConfigError before any suite
-    runs.
+    An output path that cannot be written, a tolerance scale that is not
+    positive and finite, and a random instance that cannot be drawn raise
+    ConfigError before any suite runs.
     Instances run one after another on the calling thread.  `jobs` stays for
     callers that pass jobs=1; any other value raises ConfigError.
     """
     if jobs != 1:
         raise ConfigError(f"jobs={jobs!r}: instances run on one thread; only jobs=1 is accepted")
+    if not 0 < tolerance_scale < np.inf:
+        raise ConfigError(f"tolerance scale {tolerance_scale!r} must be positive and finite")
     if config.output:
         check_writable(config.output)
     instances = build_instances(config)

@@ -67,17 +67,17 @@ MUTANTS = [
         ("tests/test_classical.py", "-k", "partial_items"),
     ),
     Mutant(
-        "mp-momentum-drops-imaginary",
+        "mp-momentum-rounded-to-double",
         "classical.py",
-        "ctx.mpc(float(value.real), float(value.imag))",
-        "ctx.mpc(float(value.real), float(value.real))",
-        ("tests/test_classical.py", "-k", "charpoly_lax_spectrum or shifted_momenta"),
+        "A[i][i] = ctx.convert(p)",
+        "A[i][i] = ctx.convert(complex(p))",
+        ("tests/test_classical.py", "-k", "charpoly or minors"),
     ),
     Mutant(
         "mp-momentum-without-convert",
         "classical.py",
-        "return ctx.convert(value)",
-        "return value",
+        "A[i][i] = ctx.convert(p)",
+        "A[i][i] = p",
         ("tests/test_classical.py", "-k", "charpoly or minors"),
         equivalent=(
             "every product with a momentum goes through ctx.fdot, which converts "
@@ -115,7 +115,7 @@ MUTANTS = [
     ),
     Mutant(
         "weight-species-unchecked",
-        "cli.py",
+        "core.py",
         "if weight.N != params.N:",
         "if False:",
         ("tests/test_config_cli.py", "-k", "exit_3"),
@@ -169,6 +169,28 @@ MUTANTS = [
         "        for block in chunk:\n",
         "        for block in chunk[::-1]:\n",
         ("tests/test_row_split.py", "-k", "block_norms"),
+    ),
+    # -- the identity sums -------------------------------------------------------
+    Mutant(
+        "sum-residual-drops-expected",
+        "identities.py",
+        "np.abs(total - expected)",
+        "np.abs(total)",
+        ("tests/test_identities.py", "-k", "trig_identities"),
+    ),
+    Mutant(
+        "sum-residual-drops-term-scale",
+        "identities.py",
+        "max(biggest, abs(expected), 1e-300)",
+        "max(abs(expected), 1e-300)",
+        ("tests/test_identities.py", "-k", "scalar_identities or twist_sums"),
+    ),
+    Mutant(
+        "sum-residual-reversed",
+        "identities.py",
+        "np.cumsum(terms)[-1]",
+        "np.cumsum(terms[::-1])[-1]",
+        ("tests/test_identities.py", "-k", "match_the_loops"),
     ),
     # -- float64 operator work ---------------------------------------------------
     Mutant(

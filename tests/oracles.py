@@ -11,9 +11,10 @@ polynomial by principal minors, the double-double residual that splits every
 permuted block anew, the recursive basis enumeration, the searched swap
 tables, the COO assembly of a CSR matrix, the CSR row builder that masks every
 term, the per-pair commutator actions, the covariant rows and curvature rows
-by full operator applications, the signed-swap triple row one triple at a
-time and the complex path integration.  The case-table reference checks the
-package's own materialized T_ij.
+by full operator applications, the identity sums one term at a time, the
+signed-swap triple row one triple at a time and the complex path
+integration.  The case-table reference checks the package's own materialized
+T_ij.
 """
 
 from functools import reduce
@@ -237,6 +238,80 @@ def dd_residual_per_term_split(terms, Q, lam):
         lo = lo + ((hi - (total - back)) + (prod - back)) + err + a_lo * block
         hi = total
     return hi + lo
+
+
+def scalar_identity_loops(x, gamma: float) -> dict[str, float]:
+    """The slow reference for the x-only sums of ``kzcal.identities``: one term at a time.
+
+    The scaled residuals of the rational scalar identities and of the two coth
+    sums of ``verify_trig_identities``, summed in ``permutations`` order.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    coth = lambda u: 1.0 / np.tanh(u)
+    out = {}
+    for name, k, term in (
+        ("pair_product", 3, lambda i, j, l: 1.0 / ((x[i] - x[j]) * (x[i] - x[l]))),
+        (
+            "triple_product", 4,
+            lambda i, j, k, l: 1.0 / ((x[i] - x[j]) * (x[i] - x[k]) * (x[i] - x[l])),
+        ),
+        (
+            "coth_pair_product", 3,
+            lambda i, j, l: coth(gamma * (x[i] - x[j])) * coth(gamma * (x[i] - x[l])),
+        ),
+    ):
+        expected = n * (n - 1) * (n - 2) / 3.0 if name == "coth_pair_product" else 0.0
+        total, biggest = 0.0, 0.0
+        for idx in permutations(range(n), k):
+            t = term(*idx)
+            total += t
+            biggest = max(biggest, abs(t))
+        out[name] = abs(total - expected) / max(biggest, abs(expected), 1e-300) if n >= k else 0.0
+    fraction, addition = 0.0, 0.0
+    for i, j, l in permutations(range(n), 3):
+        a, b, c = x[i] - x[j], x[i] - x[l], x[j] - x[l]
+        terms = (1.0 / (a * b), -1.0 / (a * c), 1.0 / (b * c))
+        fraction = max(fraction, abs(sum(terms)) / max(abs(t) for t in terms))
+        cij = coth(gamma * (x[i] - x[j]))
+        cil = coth(gamma * (x[i] - x[l]))
+        clj = coth(gamma * (x[l] - x[j]))
+        resid = cij * cil + cij * clj + cil * -clj - 1.0
+        addition = max(
+            addition, abs(resid) / max(abs(cij * cil), abs(cij * clj), abs(cil * -clj), 1.0)
+        )
+    out["partial_fraction"], out["coth_addition"] = fraction, addition
+    return out
+
+
+def twist_sum_loops(params, weight) -> dict[str, float]:
+    """The slow reference for ``kzcal.identities.verify_twist_sum_identities``.
+
+    Each per-state diagonal accumulates in place, one index tuple at a time.
+    """
+    basis = get_basis(weight)
+    x, g, n = np.asarray(params.x), np.asarray(params.g), basis.n
+    gsite = [g[basis.letters(i0) - 1] for i0 in range(n)]
+    kernels = {"pair_twist": lambda dx: 1.0 / dx}
+    if params.kind == TRIGONOMETRIC:
+        kernels["pair_twist_coth"] = lambda dx: 1.0 / np.tanh(params.gamma * dx)
+    sums = {
+        name: [(kern(x[i] - x[j]), gsite[i] + gsite[j]) for i, j in permutations(range(n), 2)]
+        for name, kern in kernels.items()
+    }
+    sums["triple_twist"] = [
+        (1.0 / ((x[i] - x[j]) * (x[i] - x[k])), gsite[i] + gsite[j] + gsite[k])
+        for i, j, k in permutations(range(n), 3)
+    ]
+    out = {}
+    for name, pairs in sums.items():
+        diag, biggest = np.zeros(basis.dim), 0.0
+        for c, letters in pairs:
+            term = c * letters
+            diag += term
+            biggest = max(biggest, float(np.max(np.abs(term))))
+        out[name] = float(np.max(np.abs(diag))) / max(biggest, 1e-300)
+    return out
 
 
 def t_triple_row_per_triple(weight) -> np.ndarray:
@@ -492,7 +567,6 @@ def integrate_path_complex(initial, path, conn):
             method="DOP853",
             rtol=path.tolerance,
             atol=path.atol,
-            max_step=path.max_step,
         )
         if not sol.success:
             raise IntegrationFailureError(

@@ -198,10 +198,10 @@ def test_criterion_9_identities_and_case_tables():
         params, weight = random_instance(rng, n, N, kind="trigonometric")
         worst = max(
             worst,
-            verify_rational_scalar_identities(params.x),
-            verify_twist_sum_identities(params, weight),
-            verify_omega_weight_identity(params, weight),
-            max(e.scaled for e in verify_trig_identities(params, weight).values()),
+            *verify_rational_scalar_identities(params.x).values(),
+            *verify_twist_sum_identities(params, weight).values(),
+            *verify_omega_weight_identity(params, weight).values(),
+            *verify_trig_identities(params, weight).values(),
         )
     # exact case tables on every basis state of every subspace of the family
     table_family = [(n, N) for n in range(2, 7) for N in (2, 3)] + [(12, 2)]

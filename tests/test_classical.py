@@ -362,7 +362,7 @@ def test_shifted_charpoly_matches_minors_oracle(sector):
     for item in gaudin_joint_spectrum(params, weight, seed=11)[:4]:
         poly = classical._charpoly(ctx, classical._lax_rows(ctx, item.p_hp, params))
         assert len(poly) == params.n + 1 and poly[0] == 1
-        p = [classical._mp_momentum(minors_ctx, v) for v in item.p_hp]
+        p = [minors_ctx.convert(v) for v in item.p_hp]
         for c, m in zip(centers, counts):
             ours = classical._taylor(poly, ctx.mpf(c), int(m))
             ref = shifted_charpoly(minors, [minors_ctx.mpf(c) - v for v in p], int(m))

@@ -55,10 +55,11 @@ def test_unknown_suite_and_bad_tolerance():
     bad["suites"] = ["identities", "nope"]
     with pytest.raises(ConfigError, match=r"suites\[1\]"):
         validate_config(bad)
-    bad = copy.deepcopy(MINIMAL)
-    bad["tolerances"] = {"identities": 0.0}
-    with pytest.raises(ConfigError, match="tolerances.identities"):
-        validate_config(bad)
+    for value in (0.0, True, float("inf")):
+        bad = copy.deepcopy(MINIMAL)
+        bad["tolerances"] = {"identities": value}
+        with pytest.raises(ConfigError, match="tolerances.identities"):
+            validate_config(bad)
 
 
 def test_parse_error_has_position(tmp_path):
@@ -297,7 +298,9 @@ def test_readme_config_passes_qc_rational_with_multiplicity_three(tmp_path):
 def test_nan_sub_check_fails_the_suite(tmp_path, monkeypatch):
     import kzcal.suites as suites_mod
 
-    monkeypatch.setattr(suites_mod, "verify_twist_sum_identities", lambda *a: float("nan"))
+    monkeypatch.setattr(
+        suites_mod, "verify_twist_sum_identities", lambda *a: {"pair_twist": float("nan")}
+    )
     path = write_config(tmp_path, MINIMAL)
     report = run_suites(load_config(path))
     suite = report.suites["identities"]
@@ -410,11 +413,20 @@ def test_cli_integration_failure_is_infrastructure_error(monkeypatch, capsys):
         ["spectrum", *QC_ARGS, "--out", "cfg.json/x.json"],
         ["verify", "--config", "cfg.json", "--out", "cfg.json/r.json"],
         ["verify", "--config", "cfg.json", "--plot-data", "cfg.json/s.csv"],
+        ["qc", "--n", "3", "--N", "2", "--x", "0,nan,1", "--g", "1,2", "--weight", "2,1"],
+        ["integrate", *QC_ARGS, "--kappa", "nan", "--waypoints", "0.05,1"],
+        ["spectrum", *QC_ARGS, "--hbar", "inf"],
+        ["integrate", *QC_ARGS, "--waypoints", "nan,1"],
+        ["integrate", *QC_ARGS, "--waypoints", "0.05,1", "--tolerance", "nan"],
+        ["verify", "--config", "cfg.json", "--tolerance-scale", "nan"],
+        ["verify", "--config", "cfg.json", "--tolerance-scale", "0"],
+        ["qc", *QC_ARGS, "--tol", "nan"],
     ],
     ids=[
         "no-config", "jobs", "short-x", "short-weight", "bad-waypoint", "short-waypoint",
         "colliding-path", "spectrum-out-under-file", "verify-out-under-file",
-        "plot-data-under-file",
+        "plot-data-under-file", "nan-x", "nan-kappa", "inf-hbar", "nan-waypoint",
+        "nan-tolerance", "nan-tolerance-scale", "zero-tolerance-scale", "nan-qc-tol",
     ],
 )
 def test_command_line_input_errors_exit_3(tmp_path, monkeypatch, capsys, argv):
@@ -424,6 +436,37 @@ def test_command_line_input_errors_exit_3(tmp_path, monkeypatch, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+EXPLICIT = {"n": 3, "N": 2, "x": [0, 1.5, 3], "g": [1, 2], "hbar": 1, "kappa": 0.3, "weight": [2, 1]}
+
+
+@pytest.mark.parametrize(
+    "instance",
+    [
+        {"explicit": dict(EXPLICIT, x=[0, float("nan"), 1])},
+        {"explicit": dict(EXPLICIT, hbar="abc")},
+        {"random": {"n": 4, "N": 2, "count": 2, "hbar": 0}},
+        {"random": {"n": 4, "N": 2, "count": 2, "kappa": "abc"}},
+        {"random": {"n": 4, "N": 2, "count": 2, "dim_cap": 0}},
+        {"random": {"n": 4, "N": 2, "count": 2, "min_dim": 7}},
+    ],
+    ids=["explicit-nan-x", "explicit-hbar-abc", "random-hbar-0", "random-kappa-abc",
+         "random-dim-cap-0", "random-no-weight"],
+)
+def test_config_instance_errors_exit_3(tmp_path, monkeypatch, capsys, instance):
+    # rejected while the instances are built, before any suite runs
+    import kzcal.suites as suites_mod
+
+    def no_suite(*args):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(suites_mod, "_run_one_suite", no_suite)
+    path = write_config(tmp_path, {"suites": ["identities"], "seed": 1, "instance": instance})
+    assert cli.main(["verify", "--config", path]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("config error: instance.")
 
 
 def test_spectrum_out_makes_missing_directories(tmp_path, capsys):
