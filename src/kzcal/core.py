@@ -10,6 +10,7 @@ enumerated here in a fixed lexicographic order.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -127,6 +128,11 @@ class WeightVector:
     M: tuple[int, ...]
 
     def __post_init__(self):
+        for v in self.M:
+            # int() would read 2.5 as 2 and True as 1
+            integral = isinstance(v, numbers.Real) and float(v).is_integer()
+            if isinstance(v, (bool, np.bool_)) or not integral:
+                raise InvalidWeightError(f"occupation numbers must be integers, got {v!r}")
         object.__setattr__(self, "M", tuple(int(v) for v in self.M))
         if any(v < 0 for v in self.M):
             raise InvalidWeightError(f"occupation numbers must be >= 0, got {self.M}")
@@ -165,11 +171,11 @@ class WeightBasis:
 
     states[k] is the k-th multi-index in lexicographic order, stored with
     1-based letters.  Because the lexicographic order coincides with numeric
-    order of the base-N digit codes, ranking is a binary search.  Swap tables
-    for two-site operators are built on demand and memoized.
+    order of the base-N digit codes, ranking is a binary search.  The swap
+    tables of all sites are built together on first use and kept.
     """
 
-    __slots__ = ("weight", "n", "N", "dim", "states", "codes", "_swap_cache")
+    __slots__ = ("weight", "n", "N", "dim", "states", "codes", "_sites", "_swap_cache")
 
     def __init__(self, weight: WeightVector, dim_cap: int = DEFAULT_DIM_CAP):
         self.weight = weight
@@ -183,6 +189,7 @@ class WeightBasis:
         self.dim = dim
         self.states = _enumerate_states(weight)
         self.codes = self.encode(self.states)
+        self._sites: list[np.ndarray] | None = None
         self._swap_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def encode(self, states: np.ndarray) -> np.ndarray:
@@ -204,35 +211,74 @@ class WeightBasis:
     def swap_table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(perm, sign) for the site pair, 0-based sites, canonical i < j.
 
-        perm[k] is the row of states[k] with sites i, j exchanged; sign[k] is
-        sign(letter_i - letter_j) of states[k], the amplitude factor picked up
-        under the signed swap of T_ij.
-
-        Only adjacent pairs are searched for.  The others are composed from
-        (i j) = (j-1 j)(i j-1)(j-1 j), building and keeping (i k) for the k
-        between.
+        perm[k] is the row of states[k] with sites i, j exchanged, a column
+        of ``site_table(i)``; sign[k] is sign(letter_i - letter_j) of
+        states[k], the amplitude factor picked up under the signed swap of
+        T_ij.  Since codes are lexicographic, sign[k] = sign(k - perm[k]).
         """
-        return self._table(min(i, j), max(i, j))
-
-    def _table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        i, j = min(i, j), max(i, j)
         tab = self._swap_cache.get((i, j))
-        if tab is not None:
-            return tab
-        k = j
-        while k > i + 1 and (i, k - 1) not in self._swap_cache:
-            k -= 1
-        for m in range(k, j + 1):
-            if m == i + 1:
-                # exchanging letter a at site i with letter b at site m moves
-                # the code by (b - a)(N^(n-1-i) - N^(n-1-m))
-                b_minus_a = self.states[:, m] - self.states[:, i]
-                shift = self.N ** np.int64(self.n - 1 - i) - self.N ** np.int64(self.n - 1 - m)
-                perm = self.rank(self.codes + b_minus_a.astype(np.int64) * shift)
-            else:
-                adj = self._table(m - 1, m)[0]
-                perm = adj[self._swap_cache[(i, m - 1)][0][adj]]
-            self._swap_cache[(i, m)] = (perm, np.sign(self.states[:, i] - self.states[:, m]))
-        return self._swap_cache[(i, j)]
+        if tab is None:
+            sign = np.sign(self.states[:, i] - self.states[:, j])
+            tab = self._swap_cache[(i, j)] = (self.site_table(i)[:, j - 1], sign)
+        return tab
+
+    def site_table(self, i: int) -> np.ndarray:
+        """S_i, int32 of shape (dim, n - 1), C-contiguous: column c exchanges
+        0-based site i with its c-th other site, the others in ascending order.
+
+        Each pair is stored in the tables of both its sites, so that the
+        exchanges of one site are the rows of one table.
+        """
+        if self._sites is None:
+            self._sites = self._site_tables()
+        return self._sites[i]
+
+    def _site_tables(self) -> list[np.ndarray]:
+        """Every S_i, from the adjacent exchanges: one binary search each.
+
+        The other pairs are composed, (i k) = (k-1 k)(i k-1)(k-1 k), once
+        each; a pair below i is read back from the table of its first site.
+        A site's columns are the rows of one scratch table, then transposed.
+        Every step runs on the row pool.
+        """
+        from .operators import split_rows  # operators imports this module
+
+        n, dim = self.n, self.dim
+        adjacent = np.empty((max(n - 1, 0), dim), dtype=np.intp)
+
+        def search(lo: int, hi: int) -> None:
+            for m in range(n - 1):
+                # exchanging letter a at site m with letter b at site m + 1
+                # moves the code by (b - a)(N^(n-1-m) - N^(n-2-m))
+                b_minus_a = self.states[lo:hi, m + 1] - self.states[lo:hi, m]
+                shift = self.N ** np.int64(n - 1 - m) - self.N ** np.int64(n - 2 - m)
+                moved = self.codes[lo:hi] + b_minus_a.astype(np.int64) * shift
+                adjacent[m, lo:hi] = self.rank(moved)
+
+        split_rows(search, dim)
+        scratch = np.empty((max(n - 1, 0), dim), dtype=np.int32)
+        tables: list[np.ndarray] = []
+        for i in range(n):
+            perm = None
+            for k in range(i + 1, n):
+                adj = adjacent[k - 1]
+                if perm is None:
+                    perm = adj
+                else:  # the whole previous column is read, so one step at a time
+                    prev, perm = perm, np.empty(dim, dtype=np.intp)
+                    split_rows(lambda lo, hi: np.take(adj, prev[adj[lo:hi]], out=perm[lo:hi]), dim)
+                scratch[k - 1] = perm
+            table = np.empty((dim, n - 1), dtype=np.int32)
+
+            def place(lo: int, hi: int) -> None:
+                for k in range(i):
+                    scratch[k, lo:hi] = tables[k][lo:hi, i - 1]
+                table[lo:hi] = scratch[:, lo:hi].T
+
+            split_rows(place, dim)
+            tables.append(table)
+        return tables
 
     def letters(self, i: int) -> np.ndarray:
         """1-based letters at 0-based site i, one per basis state."""

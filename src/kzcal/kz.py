@@ -38,9 +38,9 @@ from .errors import (
 )
 from .kernel import PairKernel, hamiltonian_terms, pair_table
 from .operators import (
+    SWEEP_ROWS,
+    RowKernel,
     TermOperator,
-    apply_terms,
-    csr_rows,
     gaudin_derivative,
     gaudin_hamiltonian,
     split_rows,
@@ -122,8 +122,9 @@ def _constant_rmatvec(op: TermOperator, c) -> np.ndarray:
     """op^T (c, ..., c) from the term coefficients alone.
 
     A swap table is a permutation, so a transposed swap maps a constant
-    covector to itself.  Each term adds what ``apply_terms`` adds, in term
-    order, so the result equals op.rmatvec(np.full(op.dim, c)) bitwise.
+    covector to itself.  Each term adds what its entry adds in
+    ``RowKernel.rows``, in term order, so the result equals
+    op.rmatvec(np.full(op.dim, c)) bitwise.
     """
     out = np.zeros(op.dim)
     for term in op.terms:
@@ -219,9 +220,16 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
     kern = PairKernel(params)
     hbar = params.hbar
+    # when site s alone moves, the pairs are (k, s) for k in ascending order:
+    # the columns of s's site table; otherwise the pair columns are stacked
+    moving = np.flatnonzero(vel)
+    cols = basis.site_table(moving[0]) if moving.size == 1 else None
+    rows = RowKernel.from_terms(basis.dim, hamiltonian_terms(diag, table, a, kern), cols)
 
     def rhs(t, y):
-        return apply_terms(hamiltonian_terms(diag, table, a + t * vel, kern), y) / hbar
+        terms = hamiltonian_terms(diag, table, a + t * vel, kern)
+        rows.set_coefficients([term[-1] for term in terms[1:]])
+        return rows.apply(y) / hbar
 
     return rhs
 
@@ -398,21 +406,16 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
     return out
 
 
-#: rows per block of the commutator sweeps and of every norm's sum of
-#: squares.  A sweep block holds the CSR rows of all n H_i, their
-#: product with the n columns of U = [H_1 v ... H_n v] and those rows of
-#: every pair's commutator: about 25 MB at n = 14.
-SWEEP_ROWS = 2048
-
-
 def _commutator_rows(conn: KzConnection, v: np.ndarray):
     """rows(lo, hi) -> C; C[p] is rows lo:hi of [H_i, H_j] v for the p-th pair i < j.
 
-    U = [H_1 v ... H_n v] is formed here, once.  Each call then multiplies
-    rows lo:hi of every H_a by U's real view in one CSR product, whose rows
-    sum in the order of ``TermOperator.matvec``, so C[p] equals those rows of
-    H_i (H_j v) - H_j (H_i v) bitwise.  The H_i are built here as well, so
-    calls may run on any thread.
+    U = [H_1 v ... H_n v] is formed here, once.  Each call then runs rows
+    lo:hi of every H_a through its row kernel on the 2n columns of U's real
+    view; those rows are the rows of ``TermOperator.matvec``, so C[p] equals
+    rows lo:hi of H_i (H_j v) - H_j (H_i v) bitwise.  The H_i and their
+    kernels are built here as well, so calls may run on any thread.  A block
+    holds the n products and the rows of every pair's commutator: about
+    15 MB at n = 14.
     """
     n, dim = conn.params.n, conn.basis.dim
     hams = [conn.hamiltonian(a) for a in range(1, n + 1)]
@@ -420,11 +423,15 @@ def _commutator_rows(conn: KzConnection, v: np.ndarray):
     for a, H in enumerate(hams):
         U[:, a] = H.matvec(v)
     Ur = U.view(np.float64)
+    kernels = [H.row_kernel() for H in hams]
     I, J = np.triu_indices(n, 1)
 
     def rows(lo: int, hi: int) -> np.ndarray:
         # W[a, r, b] = (H_a u_b)[lo + r]
-        W = (csr_rows(hams, lo, hi) @ Ur).view(np.complex128).reshape(n, hi - lo, n)
+        W = np.empty((n, hi - lo, 2 * n))
+        for a, kernel in enumerate(kernels):
+            kernel.rows(Ur, lo, hi, W[a])
+        W = W.view(np.complex128)
         return W[I, :, J] - W[J, :, I]
 
     return rows

@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .core import ModelParams, StateVector, WeightVector, check_instance, get_basis
 from .errors import InvalidSitesError, InvalidWeightError, UnsupportedOrderError
@@ -31,7 +32,8 @@ from .kernel import PairKernel, site_terms, t_term
 
 __all__ = [
     "TermOperator",
-    "apply_terms",
+    "RowKernel",
+    "SWEEP_ROWS",
     "csr_rows",
     "split_rows",
     "weight_operator",
@@ -55,19 +57,39 @@ class TermOperator:
     and the transpose of a signed swap flips sign.  All operators in this
     package are real matrices, so the transpose action (rmatvec) is enough to
     slide the all-ones covector through products from the left.
+
+    Products run through a ``RowKernel`` made from the terms on first use.
+    `cols` may give the term tables as the columns of one int32 table, in
+    term order (a site table of the basis), which the kernel then reads with
+    no copy.
     """
 
-    def __init__(self, weight: WeightVector, terms: list[tuple]):
+    def __init__(self, weight: WeightVector, terms: list[tuple], cols: np.ndarray | None = None):
         self.weight = weight
         self.dim = weight.dimension()
         self.terms = terms
+        self._cols = cols
+
+    @property
+    def terms(self) -> list[tuple]:
+        return self._terms
+
+    @terms.setter
+    def terms(self, terms: list[tuple]) -> None:
+        # new terms drop the kernel and the table that went with the old ones
+        self._terms, self._cols, self._kernel = terms, None, None
+
+    def row_kernel(self) -> "RowKernel":
+        if self._kernel is None:
+            self._kernel = RowKernel.from_terms(self.dim, self._terms, self._cols)
+        return self._kernel
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return apply_terms(self.terms, v)
+        return self.row_kernel().apply(v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         """Transpose action x -> A^T x (plain transpose, no conjugation)."""
-        return apply_terms(self.terms, v, transpose=True)
+        return self.row_kernel().apply(v, transpose=True)
 
     def apply(self, state: StateVector) -> StateVector:
         if state.weight != self.weight:
@@ -81,13 +103,148 @@ class TermOperator:
         return mat
 
 
+#: rows per block of the row kernel, of the commutator sweeps and of every
+#: norm's sum of squares
+SWEEP_ROWS = 2048
+
+
+class RowKernel:
+    """One operator's rows, summed by scipy's compiled CSR matvec.
+
+    Row r of the operator times x is
+
+        diag[r] x[r] + sum_c coeffs[e] s_e(r) x[cols[r, c]],
+
+    over the columns c of an int32 table in order, with one entry e per
+    column, or with a swap entry and then a signed swap entry per column
+    (`paired`).  s_e(r) = 1 for a swap and sign(r - cols[r, c]) for a
+    signed swap: that is sign(l_a - l_b) of row r for the pair a < b that
+    the column exchanges, since codes are lexicographic, so no sign table is
+    read.  The transpose negates the signed coefficients.
+
+    Each block of SWEEP_ROWS rows starts as 0 + diag x (elementwise, or for
+    the 2n columns of the sweeps as a unit-diagonal CSR pass), and
+    ``_sparsetools.csr_matvec`` (``csr_matvecs`` for several columns of x)
+    adds the entries into it in order; zero signed entries are kept.  Every
+    row thus sums the products of the terms in term order, bitwise, however
+    the rows are split.  A row sum starts at +0 and so never is -0, which
+    makes the zero products, and the imaginary zero of a real coefficient
+    times a complex amplitude, add nothing.
+    """
+
+    def __init__(self, dim: int, diag, cols: np.ndarray, signed, paired: bool = False):
+        self.dim, self.diag, self.cols, self.paired = dim, diag, cols, paired
+        self.width = len(signed)
+        # with signed entries: the transpose's factor per entry, and the
+        # unsigned entries of a layout that is neither paired nor all signed
+        self.flip = self.plain = None
+        if any(signed):
+            self.flip = np.where(signed, -1.0, 1.0)
+            if not (paired or all(signed)):
+                self.plain = np.flatnonzero(np.logical_not(signed))
+        block = min(dim, SWEEP_ROWS)
+        self.unit = np.arange(block + 1, dtype=np.int32)
+        self.indptr = self.unit * np.int32(self.width)
+        self.data = np.empty((block, self.width))  # the coefficient row, once per row
+
+    @classmethod
+    def from_terms(cls, dim: int, terms: list[tuple], cols: np.ndarray | None = None):
+        """The kernel of the terms, several diag terms summed; `cols` may give
+        the tables of the entries, a signed swap after a swap of the same
+        table sharing its column."""
+        diag, tables, signed = None, [], []
+        for term in terms:
+            if term[0] == "diag":
+                diag = term[1] if diag is None else diag + term[1]
+            else:
+                tables.append(term[1])
+                signed.append(term[0] == "tswap")
+        paired = (
+            signed == [False, True] * (len(signed) // 2)
+            and all(a is b for a, b in zip(tables[::2], tables[1::2]))
+        )
+        if paired:
+            tables = tables[::2]
+        if cols is None and len(tables) == 1:  # a lone table is read through a view
+            cols = tables[0][:, None].astype(np.int32, copy=False)
+        elif cols is None and tables:
+            cols = np.stack(tables, axis=1).astype(np.int32)
+        elif cols is None:
+            cols = np.empty((dim, 0), dtype=np.int32)
+        kernel = cls(dim, diag, cols, signed, paired)
+        kernel.set_coefficients([term[-1] for term in terms if term[0] != "diag"])
+        return kernel
+
+    def set_coefficients(self, coeffs) -> None:
+        """The entries' coefficients, in entry order (signed ones before their sign)."""
+        self.coeffs = np.asarray(coeffs, dtype=np.float64)
+        self.data[:] = self.coeffs
+
+    def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+        """The operator (its transpose) times v, real or complex, on the row pool."""
+        out = np.empty(v.shape, dtype=np.result_type(v.dtype, np.float64))
+        x = np.ascontiguousarray(v, dtype=out.dtype).view(np.float64).reshape(self.dim, -1)
+        y = out.view(np.float64).reshape(self.dim, -1)
+        split_rows(lambda lo, hi: self.rows(x, lo, hi, y[lo:hi], transpose), self.dim)
+        return out
+
+    def rows(self, x: np.ndarray, lo: int, hi: int, out: np.ndarray, transpose: bool = False):
+        """out = rows lo:hi of the operator (its transpose) times x.
+
+        x is C-contiguous float64 of shape (dim, m); out, of shape
+        (hi - lo, m), is C-contiguous too, since the kernel writes into it.
+        """
+        m = x.shape[1]
+        block = self.data.shape[0]
+        data = self.data
+        if self.flip is not None:  # per call: the signed entries change with the row
+            scale = self.coeffs * self.flip if transpose else self.coeffs
+            rows = min(block, hi - lo)
+            if self.paired:  # each column read by a swap, then by a signed swap
+                data, idx = data[:rows].copy(), np.empty((rows, self.width), dtype=np.int32)
+                slot, scale = data[:, 1::2], scale[1::2]
+            else:
+                data = slot = np.empty((rows, self.width))
+        if self.diag is None or m > 2:
+            out[...] = 0.0
+        else:  # 0 + diag x, so that no row sum starts at -0
+            np.multiply(self.diag[lo:hi, None], x[lo:hi], out=out)
+            out += 0.0
+        for c in range(lo, hi, block):
+            e = min(c + block, hi)
+            y = out[c - lo : e - lo]
+            if m > 2 and self.diag is not None:
+                # the sweeps' 2n columns: a unit-diagonal pass beats a broadcast
+                diag_rows = np.arange(c, e, dtype=np.int32)
+                _sparsetools.csr_matvecs(
+                    e - c, self.dim, m, self.unit, diag_rows, self.diag[c:e], x, y
+                )
+            if not self.width:
+                continue
+            ind = cols = self.cols[c:e]
+            if self.flip is not None:
+                sign = np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)
+                if self.plain is not None:
+                    sign[:, self.plain] = 1
+                np.multiply(sign, scale, out=slot[: e - c])
+                if self.paired:
+                    ind = idx[: e - c]
+                    ind[:, 0::2] = cols
+                    ind[:, 1::2] = cols
+            # the kernels take 2-d arrays by their buffers: an input that is
+            # not C-contiguous is copied, so out has to be
+            if m == 1:
+                _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)
+            else:
+                _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)
+
+
 def csr_rows(ops: list[TermOperator], lo: int, hi: int) -> sp.csr_matrix:
     """Rows lo:hi of each operator, stacked in operator order, as one CSR matrix.
 
     Each row holds one entry per term, in term order, with int32 indices; the
     zero entries of a signed swap are left out and duplicate columns are not
-    summed.  A CSR product therefore sums each row in the order, and with the
-    roundings, of ``apply_terms``.
+    summed.  ``TermOperator.materialize`` builds its matrix here.
     """
     width = max(len(op.terms) for op in ops)
     shape = (len(ops), hi - lo, width)
@@ -122,34 +279,6 @@ def csr_rows(ops: list[TermOperator], lo: int, hi: int) -> sp.csr_matrix:
         np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
         arrays = (val[keep], col[keep], indptr)
     return sp.csr_matrix(arrays, shape=(nrows, ops[0].dim))
-
-
-def apply_terms(terms: list[tuple], v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """Sum of the terms applied to v, in term order (transpose=True: the transpose).
-
-    Each row of the result takes the same operations in every row range, so
-    the split of ``split_rows`` leaves it bitwise unchanged.
-    """
-    out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
-
-    def rows(lo: int, hi: int) -> None:
-        part = out[lo:hi]
-        for term in terms:
-            tag = term[0]
-            if tag == "diag":
-                part += term[1][lo:hi] * v[lo:hi]
-            elif tag == "swap":
-                _, perm, coeff = term
-                part += coeff * v[perm[lo:hi]]
-            elif transpose:
-                _, perm, sign, coeff = term
-                part -= coeff * (sign[lo:hi] * v[perm[lo:hi]])
-            else:
-                _, perm, sign, coeff = term
-                part += coeff * (sign[lo:hi] * v[perm[lo:hi]])
-
-    split_rows(rows, out.shape[0])
-    return out
 
 
 def _usable_cpus() -> int:
@@ -262,7 +391,7 @@ def gaudin_hamiltonian(i: int, params: ModelParams, weight: WeightVector) -> Ter
     basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
     terms = site_terms(basis, i0, PairKernel(params), np.asarray(params.g), params.x)
-    return TermOperator(weight, terms)
+    return TermOperator(weight, terms, basis.site_table(i0))
 
 
 def gaudin_derivative(
@@ -290,4 +419,5 @@ def gaudin_derivative(
         terms.append(("swap", perm, float(coeff)))
     if not terms:
         terms = [("diag", np.zeros(basis.dim))]
-    return TermOperator(weight, terms)
+    # d_i H_i swaps site i with every other site: the columns of its site table
+    return TermOperator(weight, terms, basis.site_table(i0) if i0 == j0 else None)

@@ -74,6 +74,13 @@ MUTANTS = [
         ("tests/test_classical.py", "-k", "charpoly or minors"),
     ),
     Mutant(
+        "mp-momentum-drops-imaginary",
+        "classical.py",
+        "A[i][i] = ctx.convert(p)",
+        "A[i][i] = ctx.convert(p.real)",
+        ("tests/test_classical.py", "-k", "complex_trig_momenta"),
+    ),
+    Mutant(
         "mp-momentum-without-convert",
         "classical.py",
         "A[i][i] = ctx.convert(p)",
@@ -245,6 +252,124 @@ MUTANTS = [
         "((_, perm, a),) = conn.derivative(j, i).terms\n"
         "        ((_, _, b),) = conn.derivative(i, j).terms",
         ("tests/test_kz.py", "-k", "flatness"),
+    ),
+    # -- the row kernel and the site tables --------------------------------------
+    Mutant(
+        "t-term-orientation-dropped",
+        "kernel.py",
+        "coeff if i0 < j0 else -coeff",
+        "coeff",
+        ("tests/test_operators.py",),
+    ),
+    Mutant(
+        "row-kernel-sign-reversed",
+        "operators.py",
+        "np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)",
+        "np.sign(cols - np.arange(c, e, dtype=np.int32)[:, None])",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "row-kernel-diag-after-swaps",
+        "operators.py",
+        "        if self.diag is None or m > 2:\n"
+        "            out[...] = 0.0\n"
+        "        else:  # 0 + diag x, so that no row sum starts at -0\n"
+        "            np.multiply(self.diag[lo:hi, None], x[lo:hi], out=out)\n"
+        "            out += 0.0\n"
+        "        for c in range(lo, hi, block):\n"
+        "            e = min(c + block, hi)\n"
+        "            y = out[c - lo : e - lo]\n"
+        "            if m > 2 and self.diag is not None:\n"
+        "                # the sweeps' 2n columns: a unit-diagonal pass beats a broadcast\n"
+        "                diag_rows = np.arange(c, e, dtype=np.int32)\n"
+        "                _sparsetools.csr_matvecs(\n"
+        "                    e - c, self.dim, m, self.unit, diag_rows, self.diag[c:e], x, y\n"
+        "                )\n"
+        "            if not self.width:\n"
+        "                continue\n"
+        "            ind = cols = self.cols[c:e]\n"
+        "            if self.flip is not None:\n"
+        "                sign = np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)\n"
+        "                if self.plain is not None:\n"
+        "                    sign[:, self.plain] = 1\n"
+        "                np.multiply(sign, scale, out=slot[: e - c])\n"
+        "                if self.paired:\n"
+        "                    ind = idx[: e - c]\n"
+        "                    ind[:, 0::2] = cols\n"
+        "                    ind[:, 1::2] = cols\n"
+        "            # the kernels take 2-d arrays by their buffers: an input that is\n"
+        "            # not C-contiguous is copied, so out has to be\n"
+        "            if m == 1:\n"
+        "                _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)\n"
+        "            else:\n"
+        "                _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)\n",
+        "        out[...] = 0.0\n"
+        "        for c in range(lo, hi, block):\n"
+        "            e = min(c + block, hi)\n"
+        "            y = out[c - lo : e - lo]\n"
+        "            if m > 2 and self.diag is not None:\n"
+        "                # the sweeps' 2n columns: a unit-diagonal pass beats a broadcast\n"
+        "                diag_rows = np.arange(c, e, dtype=np.int32)\n"
+        "                _sparsetools.csr_matvecs(\n"
+        "                    e - c, self.dim, m, self.unit, diag_rows, self.diag[c:e], x, y\n"
+        "                )\n"
+        "            if not self.width:\n"
+        "                continue\n"
+        "            ind = cols = self.cols[c:e]\n"
+        "            if self.flip is not None:\n"
+        "                sign = np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)\n"
+        "                if self.plain is not None:\n"
+        "                    sign[:, self.plain] = 1\n"
+        "                np.multiply(sign, scale, out=slot[: e - c])\n"
+        "                if self.paired:\n"
+        "                    ind = idx[: e - c]\n"
+        "                    ind[:, 0::2] = cols\n"
+        "                    ind[:, 1::2] = cols\n"
+        "            # the kernels take 2-d arrays by their buffers: an input that is\n"
+        "            # not C-contiguous is copied, so out has to be\n"
+        "            if m == 1:\n"
+        "                _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)\n"
+        "            else:\n"
+        "                _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)\n"
+        "        if self.diag is not None and m <= 2:  # after the swaps\n"
+        "            out += self.diag[lo:hi, None] * x[lo:hi]\n",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "row-kernel-mixed-layout-signs-everywhere",
+        "operators.py",
+        "                if self.plain is not None:\n"
+        "                    sign[:, self.plain] = 1\n",
+        "",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "row-kernel-sweep-diag-twice",
+        "operators.py",
+        "if self.diag is None or m > 2:",
+        "if self.diag is None:",
+        ("tests/test_kz.py", "-k", "cached_h_actions"),
+    ),
+    Mutant(
+        "site-table-columns-shifted",
+        "core.py",
+        "self.site_table(i)[:, j - 1]",
+        "self.site_table(i)[:, j - 2]",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "row-kernel-block-end-off-by-one",
+        "operators.py",
+        "e = min(c + block, hi)",
+        "e = min(c + block - 1, hi)",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "rmatvec-keeps-signed-sign",
+        "operators.py",
+        "scale = self.coeffs * self.flip if transpose else self.coeffs",
+        "scale = self.coeffs",
+        ("tests/test_row_split.py", "-k", "term_sums"),
     ),
     Mutant(
         "csr-rows-short-row-mask-dropped",

@@ -9,12 +9,13 @@ computations that the package's fast paths replaced: dense and sparse
 products, the per-column 60-digit Rayleigh quotients, the Lax characteristic
 polynomial by principal minors, the double-double residual that splits every
 permuted block anew, the recursive basis enumeration, the searched swap
-tables, the COO assembly of a CSR matrix, the CSR row builder that masks every
-term, the per-pair commutator actions, the covariant rows and curvature rows
-by full operator applications, the identity sums one term at a time, the
+tables, the term-by-term operator action and path right-hand side, the COO
+assembly of a CSR matrix, the CSR row builder that masks every term, the
+per-pair commutator actions, the covariant rows and curvature rows by full
+operator applications, the identity sums one term at a time, the
 signed-swap triple row one triple at a time and the complex path
-integration.  The case-table reference checks the package's own materialized
-T_ij.
+integration.  The case-table reference checks the package's own
+materialized T_ij.
 """
 
 from functools import reduce
@@ -28,7 +29,7 @@ from scipy.integrate import solve_ivp
 from kzcal.classical import _exact_product
 from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
 from kzcal.errors import IntegrationFailureError
-from kzcal.kernel import PairKernel
+from kzcal.kernel import PairKernel, hamiltonian_terms, pair_table
 from kzcal.kz import _check_segment, _commutator_rows, _segment_rhs
 from kzcal.operators import csr_rows, t_operator
 
@@ -424,6 +425,49 @@ def swap_table_search(basis, i: int, j: int):
     shift = basis.N ** np.int64(basis.n - 1 - i) - basis.N ** np.int64(basis.n - 1 - j)
     perm = basis.rank(basis.codes + b_minus_a.astype(np.int64) * shift)
     return perm, np.sign(-b_minus_a)
+
+
+def apply_terms(terms: list[tuple], v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """The slow reference for ``kzcal.operators.RowKernel``: one numpy gather per term.
+
+    The sum of the terms applied to v, in term order (transpose=True: the
+    transpose, which negates the signed swaps).
+    """
+    out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
+    for term in terms:
+        tag = term[0]
+        if tag == "diag":
+            out += term[1] * v
+        elif tag == "swap":
+            _, perm, coeff = term
+            out += coeff * v[perm]
+        elif transpose:
+            _, perm, sign, coeff = term
+            out -= coeff * (sign * v[perm])
+        else:
+            _, perm, sign, coeff = term
+            out += coeff * (sign * v[perm])
+    return out
+
+
+def segment_rhs_terms(conn, a: np.ndarray, b: np.ndarray):
+    """The slow reference for ``kzcal.kz._segment_rhs``: the Hamiltonian terms
+    at x(t) = a + t (b - a), made anew on every call and applied one by one."""
+    params, basis = conn.params, conn.basis
+    n, vel = basis.n, b - a
+    g = np.asarray(params.g)
+    diag = np.zeros(basis.dim)
+    for i0 in range(n):
+        if vel[i0] != 0.0:
+            diag = diag + vel[i0] * g[basis.letters(i0) - 1]
+    weights = [(i0, j0, vel[i0] - vel[j0]) for i0 in range(n) for j0 in range(i0 + 1, n)]
+    table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
+    kern = PairKernel(params)
+
+    def rhs(t, y):
+        return apply_terms(hamiltonian_terms(diag, table, a + t * vel, kern), y) / params.hbar
+
+    return rhs
 
 
 def materialize_coo(op) -> sp.csr_matrix:

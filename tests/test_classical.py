@@ -224,6 +224,22 @@ def test_charpoly_lax_spectrum_matches_eig_oracle(sector, monkeypatch):
     assert not fallbacks
 
 
+def test_complex_trig_momenta_reach_the_lax_matrix():
+    # every momentum shifted by 0.05i shifts the Lax matrix, and so each of
+    # its eigenvalues, by 0.05i; the oracle agrees
+    from kzcal import classical
+
+    params, weight = _oracle_sectors()[3]
+    target = string_spectrum(weight, params)
+    dps = max(40, 15 * max(weight.M) + 10)
+    for item in gaudin_joint_spectrum(params, weight, seed=11)[:3]:
+        p = item.p_hp + 0.05j
+        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(p, params, target, dps), target)
+        ref = _sorted_mismatch(classical._lax_eigenvalues_eig(p, params, dps), target)
+        assert abs(ours - ref) <= 1e-6 * ref
+        assert ours == pytest.approx(0.05, rel=1e-6)
+
+
 def test_shifted_momenta_take_the_eig_fallback(monkeypatch):
     from kzcal import classical
 

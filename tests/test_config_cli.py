@@ -450,9 +450,10 @@ EXPLICIT = {"n": 3, "N": 2, "x": [0, 1.5, 3], "g": [1, 2], "hbar": 1, "kappa": 0
         {"random": {"n": 4, "N": 2, "count": 2, "kappa": "abc"}},
         {"random": {"n": 4, "N": 2, "count": 2, "dim_cap": 0}},
         {"random": {"n": 4, "N": 2, "count": 2, "min_dim": 7}},
+        {"explicit": dict(EXPLICIT, weight=[2.5, 1.5])},
     ],
     ids=["explicit-nan-x", "explicit-hbar-abc", "random-hbar-0", "random-kappa-abc",
-         "random-dim-cap-0", "random-no-weight"],
+         "random-dim-cap-0", "random-no-weight", "explicit-weight-2.5"],
 )
 def test_config_instance_errors_exit_3(tmp_path, monkeypatch, capsys, instance):
     # rejected while the instances are built, before any suite runs

@@ -70,6 +70,20 @@ def test_enumerate_basis_weight_mismatch():
         WeightVector((1, 1)).validate_for(3)
 
 
+@pytest.mark.parametrize(
+    "M", [(2.5, 1.5), (2, 0.5), (True, 1), (2, np.nan), (2, np.inf), ("2", 1), (2, None)]
+)
+def test_weight_rejects_non_integral_occupations(M):
+    # int() would read 2.5 as 2 and True as 1
+    with pytest.raises(InvalidWeightError):
+        WeightVector(M)
+
+
+def test_weight_takes_integral_numbers():
+    weight = WeightVector((2.0, np.int64(1), np.float32(0.0)))
+    assert weight.M == (2, 1, 0) and all(type(m) is int for m in weight.M)
+
+
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         get_basis(WeightVector((5, 5)), dim_cap=100)
@@ -169,11 +183,30 @@ def test_swap_table_matches_copy_and_encode(M):
             assert basis.swap_table(j, i)[0] is perm
 
 
+@pytest.mark.parametrize("M", [(1,), (1, 1), (3, 3), (2, 1, 2), (2, 3, 1, 2)])
+def test_site_tables_hold_each_pair_in_both_sites(M):
+    # column c of S_i exchanges site i with its c-th other site; the swap
+    # tables are views of them, and a signed swap's sign is sign(r - perm[r])
+    basis = WeightBasis(WeightVector(M))
+    rows = np.arange(basis.dim)
+    for i in range(basis.n):
+        table = basis.site_table(i)
+        assert table.dtype == np.int32 and table.flags.c_contiguous
+        assert table.shape == (basis.dim, basis.n - 1)
+        others = [k for k in range(basis.n) if k != i]
+        for c, k in enumerate(others):
+            perm, sign = basis.swap_table(i, k)
+            np.testing.assert_array_equal(table[:, c], perm)
+            np.testing.assert_array_equal(np.sign(rows - perm), sign)
+            assert np.shares_memory(perm, basis.site_table(min(i, k)))
+
+
 @pytest.mark.parametrize("M", [(3, 3), (2, 1, 2), (2, 3, 1, 2), (4, 4, 4)])
 @pytest.mark.parametrize("order", ["near-first", "far-first"])
 def test_swap_table_matches_search_oracle(M, order):
     # tables composed from the adjacent ones equal one search per pair,
-    # dtypes included, whichever pair a fresh basis is asked for first
+    # whichever pair a fresh basis is asked for first; the searched perm is
+    # intp, the site tables hold int32
     basis = WeightBasis(WeightVector(M))
     pairs = [(i, j) for i in range(basis.n) for j in range(i + 1, basis.n)]
     if order == "far-first":
@@ -181,7 +214,7 @@ def test_swap_table_matches_search_oracle(M, order):
     for i, j in pairs:
         perm, sign = basis.swap_table(i, j)
         want_perm, want_sign = swap_table_search(basis, i, j)
-        assert perm.dtype == want_perm.dtype and sign.dtype == want_sign.dtype
+        assert perm.dtype == np.int32 and sign.dtype == want_sign.dtype
         np.testing.assert_array_equal(perm, want_perm)
         np.testing.assert_array_equal(sign, want_sign)
 

@@ -15,6 +15,27 @@ from kzcal.operators import (
 
 from oracles import csr_rows_masked, gaudin_full, permutation_full, restrict, t_full, twist_full
 
+
+def test_sparsetools_kernels_are_pinned():
+    # the row kernel calls scipy's private CSR kernels with int32 indices and
+    # lets them add into the output it has filled with the diagonal part
+    from scipy.sparse import _sparsetools
+
+    from kzcal import operators
+
+    assert operators._sparsetools is _sparsetools
+    indptr = np.array([0, 2, 3], dtype=np.int32)
+    indices = np.array([1, 0, 1], dtype=np.int32)
+    data = np.array([2.0, 3.0, 4.0])
+    y = np.array([1.0, -1.0])
+    _sparsetools.csr_matvec(2, 2, indptr, indices, data, np.array([10.0, 100.0]), y)
+    assert y.tolist() == [1.0 + 200.0 + 30.0, -1.0 + 400.0]
+    Y = np.array([[1.0, 0.5], [-1.0, 0.25]])
+    X = np.array([[10.0, 1.0], [100.0, 2.0]])
+    _sparsetools.csr_matvecs(2, 2, 2, indptr, indices, data, X.ravel(), Y.ravel())
+    assert Y.tolist() == [[231.0, 0.5 + 4.0 + 3.0], [399.0, 0.25 + 8.0]]
+
+
 HAND = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
 W11 = WeightVector((1, 1))
 

@@ -23,8 +23,18 @@ from kzcal.kz import (
     integrate_path,
 )
 from kzcal.config import load_config
-from kzcal.operators import split_rows, t_operator
+from kzcal.operators import (
+    TermOperator,
+    gaudin_derivative,
+    permutation_operator,
+    split_rows,
+    t_operator,
+    twist_operator,
+    weight_operator,
+)
 from kzcal.suites import run_suites
+
+import oracles
 
 PAIRS = ModelParams(
     n=5, N=3, x=(0.0, 1.1, 2.3, -0.9, 3.4), g=(1.0, 2.0, 2.7), hbar=0.9, kappa=0.35,
@@ -166,6 +176,45 @@ def test_kernels_do_not_depend_on_worker_count(rows_on, workers, params, weight)
     assert (pool.submitted > 0) == (params.n > 1)
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_row_kernel_matches_the_term_sums_bitwise(rows_on, monkeypatch, workers, kind):
+    # every operator the package builds, real and complex states, the
+    # transpose, and both segment tables (one moving site reads its site
+    # table, several the stacked pair columns); 7-row blocks end inside the
+    # 30-state sector, whose rows are split over the threads
+    monkeypatch.setattr(operators, "SWEEP_ROWS", 7)
+    rows_on(workers)
+    params = PAIRS.replace(kind=kind)
+    conn = KzConnection(params, W221)
+    n, dim = params.n, W221.dimension()
+    sites = range(1, n + 1)
+    ops = [conn.hamiltonian(i) for i in sites]
+    ops += [conn.derivative(i, order=k) for i in sites for k in (1, 2)]
+    ops += [gaudin_derivative(i, j, 1, params, W221) for i in sites for j in sites if i != j]
+    ops += [t_operator(i, j, W221) for i in sites for j in sites if i != j]
+    ops += [permutation_operator(1, 4, W221), twist_operator(2, params, W221)]
+    ops.append(weight_operator(3, W221))
+    # a layout the builders never make: swaps and signed swaps of other tables
+    (p13, s13), (p25, s25) = conn.basis.swap_table(0, 2), conn.basis.swap_table(1, 4)
+    mixed = [("diag", ops[-1].terms[0][1]), ("tswap", p13, s13, 0.7), ("swap", p25, -1.3)]
+    ops.append(TermOperator(W221, mixed + [("tswap", p25, s25, 0.4), ("swap", p13, 2.1)]))
+    rng = np.random.default_rng(31)
+    x = np.asarray(params.x)
+    one_site = x + 0.05 * (np.arange(n) == 2)
+    for v in (rng.standard_normal(dim), StateVector.random(W221, rng).amplitudes):
+        for op in ops:
+            for transpose in (False, True):
+                got = op.rmatvec(v) if transpose else op.matvec(v)
+                want = oracles.apply_terms(op.terms, v, transpose)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for end in (one_site, x + 0.05 * np.arange(n)):
+            got = _segment_rhs(conn, x, end)(0.3, v)
+            want = oracles.segment_rhs_terms(conn, x, end)(0.3, v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert conn.hamiltonian(3).row_kernel().cols is conn.basis.site_table(2)
+
+
 def test_caller_threads_share_the_row_pool(rows_on, tmp_path):
     # two threads of a library caller hand row ranges to the pool at the
     # same time; each report equals the serial one and both runs end
@@ -202,14 +251,14 @@ def test_caller_threads_share_the_row_pool(rows_on, tmp_path):
 def test_forked_child_splits_rows_on_its_own_pool(rows_on):
     # the child inherits the pool object but not its started threads
     rows_on(1)
-    terms = [("swap", np.arange(40)[::-1].copy(), 2.0)]
+    kernel = operators.RowKernel.from_terms(40, [("swap", np.arange(40)[::-1].copy(), 2.0)])
     v = np.arange(40.0)
     want = 2.0 * v[::-1]
-    np.testing.assert_array_equal(operators.apply_terms(terms, v), want)  # starts the thread
+    np.testing.assert_array_equal(kernel.apply(v), want)  # starts the thread
     pid = os.fork()
     if pid == 0:  # child: exit 0 only if the split finishes within the alarm
         signal.alarm(20)
-        ok = np.array_equal(operators.apply_terms(terms, v), want)
+        ok = np.array_equal(kernel.apply(v), want)
         os._exit(0 if ok and operators._POOL is not None else 1)
     _, status = os.waitpid(pid, 0)
     assert os.waitstatus_to_exitcode(status) == 0
