@@ -129,8 +129,12 @@ class WeightVector:
 
     def __post_init__(self):
         for v in self.M:
-            # int() would read 2.5 as 2 and True as 1
-            integral = isinstance(v, numbers.Real) and float(v).is_integer()
+            # int() would read 2.5 as 2 and True as 1; v == int(v) is exact
+            # where float(v) would overflow
+            try:
+                integral = isinstance(v, numbers.Real) and v == int(v)
+            except (OverflowError, ValueError):  # an infinity or a nan
+                integral = False
             if isinstance(v, (bool, np.bool_)) or not integral:
                 raise InvalidWeightError(f"occupation numbers must be integers, got {v!r}")
         object.__setattr__(self, "M", tuple(int(v) for v in self.M))
@@ -175,7 +179,7 @@ class WeightBasis:
     tables of all sites are built together on first use and kept.
     """
 
-    __slots__ = ("weight", "n", "N", "dim", "states", "codes", "_sites", "_swap_cache")
+    __slots__ = ("weight", "n", "N", "dim", "states", "codes", "_sites", "_swap_cache", "_signs")
 
     def __init__(self, weight: WeightVector, dim_cap: int = DEFAULT_DIM_CAP):
         self.weight = weight
@@ -191,6 +195,7 @@ class WeightBasis:
         self.codes = self.encode(self.states)
         self._sites: list[np.ndarray] | None = None
         self._swap_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        self._signs: dict[int, np.ndarray] = {}  # id(perm) -> sign of the cached tables
 
     def encode(self, states: np.ndarray) -> np.ndarray:
         """Base-N digit code of each row; first site is most significant."""
@@ -220,8 +225,17 @@ class WeightBasis:
         tab = self._swap_cache.get((i, j))
         if tab is None:
             sign = np.sign(self.states[:, i] - self.states[:, j])
+            sign.flags.writeable = False  # is_swap_sign trusts it by identity
             tab = self._swap_cache[(i, j)] = (self.site_table(i)[:, j - 1], sign)
+            self._signs[id(tab[0])] = sign
         return tab
+
+    def is_swap_sign(self, perm: np.ndarray, sign: np.ndarray) -> bool:
+        """Whether sign[k] = sign(k - perm[k]) for every row k, as it is for
+        the tables of ``swap_table``; those are recognized without a pass."""
+        if self._signs.get(id(perm)) is sign:  # the basis keeps its tables alive
+            return True
+        return np.array_equal(sign, np.sign(np.arange(self.dim) - perm))
 
     def site_table(self, i: int) -> np.ndarray:
         """S_i, int32 of shape (dim, n - 1), C-contiguous: column c exchanges
@@ -278,6 +292,8 @@ class WeightBasis:
 
             split_rows(place, dim)
             tables.append(table)
+        for table in tables:  # shared by every operator of the basis
+            table.flags.writeable = False
         return tables
 
     def letters(self, i: int) -> np.ndarray:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +35,6 @@ __all__ = [
     "TermOperator",
     "RowKernel",
     "SWEEP_ROWS",
-    "csr_rows",
     "split_rows",
     "weight_operator",
     "twist_operator",
@@ -58,10 +58,14 @@ class TermOperator:
     package are real matrices, so the transpose action (rmatvec) is enough to
     slide the all-ones covector through products from the left.
 
-    Products run through a ``RowKernel`` made from the terms on first use.
-    `cols` may give the term tables as the columns of one int32 table, in
-    term order (a site table of the basis), which the kernel then reads with
-    no copy.
+    A signed swap's sign must be sign(r - perm[r]) in every row r, as
+    ``WeightBasis.swap_table`` gives it: the kernel reads it from perm, so
+    other terms raise ValueError.
+
+    Products run through a ``RowKernel`` made from the terms on first use,
+    and so does ``materialize``.  `cols` may give the term tables as the
+    columns of one int32 table, in term order (a site table of the basis),
+    which the kernel then reads with no copy.
     """
 
     def __init__(self, weight: WeightVector, terms: list[tuple], cols: np.ndarray | None = None):
@@ -76,6 +80,11 @@ class TermOperator:
 
     @terms.setter
     def terms(self, terms: list[tuple]) -> None:
+        signed = [term for term in terms if term[0] == "tswap"]
+        if signed:
+            basis = get_basis(self.weight)
+            if not all(basis.is_swap_sign(perm, sign) for _, perm, sign, _ in signed):
+                raise ValueError("a signed swap's sign must be sign(r - perm[r])")
         # new terms drop the kernel and the table that went with the old ones
         self._terms, self._cols, self._kernel = terms, None, None
 
@@ -97,15 +106,23 @@ class TermOperator:
         return StateVector(self.weight, self.matvec(state.amplitudes))
 
     def materialize(self) -> sp.csr_matrix:
-        """The operator as a CSR matrix with duplicate entries summed."""
-        mat = csr_rows([self], 0, self.dim)
-        mat.sum_duplicates()
-        return mat
+        """The operator as a CSR matrix, from its row kernel's entries."""
+        return self.row_kernel().csr()
 
 
 #: rows per block of the row kernel, of the commutator sweeps and of every
 #: norm's sum of squares
 SWEEP_ROWS = 2048
+
+
+@lru_cache(maxsize=16)
+def _unit_rows(dim: int) -> np.ndarray:
+    """0..dim as int32: the indptr and the column of a one-entry-per-row block.
+
+    Read-only, since every caller shares it."""
+    unit = np.arange(dim + 1, dtype=np.int32)
+    unit.flags.writeable = False
+    return unit
 
 
 class RowKernel:
@@ -122,14 +139,14 @@ class RowKernel:
     the column exchanges, since codes are lexicographic, so no sign table is
     read.  The transpose negates the signed coefficients.
 
-    Each block of SWEEP_ROWS rows starts as 0 + diag x (elementwise, or for
-    the 2n columns of the sweeps as a unit-diagonal CSR pass), and
-    ``_sparsetools.csr_matvec`` (``csr_matvecs`` for several columns of x)
-    adds the entries into it in order; zero signed entries are kept.  Every
-    row thus sums the products of the terms in term order, bitwise, however
-    the rows are split.  A row sum starts at +0 and so never is -0, which
-    makes the zero products, and the imaginary zero of a real coefficient
-    times a complex amplitude, add nothing.
+    The rows start at 0, and ``_sparsetools.csr_matvec`` (``csr_matvecs``
+    for several columns of x) adds diag x into them in one pass of one entry
+    per row, then the entries of each block of SWEEP_ROWS rows in order;
+    zero signed entries are kept.  Every row thus sums the products of the
+    terms in term order, bitwise, however the rows are split.  A row sum
+    starts at +0 and so never is -0, which makes the zero products, and the
+    imaginary zero of a real coefficient times a complex amplitude, add
+    nothing.
     """
 
     def __init__(self, dim: int, diag, cols: np.ndarray, signed, paired: bool = False):
@@ -143,15 +160,15 @@ class RowKernel:
             if not (paired or all(signed)):
                 self.plain = np.flatnonzero(np.logical_not(signed))
         block = min(dim, SWEEP_ROWS)
-        self.unit = np.arange(block + 1, dtype=np.int32)
-        self.indptr = self.unit * np.int32(self.width)
+        self.indptr = np.arange(block + 1, dtype=np.int32) * np.int32(self.width)
         self.data = np.empty((block, self.width))  # the coefficient row, once per row
 
     @classmethod
     def from_terms(cls, dim: int, terms: list[tuple], cols: np.ndarray | None = None):
         """The kernel of the terms, several diag terms summed; `cols` may give
         the tables of the entries, a signed swap after a swap of the same
-        table sharing its column."""
+        table sharing its column.  A signed swap's own sign array is not
+        read: ``TermOperator`` checks that it is sign(r - perm[r])."""
         diag, tables, signed = None, [], []
         for term in terms:
             if term[0] == "diag":
@@ -180,6 +197,14 @@ class RowKernel:
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
         self.data[:] = self.coeffs
 
+    def signs(self, lo: int, hi: int) -> np.ndarray:
+        """s_e(r) of rows lo:hi, one column per column of the table: the
+        sign of the signed swap that reads it, 1 where only swaps do."""
+        sign = np.sign(np.arange(lo, hi, dtype=np.int32)[:, None] - self.cols[lo:hi])
+        if self.plain is not None:
+            sign[:, self.plain] = 1
+        return sign
+
     def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
         """The operator (its transpose) times v, real or complex, on the row pool."""
         out = np.empty(v.shape, dtype=np.result_type(v.dtype, np.float64))
@@ -205,80 +230,66 @@ class RowKernel:
                 slot, scale = data[:, 1::2], scale[1::2]
             else:
                 data = slot = np.empty((rows, self.width))
-        if self.diag is None or m > 2:
-            out[...] = 0.0
-        else:  # 0 + diag x, so that no row sum starts at -0
-            np.multiply(self.diag[lo:hi, None], x[lo:hi], out=out)
-            out += 0.0
+        out[...] = 0.0
+        if self.diag is not None:  # one entry per row: 0 + diag x, never -0
+            unit = _unit_rows(self.dim)
+            args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diag[lo:hi])
+            if m == 1:
+                _sparsetools.csr_matvec(*args, x, out)
+            else:
+                _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)
+        if not self.width:
+            return
         for c in range(lo, hi, block):
             e = min(c + block, hi)
-            y = out[c - lo : e - lo]
-            if m > 2 and self.diag is not None:
-                # the sweeps' 2n columns: a unit-diagonal pass beats a broadcast
-                diag_rows = np.arange(c, e, dtype=np.int32)
-                _sparsetools.csr_matvecs(
-                    e - c, self.dim, m, self.unit, diag_rows, self.diag[c:e], x, y
-                )
-            if not self.width:
-                continue
             ind = cols = self.cols[c:e]
             if self.flip is not None:
-                sign = np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)
-                if self.plain is not None:
-                    sign[:, self.plain] = 1
-                np.multiply(sign, scale, out=slot[: e - c])
+                np.multiply(self.signs(c, e), scale, out=slot[: e - c])
                 if self.paired:
                     ind = idx[: e - c]
                     ind[:, 0::2] = cols
                     ind[:, 1::2] = cols
             # the kernels take 2-d arrays by their buffers: an input that is
             # not C-contiguous is copied, so out has to be
+            y = out[c - lo : e - lo]
             if m == 1:
                 _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)
             else:
                 _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)
 
+    def csr(self) -> sp.csr_matrix:
+        """The operator as a CSR matrix with int32 indices.
 
-def csr_rows(ops: list[TermOperator], lo: int, hi: int) -> sp.csr_matrix:
-    """Rows lo:hi of each operator, stacked in operator order, as one CSR matrix.
-
-    Each row holds one entry per term, in term order, with int32 indices; the
-    zero entries of a signed swap are left out and duplicate columns are not
-    summed.  ``TermOperator.materialize`` builds its matrix here.
-    """
-    width = max(len(op.terms) for op in ops)
-    shape = (len(ops), hi - lo, width)
-    col = np.empty(shape, dtype=np.int32)
-    val = np.empty(shape)
-    # a mask only where a row may hold fewer than `width` entries
-    masked = any(len(op.terms) < width or any(t[0] == "tswap" for t in op.terms) for op in ops)
-    keep = np.zeros(shape, dtype=bool) if masked else None
-    for o, op in enumerate(ops):
-        # every swap coefficient in one broadcast; diag and signed columns follow
-        val[o, :, : len(op.terms)] = [t[2] if t[0] == "swap" else 0.0 for t in op.terms]
-        if masked:
-            keep[o, :, : len(op.terms)] = True
-        for k, term in enumerate(op.terms):
-            tag = term[0]
-            if tag == "diag":
-                col[o, :, k] = np.arange(lo, hi)
-                val[o, :, k] = term[1][lo:hi]
-            elif tag == "swap":
-                col[o, :, k] = term[1][lo:hi]
-            else:
-                _, perm, sign, coeff = term
-                col[o, :, k] = perm[lo:hi]
-                val[o, :, k] = coeff * sign[lo:hi]
-                keep[o, :, k] = sign[lo:hi] != 0
-    nrows = len(ops) * (hi - lo)
-    if keep is None:  # every row has `width` entries: no masking passes
-        indptr = np.arange(0, nrows * width + 1, width, dtype=np.int32)
-        arrays = (val.ravel(), col.ravel(), indptr)
-    else:
-        indptr = np.zeros(nrows + 1, dtype=np.int32)
-        np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
-        arrays = (val[keep], col[keep], indptr)
-    return sp.csr_matrix(arrays, shape=(nrows, ops[0].dim))
+        Each row holds the diagonal, then the entries in order, with the zero
+        entries of the signed swaps left out and duplicate columns summed.
+        """
+        dim = self.dim
+        cols = np.repeat(self.cols, 2, axis=1) if self.paired else self.cols
+        val, keep = np.empty(cols.shape), None
+        val[:] = self.coeffs
+        if self.flip is not None:
+            signed = slice(1, None, 2) if self.paired else slice(None)
+            sign = self.signs(0, dim)
+            val[:, signed] *= sign
+            keep = np.ones(cols.shape, dtype=bool)
+            keep[:, signed] = sign != 0
+        if self.diag is not None:
+            rows = _unit_rows(dim)[:dim, None]
+            cols = np.hstack([rows, cols])
+            val = np.hstack([self.diag[:, None], val])
+            if keep is not None:
+                keep = np.hstack([np.ones(rows.shape, dtype=bool), keep])
+        if keep is None:  # every row is full: no mask
+            # flatten copies: sum_duplicates sorts the indices of a site table in place
+            width = cols.shape[1]
+            arrays = (val.ravel(), cols.flatten(), _unit_rows(dim) * np.int32(width))
+        else:
+            indptr = np.zeros(dim + 1, dtype=np.int32)
+            np.cumsum(keep.sum(axis=1, dtype=np.int32), out=indptr[1:])
+            arrays = (val[keep], cols[keep], indptr)
+        mat = sp.csr_matrix(arrays, shape=(dim, dim))
+        mat.sum_duplicates()
+        return mat
 
 
 def _usable_cpus() -> int:

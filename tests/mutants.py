@@ -264,91 +264,70 @@ MUTANTS = [
     Mutant(
         "row-kernel-sign-reversed",
         "operators.py",
-        "np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)",
-        "np.sign(cols - np.arange(c, e, dtype=np.int32)[:, None])",
+        "np.sign(np.arange(lo, hi, dtype=np.int32)[:, None] - self.cols[lo:hi])",
+        "np.sign(self.cols[lo:hi] - np.arange(lo, hi, dtype=np.int32)[:, None])",
         ("tests/test_row_split.py", "-k", "term_sums"),
     ),
     Mutant(
         "row-kernel-diag-after-swaps",
         "operators.py",
-        "        if self.diag is None or m > 2:\n"
-        "            out[...] = 0.0\n"
-        "        else:  # 0 + diag x, so that no row sum starts at -0\n"
-        "            np.multiply(self.diag[lo:hi, None], x[lo:hi], out=out)\n"
-        "            out += 0.0\n"
+        "        if self.diag is not None:  # one entry per row: 0 + diag x, never -0\n"
+        "            unit = _unit_rows(self.dim)\n"
+        "            args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diag[lo:hi])\n"
+        "            if m == 1:\n"
+        "                _sparsetools.csr_matvec(*args, x, out)\n"
+        "            else:\n"
+        "                _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)\n"
+        "        if not self.width:\n"
+        "            return\n"
         "        for c in range(lo, hi, block):\n"
         "            e = min(c + block, hi)\n"
-        "            y = out[c - lo : e - lo]\n"
-        "            if m > 2 and self.diag is not None:\n"
-        "                # the sweeps' 2n columns: a unit-diagonal pass beats a broadcast\n"
-        "                diag_rows = np.arange(c, e, dtype=np.int32)\n"
-        "                _sparsetools.csr_matvecs(\n"
-        "                    e - c, self.dim, m, self.unit, diag_rows, self.diag[c:e], x, y\n"
-        "                )\n"
-        "            if not self.width:\n"
-        "                continue\n"
         "            ind = cols = self.cols[c:e]\n"
         "            if self.flip is not None:\n"
-        "                sign = np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)\n"
-        "                if self.plain is not None:\n"
-        "                    sign[:, self.plain] = 1\n"
-        "                np.multiply(sign, scale, out=slot[: e - c])\n"
+        "                np.multiply(self.signs(c, e), scale, out=slot[: e - c])\n"
         "                if self.paired:\n"
         "                    ind = idx[: e - c]\n"
         "                    ind[:, 0::2] = cols\n"
         "                    ind[:, 1::2] = cols\n"
         "            # the kernels take 2-d arrays by their buffers: an input that is\n"
         "            # not C-contiguous is copied, so out has to be\n"
+        "            y = out[c - lo : e - lo]\n"
         "            if m == 1:\n"
         "                _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)\n"
         "            else:\n"
         "                _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)\n",
-        "        out[...] = 0.0\n"
         "        for c in range(lo, hi, block):\n"
         "            e = min(c + block, hi)\n"
-        "            y = out[c - lo : e - lo]\n"
-        "            if m > 2 and self.diag is not None:\n"
-        "                # the sweeps' 2n columns: a unit-diagonal pass beats a broadcast\n"
-        "                diag_rows = np.arange(c, e, dtype=np.int32)\n"
-        "                _sparsetools.csr_matvecs(\n"
-        "                    e - c, self.dim, m, self.unit, diag_rows, self.diag[c:e], x, y\n"
-        "                )\n"
-        "            if not self.width:\n"
-        "                continue\n"
         "            ind = cols = self.cols[c:e]\n"
         "            if self.flip is not None:\n"
-        "                sign = np.sign(np.arange(c, e, dtype=np.int32)[:, None] - cols)\n"
-        "                if self.plain is not None:\n"
-        "                    sign[:, self.plain] = 1\n"
-        "                np.multiply(sign, scale, out=slot[: e - c])\n"
+        "                np.multiply(self.signs(c, e), scale, out=slot[: e - c])\n"
         "                if self.paired:\n"
         "                    ind = idx[: e - c]\n"
         "                    ind[:, 0::2] = cols\n"
         "                    ind[:, 1::2] = cols\n"
         "            # the kernels take 2-d arrays by their buffers: an input that is\n"
         "            # not C-contiguous is copied, so out has to be\n"
+        "            y = out[c - lo : e - lo]\n"
         "            if m == 1:\n"
         "                _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)\n"
         "            else:\n"
         "                _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)\n"
-        "        if self.diag is not None and m <= 2:  # after the swaps\n"
-        "            out += self.diag[lo:hi, None] * x[lo:hi]\n",
+        "        if self.diag is not None:  # after the swaps\n"
+        "            unit = _unit_rows(self.dim)\n"
+        "            args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diag[lo:hi])\n"
+        "            if m == 1:\n"
+        "                _sparsetools.csr_matvec(*args, x, out)\n"
+        "            else:\n"
+        "                _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)\n",
         ("tests/test_row_split.py", "-k", "term_sums"),
     ),
     Mutant(
         "row-kernel-mixed-layout-signs-everywhere",
         "operators.py",
-        "                if self.plain is not None:\n"
-        "                    sign[:, self.plain] = 1\n",
+        "        if self.plain is not None:\n"
+        "            sign[:, self.plain] = 1\n",
         "",
         ("tests/test_row_split.py", "-k", "term_sums"),
-    ),
-    Mutant(
-        "row-kernel-sweep-diag-twice",
-        "operators.py",
-        "if self.diag is None or m > 2:",
-        "if self.diag is None:",
-        ("tests/test_kz.py", "-k", "cached_h_actions"),
     ),
     Mutant(
         "site-table-columns-shifted",
@@ -372,18 +351,45 @@ MUTANTS = [
         ("tests/test_row_split.py", "-k", "term_sums"),
     ),
     Mutant(
-        "csr-rows-short-row-mask-dropped",
+        "tswap-sign-unchecked",
         "operators.py",
-        "masked = any(len(op.terms) < width or any(",
-        "masked = any(any(",
-        ("tests/test_operators.py", "-k", "csr_rows"),
+        "        if signed:\n            basis = get_basis(self.weight)",
+        "        if False:\n            basis = get_basis(self.weight)",
+        ("tests/test_operators.py", "-k", "signed_swap_signs"),
     ),
     Mutant(
-        "csr-rows-swap-coefficients-zero",
+        "tswap-sign-by-identity-only",
+        "core.py",
+        "return np.array_equal(sign, np.sign(np.arange(self.dim) - perm))",
+        "return False",
+        ("tests/test_operators.py", "-k", "signed_swap_signs"),
+    ),
+    Mutant(
+        "materialize-keeps-zero-signed-entries",
         "operators.py",
-        '[t[2] if t[0] == "swap" else 0.0 for t in op.terms]',
-        "[0.0 for t in op.terms]",
-        ("tests/test_operators.py", "-k", "csr_rows"),
+        "keep[:, signed] = sign != 0",
+        "keep[:, signed] = sign == sign",
+        ("tests/test_operators.py", "-k", "materialize or csr_rows"),
+    ),
+    Mutant(
+        "materialize-diag-after-entries",
+        "operators.py",
+        "            cols = np.hstack([rows, cols])\n"
+        "            val = np.hstack([self.diag[:, None], val])\n"
+        "            if keep is not None:\n"
+        "                keep = np.hstack([np.ones(rows.shape, dtype=bool), keep])\n",
+        "            cols = np.hstack([cols, rows])\n"
+        "            val = np.hstack([val, self.diag[:, None]])\n"
+        "            if keep is not None:\n"
+        "                keep = np.hstack([keep, np.ones(rows.shape, dtype=bool)])\n",
+        ("tests/test_operators.py", "-k", "materialize or csr_rows"),
+    ),
+    Mutant(
+        "materialize-sorts-the-site-table",
+        "operators.py",
+        "cols.flatten()",
+        "cols.ravel()",
+        ("tests/test_operators.py", "-k", "materialize_matches_coo"),
     ),
     Mutant(
         "dd-residual-unpermuted-halves",

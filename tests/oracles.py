@@ -10,7 +10,7 @@ products, the per-column 60-digit Rayleigh quotients, the Lax characteristic
 polynomial by principal minors, the double-double residual that splits every
 permuted block anew, the recursive basis enumeration, the searched swap
 tables, the term-by-term operator action and path right-hand side, the COO
-assembly of a CSR matrix, the CSR row builder that masks every term, the
+assembly of a CSR matrix, the CSR row builders (one masks every term), the
 per-pair commutator actions, the covariant rows and curvature rows by full
 operator applications, the identity sums one term at a time, the
 signed-swap triple row one triple at a time and the complex path
@@ -31,7 +31,7 @@ from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
 from kzcal.errors import IntegrationFailureError
 from kzcal.kernel import PairKernel, hamiltonian_terms, pair_table
 from kzcal.kz import _check_segment, _commutator_rows, _segment_rhs
-from kzcal.operators import csr_rows, t_operator
+from kzcal.operators import t_operator
 
 
 def elementary(N: int, a: int, b: int) -> np.ndarray:
@@ -499,8 +499,52 @@ def materialize_coo(op) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+def csr_rows(ops, lo: int, hi: int) -> sp.csr_matrix:
+    """Rows lo:hi of each operator, stacked in operator order, as one CSR matrix.
+
+    Each row holds one entry per term, in term order, with int32 indices; the
+    zero entries of a signed swap are left out and duplicate columns are not
+    summed.  With duplicates summed, one operator's rows are
+    ``TermOperator.materialize``; ``curvature_rows_csr`` multiplies blocks
+    of many operators' rows.
+    """
+    width = max(len(op.terms) for op in ops)
+    shape = (len(ops), hi - lo, width)
+    col = np.empty(shape, dtype=np.int32)
+    val = np.empty(shape)
+    # a mask only where a row may hold fewer than `width` entries
+    masked = any(len(op.terms) < width or any(t[0] == "tswap" for t in op.terms) for op in ops)
+    keep = np.zeros(shape, dtype=bool) if masked else None
+    for o, op in enumerate(ops):
+        # every swap coefficient in one broadcast; diag and signed columns follow
+        val[o, :, : len(op.terms)] = [t[2] if t[0] == "swap" else 0.0 for t in op.terms]
+        if masked:
+            keep[o, :, : len(op.terms)] = True
+        for k, term in enumerate(op.terms):
+            tag = term[0]
+            if tag == "diag":
+                col[o, :, k] = np.arange(lo, hi)
+                val[o, :, k] = term[1][lo:hi]
+            elif tag == "swap":
+                col[o, :, k] = term[1][lo:hi]
+            else:
+                _, perm, sign, coeff = term
+                col[o, :, k] = perm[lo:hi]
+                val[o, :, k] = coeff * sign[lo:hi]
+                keep[o, :, k] = sign[lo:hi] != 0
+    nrows = len(ops) * (hi - lo)
+    if keep is None:  # every row has `width` entries: no masking passes
+        indptr = np.arange(0, nrows * width + 1, width, dtype=np.int32)
+        arrays = (val.ravel(), col.ravel(), indptr)
+    else:
+        indptr = np.zeros(nrows + 1, dtype=np.int32)
+        np.cumsum(keep.sum(axis=2, dtype=np.int32), out=indptr[1:])
+        arrays = (val[keep], col[keep], indptr)
+    return sp.csr_matrix(arrays, shape=(nrows, ops[0].dim))
+
+
 def csr_rows_masked(ops, lo: int, hi: int) -> sp.csr_matrix:
-    """The slow reference for ``kzcal.operators.csr_rows``: one mask entry and one
+    """The slow reference for ``csr_rows``: one mask entry and one
     strided coefficient write per term, for every operator."""
     width = max(len(op.terms) for op in ops)
     shape = (len(ops), hi - lo, width)

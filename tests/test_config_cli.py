@@ -451,9 +451,11 @@ EXPLICIT = {"n": 3, "N": 2, "x": [0, 1.5, 3], "g": [1, 2], "hbar": 1, "kappa": 0
         {"random": {"n": 4, "N": 2, "count": 2, "dim_cap": 0}},
         {"random": {"n": 4, "N": 2, "count": 2, "min_dim": 7}},
         {"explicit": dict(EXPLICIT, weight=[2.5, 1.5])},
+        {"explicit": dict(EXPLICIT, weight=[10**310, 1])},
     ],
     ids=["explicit-nan-x", "explicit-hbar-abc", "random-hbar-0", "random-kappa-abc",
-         "random-dim-cap-0", "random-no-weight", "explicit-weight-2.5"],
+         "random-dim-cap-0", "random-no-weight", "explicit-weight-2.5",
+         "explicit-weight-310-digits"],
 )
 def test_config_instance_errors_exit_3(tmp_path, monkeypatch, capsys, instance):
     # rejected while the instances are built, before any suite runs

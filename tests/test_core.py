@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,10 +72,12 @@ def test_enumerate_basis_weight_mismatch():
 
 
 @pytest.mark.parametrize(
-    "M", [(2.5, 1.5), (2, 0.5), (True, 1), (2, np.nan), (2, np.inf), ("2", 1), (2, None)]
+    "M",
+    [(2.5, 1.5), (2, 0.5), (True, 1), (2, np.nan), (2, np.inf), ("2", 1), (2, None),
+     (Fraction(10**310 + 1, 2), 1)],
 )
 def test_weight_rejects_non_integral_occupations(M):
-    # int() would read 2.5 as 2 and True as 1
+    # int() would read 2.5 as 2 and True as 1; float() overflows on the last
     with pytest.raises(InvalidWeightError):
         WeightVector(M)
 
@@ -82,6 +85,8 @@ def test_weight_rejects_non_integral_occupations(M):
 def test_weight_takes_integral_numbers():
     weight = WeightVector((2.0, np.int64(1), np.float32(0.0)))
     assert weight.M == (2, 1, 0) and all(type(m) is int for m in weight.M)
+    # a 310-digit occupation is an integer, though no float holds it
+    assert WeightVector((10**310, Fraction(4, 2))).M == (10**310, 2)
 
 
 def test_dimension_cap():

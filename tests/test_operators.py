@@ -4,16 +4,16 @@ import pytest
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis, omega_pairing
 from kzcal.errors import InvalidSitesError, UnsupportedOrderError
 from kzcal.operators import (
-    csr_rows,
     gaudin_derivative,
     gaudin_hamiltonian,
+    TermOperator,
     permutation_operator,
     t_operator,
     twist_operator,
     weight_operator,
 )
 
-from oracles import csr_rows_masked, gaudin_full, permutation_full, restrict, t_full, twist_full
+from oracles import csr_rows, csr_rows_masked, gaudin_full, permutation_full, restrict, t_full, twist_full
 
 
 def test_sparsetools_kernels_are_pinned():
@@ -336,6 +336,25 @@ def test_invalid_sites():
 # -- operator plumbing ---------------------------------------------------------
 
 
+def test_signed_swap_signs_must_be_read_from_the_table():
+    # the row kernel and materialize read sign(r - perm[r]) from the table,
+    # so a term with another sign is refused; the basis's own tables pass
+    # by identity, an equal copy by value
+    w = WeightVector((2, 2, 1))
+    perm, sign = get_basis(w).swap_table(1, 3)
+    coeff = 0.7
+    copied = TermOperator(w, [("tswap", perm.copy(), sign.copy(), coeff)])
+    full = coeff * restrict(t_full(w.N, w.n, 2, 4), w)
+    np.testing.assert_array_equal(copied.materialize().toarray(), full)
+    np.testing.assert_array_equal(copied.matvec(np.eye(copied.dim)), full)
+    for bad in (-sign, np.ones_like(sign), np.abs(sign)):
+        with pytest.raises(ValueError):
+            TermOperator(w, [("swap", perm, 1.0), ("tswap", perm, bad, coeff)])
+    op = t_operator(2, 4, w)
+    with pytest.raises(ValueError):
+        op.terms = [(tag, p, -s, c) for tag, p, s, c in op.terms]
+
+
 def test_linearity_and_materialize_agree():
     params = trig_instance(n=4, N=3)
     w = WeightVector((2, 1, 1))
@@ -355,8 +374,8 @@ def test_linearity_and_materialize_agree():
 @pytest.mark.parametrize("make", [rational_instance, trig_instance])
 @pytest.mark.parametrize("M", [(2, 1, 1), (2, 2, 1), (3, 2)])
 def test_materialize_matches_coo_oracle(make, M):
-    # the shared row builder plus sum_duplicates gives the COO assembly's CSR
-    # bitwise: index dtype, indptr, indices, data and nnz
+    # the row kernel's entries plus sum_duplicates give the COO assembly's
+    # CSR bitwise: index dtype, indptr, indices, data and nnz
     from oracles import materialize_coo
 
     w = WeightVector(M)
@@ -365,12 +384,17 @@ def test_materialize_matches_coo_oracle(make, M):
     ops += [gaudin_derivative(1, j, order, params, w) for j in (1, 2) for order in (1, 2)]
     ops += [t_operator(1, 2, w), t_operator(3, 1, w), permutation_operator(2, 3, w)]
     ops += [twist_operator(2, params, w), weight_operator(1, w)]
+    basis = get_basis(w)
+    tables = [basis.site_table(i).copy() for i in range(w.n)]
     for op in ops:
         got, want = op.materialize(), materialize_coo(op)
         assert got.nnz == want.nnz
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    # the matrices own their index arrays: sum_duplicates sorts them in place
+    for i, table in enumerate(tables):
+        np.testing.assert_array_equal(basis.site_table(i), table)
 
 
 def test_rmatvec_is_transpose():
@@ -403,7 +427,9 @@ def test_trig_to_rational_limit():
 def test_csr_rows_match_the_masked_builder_exactly(case):
     # the lean build (no mask without a signed swap or a short row, swap
     # coefficients in one broadcast) gives the same CSR arrays; the
-    # (1, 1, 1) sector has no zero sign, so its T_ij rows are all full
+    # (1, 1, 1) sector has no zero sign, so its T_ij rows are all full.
+    # One operator's rows, duplicates summed, are what materialize builds
+    # from the row kernel
     if case == "single-site":
         params = ModelParams(n=1, N=1, x=(0.0,), g=(1.5,), hbar=1.0, kappa=0.3)
         weight = WeightVector((1,))
@@ -422,6 +448,12 @@ def test_csr_rows_match_the_masked_builder_exactly(case):
         hi = min(hi, dim)
         got, want = csr_rows(ops, lo, hi), csr_rows_masked(ops, lo, hi)
         assert got.shape == want.shape
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for op in ops:
+        got, want = op.materialize(), csr_rows([op], 0, dim)
+        want.sum_duplicates()
         for name in ("indptr", "indices", "data"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
