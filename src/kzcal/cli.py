@@ -143,7 +143,7 @@ def _cmd_verify(args) -> int:
     print("overall:", "PASS" if report.passed else "FAIL")
     if args.plot_data and emit_plot_data(report, out_path=args.plot_data) is None:
         print("plot data: no parameter sweep in this report; nothing written")
-    return report.exit_code
+    return EXIT_PASS if report.passed else EXIT_FAIL
 
 
 def _cmd_spectrum(args) -> int:

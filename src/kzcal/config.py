@@ -167,7 +167,9 @@ def validate_config(raw: Any) -> RunConfig:
         _require(seed is not None, "seed", "required whenever instance.random is used")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    for key, value in (raw.get("tolerances") or {}).items():
+    given = raw.get("tolerances")
+    _require(given is None or isinstance(given, dict), "tolerances", "must be an object")
+    for key, value in (given or {}).items():
         _require(key in SUITE_NAMES, f"tolerances.{key}", "unknown suite name")
         _require(_finite(value, f"tolerances.{key}") > 0, f"tolerances.{key}", "must be > 0")
         tolerances[key] = float(value)
@@ -224,6 +226,8 @@ def validate_config(raw: Any) -> RunConfig:
         _require(isinstance(spec, dict), "instance.explicit", "must be an object")
         for fieldname in ("n", "N", "x", "g", "hbar", "kappa", "weight"):
             _require(fieldname in spec, f"instance.explicit.{fieldname}", "missing required field")
+        strict = spec.get("strict", True)
+        _require(isinstance(strict, bool), "instance.explicit.strict", "must be true or false")
         try:
             params = ModelParams(
                 n=spec["n"],
@@ -234,7 +238,7 @@ def validate_config(raw: Any) -> RunConfig:
                 kappa=float(spec["kappa"]),
                 gamma=float(spec.get("gamma", 0.0)),
                 kind=spec.get("kind", RATIONAL),
-                strict=bool(spec.get("strict", True)),
+                strict=strict,
             )
             weight = WeightVector(tuple(spec["weight"]))
             check_instance(params, weight)

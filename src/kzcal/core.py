@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as _replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -37,6 +37,18 @@ DEFAULT_DIM_CAP = 200_000
 #: coordinates closer than this are treated as coincident
 DEFAULT_EPSILON_X = 1e-8
 
+def _integer(v, error: type, name: str) -> int:
+    """int(v) for an integral real number v that is not a boolean; raises `error` otherwise."""
+    # int() would read 2.5 as 2 and True as 1; v == int(v) is exact where float(v) overflows
+    try:
+        integral = isinstance(v, numbers.Real) and v == int(v)
+    except (OverflowError, ValueError):  # an infinity or a nan
+        integral = False
+    if isinstance(v, (bool, np.bool_)) or not integral:
+        raise error(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """All continuous parameters of one problem instance.
@@ -58,6 +70,8 @@ class ModelParams:
     epsilon_x: float = DEFAULT_EPSILON_X
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, InvalidParamsError, "n"))
+        object.__setattr__(self, "N", _integer(self.N, InvalidParamsError, "N"))
         object.__setattr__(self, "x", tuple(float(v) for v in self.x))
         object.__setattr__(self, "g", tuple(float(v) for v in self.g))
         if self.n < 1 or self.N < 1:
@@ -100,8 +114,6 @@ class ModelParams:
             )
 
     def replace(self, **changes) -> "ModelParams":
-        from dataclasses import replace as _replace
-
         return _replace(self, **changes)
 
 
@@ -128,16 +140,8 @@ class WeightVector:
     M: tuple[int, ...]
 
     def __post_init__(self):
-        for v in self.M:
-            # int() would read 2.5 as 2 and True as 1; v == int(v) is exact
-            # where float(v) would overflow
-            try:
-                integral = isinstance(v, numbers.Real) and v == int(v)
-            except (OverflowError, ValueError):  # an infinity or a nan
-                integral = False
-            if isinstance(v, (bool, np.bool_)) or not integral:
-                raise InvalidWeightError(f"occupation numbers must be integers, got {v!r}")
-        object.__setattr__(self, "M", tuple(int(v) for v in self.M))
+        M = tuple(_integer(v, InvalidWeightError, "occupation number") for v in self.M)
+        object.__setattr__(self, "M", M)
         if any(v < 0 for v in self.M):
             raise InvalidWeightError(f"occupation numbers must be >= 0, got {self.M}")
         if len(self.M) < 1:

@@ -10,7 +10,8 @@ differencing: repeated substitution of the system into itself turns
     A_{k+1} = hbar (d/dx_i A_k) + A_k H_i,
 
 which only needs the analytic derivatives of H_i.  The scalar wave function is
-the all-ones projection Psi = sum_J Phi_J.
+the all-ones projection Psi = sum_J Phi_J.  Flatness reuses the commutator
+sweep: the derivative part of the curvature is one swap per pair.
 """
 
 from __future__ import annotations
@@ -437,33 +438,6 @@ def _commutator_rows(conn: KzConnection, v: np.ndarray):
     return rows
 
 
-def _curvature_rows(conn: KzConnection, v: np.ndarray):
-    """rows(lo, hi) -> C; C[p] is rows lo:hi of the curvature action of the p-th pair.
-
-    The curvature of the connection hbar d_i - H_i in directions (i, j) is
-    hbar (d_j H_i - d_i H_j) + [H_i, H_j].  d_j H_i and d_i H_j are the one
-    swap P_ij with coefficients a and b, so the derivative rows are
-    hbar (a - b) v[perm], added to the commutator rows.  A pair with
-    a - b = 0 adds nothing: a v[perm] - b v[perm] would be exactly +0 there.
-    """
-    n, hbar = conn.params.n, conn.params.hbar
-    skew = []
-    for p, (i, j) in enumerate((i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)):
-        ((_, perm, a),) = conn.derivative(i, j).terms
-        ((_, _, b),) = conn.derivative(j, i).terms
-        if a - b != 0.0:  # zero exactly when a == b is finite
-            skew.append((p, perm, hbar * (a - b)))
-    commutator = _commutator_rows(conn, v)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        C = commutator(lo, hi)
-        for p, perm, s in skew:
-            C[p] += s * v[perm[lo:hi]]
-        return C
-
-    return rows
-
-
 def _block_norms(rows, dim: int, count: int, whole: bool = False) -> np.ndarray:
     """2-norms of the `count` rows of rows(0, dim), summed one SWEEP_ROWS block at a time.
 
@@ -504,19 +478,23 @@ def commutator_norms(conn: KzConnection, v: np.ndarray) -> np.ndarray:
 def flatness_residual(
     params: ModelParams, weight: WeightVector, rng: np.random.Generator
 ) -> float:
-    """Max curvature action over site pairs on a random unit state.
+    """Max over site pairs of a bound on the curvature action on a random unit state.
 
-    The curvature hbar (d_j H_i - d_i H_j) + [H_i, H_j] vanishes identically
-    for both kernel kinds.  Its derivative part vanishes because d_j H_i and
-    d_i H_j are the same P_ij, with coefficients -p'(x_i - x_j) and
-    -p'(x_j - x_i), and the derivative p' of the P_ij coefficient is even.
-    So beside commutativity (on a second random state) the suite pins that
-    symmetry of the analytic derivatives.  Path independence of the transport
-    itself is the ``kz-integrate`` suite's closed loop.
+    The curvature in directions (i, j) is F_ij = hbar (d_j H_i - d_i H_j) +
+    [H_i, H_j].  d_j H_i and d_i H_j are the one swap P_ij with coefficients
+    a = -p'(x_i - x_j) and b = -p'(x_j - x_i); P_ij is a permutation and v a
+    unit state, so ||[H_i, H_j] v|| + |hbar (a - b)| bounds ||F_ij v||.  p' is
+    even for both kernel kinds, so a == b and the residual is the commutator
+    norm bitwise: beside commutativity (on a second random state) the suite
+    pins that symmetry of the analytic derivatives.  Path independence of the
+    transport itself is the ``kz-integrate`` suite's closed loop.
     """
     conn = KzConnection(params, weight)
     v = StateVector.random(weight, rng).amplitudes
-    if params.n < 2:
-        return 0.0
-    npairs = params.n * (params.n - 1) // 2
-    return max_or_nan([0.0, *_block_norms(_curvature_rows(conn, v), conn.basis.dim, npairs)])
+    pairs = ((i, j) for i in range(1, params.n + 1) for j in range(i + 1, params.n + 1))
+    residuals = []
+    for (i, j), norm in zip(pairs, commutator_norms(conn, v)):
+        ((_, _, a),) = conn.derivative(i, j).terms
+        ((_, _, b),) = conn.derivative(j, i).terms
+        residuals.append(norm + abs(params.hbar * (a - b)))
+    return max_or_nan([0.0, *residuals])

@@ -109,10 +109,6 @@ class RunReport:
     def passed(self) -> bool:
         return all(s.passed for s in self.suites.values())
 
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
-
     def to_dict(self) -> dict:
         return {
             "tool": "kzcal",

@@ -199,6 +199,28 @@ MUTANTS = [
         "np.cumsum(terms[::-1])[-1]",
         ("tests/test_identities.py", "-k", "match_the_loops"),
     ),
+    Mutant(
+        "tolerances-object-unchecked",
+        "config.py",
+        '    _require(given is None or isinstance(given, dict), "tolerances", "must be an object")\n',
+        "",
+        ("tests/test_config_cli.py", "-k", "bad_tolerance"),
+    ),
+    Mutant(
+        "strict-read-as-truthiness",
+        "config.py",
+        '_require(isinstance(strict, bool), "instance.explicit.strict", "must be true or false")',
+        "strict = bool(strict)",
+        ("tests/test_config_cli.py", "-k", "exit_3"),
+    ),
+    Mutant(
+        "site-counts-unchecked",
+        "core.py",
+        '        object.__setattr__(self, "n", _integer(self.n, InvalidParamsError, "n"))\n'
+        '        object.__setattr__(self, "N", _integer(self.N, InvalidParamsError, "N"))\n',
+        "",
+        ("tests/test_config_cli.py", "-k", "exit_3"),
+    ),
     # -- float64 operator work ---------------------------------------------------
     Mutant(
         "t-triple-keeps-l",
@@ -224,34 +246,41 @@ MUTANTS = [
     Mutant(
         "curvature-skips-every-pair",
         "kz.py",
-        "if a - b != 0.0:",
-        "if False:",
+        "zip(pairs, commutator_norms(conn, v))",
+        "zip(pairs, commutator_norms(conn, v)[:0])",
         ("tests/test_kz.py", "-k", "flatness"),
     ),
     Mutant(
         "curvature-without-hbar",
         "kz.py",
-        "skew.append((p, perm, hbar * (a - b)))",
-        "skew.append((p, perm, a - b))",
-        ("tests/test_kz.py", "-k", "flatness"),
+        "abs(params.hbar * (a - b))",
+        "abs(a - b)",
+        ("tests/test_kz.py", "-k", "cached_h_actions"),
     ),
     Mutant(
         "curvature-b-minus-a",
         "kz.py",
         "hbar * (a - b)",
         "hbar * (b - a)",
-        ("tests/test_kz.py", "-k", "flatness"),
+        ("tests/test_kz.py", "-k", "flatness or cached_h_actions"),
+        equivalent="the residual adds |hbar (a - b)|, so the sign cannot change it",
     ),
-    # equivalent while the curvature subtracted the two derivative products;
-    # the odd-p' test of the curvature rows now tells them apart
     Mutant(
         "curvature-derivatives-swapped",
         "kz.py",
-        "((_, perm, a),) = conn.derivative(i, j).terms\n"
+        "((_, _, a),) = conn.derivative(i, j).terms\n"
         "        ((_, _, b),) = conn.derivative(j, i).terms",
-        "((_, perm, a),) = conn.derivative(j, i).terms\n"
+        "((_, _, a),) = conn.derivative(j, i).terms\n"
         "        ((_, _, b),) = conn.derivative(i, j).terms",
-        ("tests/test_kz.py", "-k", "flatness"),
+        ("tests/test_kz.py", "-k", "flatness or cached_h_actions"),
+        equivalent="the residual adds |hbar (a - b)|, so the sign cannot change it",
+    ),
+    Mutant(
+        "flatness-drops-skew",
+        "kz.py",
+        "residuals.append(norm + abs(params.hbar * (a - b)))",
+        "residuals.append(norm)",
+        ("tests/test_kz.py", "-k", "cached_h_actions"),
     ),
     # -- the row kernel and the site tables --------------------------------------
     Mutant(

@@ -11,8 +11,8 @@ polynomial by principal minors, the double-double residual that splits every
 permuted block anew, the recursive basis enumeration, the searched swap
 tables, the term-by-term operator action and path right-hand side, the COO
 assembly of a CSR matrix, the CSR row builders (one masks every term), the
-per-pair commutator actions, the covariant rows and curvature rows by full
-operator applications, the identity sums one term at a time, the
+per-pair commutator actions, the covariant rows by full operator
+applications, the identity sums one term at a time, the
 signed-swap triple row one triple at a time and the complex path
 integration.  The case-table reference checks the package's own
 materialized T_ij.
@@ -30,7 +30,7 @@ from kzcal.classical import _exact_product
 from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
 from kzcal.errors import IntegrationFailureError
 from kzcal.kernel import PairKernel, hamiltonian_terms, pair_table
-from kzcal.kz import _check_segment, _commutator_rows, _segment_rhs
+from kzcal.kz import _check_segment, _segment_rhs
 from kzcal.operators import t_operator
 
 
@@ -505,8 +505,7 @@ def csr_rows(ops, lo: int, hi: int) -> sp.csr_matrix:
     Each row holds one entry per term, in term order, with int32 indices; the
     zero entries of a signed swap are left out and duplicate columns are not
     summed.  With duplicates summed, one operator's rows are
-    ``TermOperator.materialize``; ``curvature_rows_csr`` multiplies blocks
-    of many operators' rows.
+    ``TermOperator.materialize``.
     """
     width = max(len(op.terms) for op in ops)
     shape = (len(ops), hi - lo, width)
@@ -599,26 +598,6 @@ def covariant_row_rmatvec(i: int, k: int, conn) -> np.ndarray:
         + hbar * dH.rmatvec(r1)
         + H.rmatvec(H.rmatvec(r1))
     )
-
-
-def curvature_rows_csr(conn, v):
-    """The slow reference for ``kzcal.kz._curvature_rows``: derivative rows by CSR products.
-
-    The rows of every d_j H_i and d_i H_j multiply v's real view in one CSR
-    product per block; their difference, times hbar, is added to the
-    commutator rows.
-    """
-    n, hbar = conn.params.n, conn.params.hbar
-    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    ders = [conn.derivative(i, j) for i, j in pairs] + [conn.derivative(j, i) for i, j in pairs]
-    vr = v.view(np.float64).reshape(-1, 2)
-    commutator = _commutator_rows(conn, v)
-
-    def rows(lo: int, hi: int) -> np.ndarray:
-        D = (csr_rows(ders, lo, hi) @ vr).view(np.complex128).reshape(2, len(pairs), hi - lo)
-        return hbar * (D[0] - D[1]) + commutator(lo, hi)
-
-    return rows
 
 
 def commutator_actions(conn, v):

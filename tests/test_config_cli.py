@@ -50,7 +50,7 @@ def test_duplicate_x_cites_epsilon(tmp_path):
         validate_config(payload)
 
 
-def test_unknown_suite_and_bad_tolerance():
+def test_unknown_suite_and_bad_tolerance(tmp_path, capsys):
     bad = copy.deepcopy(MINIMAL)
     bad["suites"] = ["identities", "nope"]
     with pytest.raises(ConfigError, match=r"suites\[1\]"):
@@ -60,6 +60,13 @@ def test_unknown_suite_and_bad_tolerance():
         bad["tolerances"] = {"identities": value}
         with pytest.raises(ConfigError, match="tolerances.identities"):
             validate_config(bad)
+    for value in ([1e-3], "abc"):
+        bad = dict(MINIMAL, tolerances=value)
+        with pytest.raises(ConfigError, match="tolerances: must be an object"):
+            validate_config(bad)
+        assert cli.main(["verify", "--config", write_config(tmp_path, bad)]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "config error: tolerances: must be an object\n"
 
 
 def test_parse_error_has_position(tmp_path):
@@ -452,10 +459,15 @@ EXPLICIT = {"n": 3, "N": 2, "x": [0, 1.5, 3], "g": [1, 2], "hbar": 1, "kappa": 0
         {"random": {"n": 4, "N": 2, "count": 2, "min_dim": 7}},
         {"explicit": dict(EXPLICIT, weight=[2.5, 1.5])},
         {"explicit": dict(EXPLICIT, weight=[10**310, 1])},
+        {"explicit": dict(EXPLICIT, n=True, x=[0], weight=[1, 0])},
+        {"explicit": dict(EXPLICIT, N=True, g=[1], weight=[3])},
+        {"explicit": dict(EXPLICIT, strict="false")},
+        {"explicit": dict(EXPLICIT, strict=0)},
     ],
     ids=["explicit-nan-x", "explicit-hbar-abc", "random-hbar-0", "random-kappa-abc",
          "random-dim-cap-0", "random-no-weight", "explicit-weight-2.5",
-         "explicit-weight-310-digits"],
+         "explicit-weight-310-digits", "explicit-n-true", "explicit-N-true",
+         "explicit-strict-string", "explicit-strict-0"],
 )
 def test_config_instance_errors_exit_3(tmp_path, monkeypatch, capsys, instance):
     # rejected while the instances are built, before any suite runs
@@ -470,6 +482,23 @@ def test_config_instance_errors_exit_3(tmp_path, monkeypatch, capsys, instance):
     out, err = capsys.readouterr()
     assert out == ""
     assert len(err.splitlines()) == 1 and err.startswith("config error: instance.")
+
+
+def test_integral_float_counts_run_as_integers(tmp_path):
+    # n and N follow the occupation-number rule: 3.0 is the integer 3
+    def report(instance):
+        payload = {"suites": ["commutativity", "flatness"], "seed": 1,
+                   "instance": {"explicit": instance}}
+        out = run_suites(load_config(write_config(tmp_path, payload))).to_dict()
+        return {k: v for k, v in out.items() if k != "timestamp"}
+
+    floats = report(dict(EXPLICIT, n=3.0, N=2.0))
+    ints = report(EXPLICIT)
+    for data in (floats, ints):
+        for suite in data["suites"].values():
+            suite.pop("wall_time_s")
+    assert json.dumps(floats, sort_keys=True) == json.dumps(ints, sort_keys=True)
+    assert floats["overall_pass"]
 
 
 def test_spectrum_out_makes_missing_directories(tmp_path, capsys):

@@ -131,6 +131,19 @@ def test_params_coincident_coordinates():
         ModelParams(n=2, N=2, x=(0.5, 0.5 + 1e-10), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
 
 
+@pytest.mark.parametrize("counts", [(True, 2), (2, True), (2.5, 2), (2, np.nan), ("2", 2)])
+def test_params_reject_non_integral_site_counts(counts):
+    # the occupation-number rule: True is not 1, and 2.5 is not 2
+    n, N = counts
+    with pytest.raises(InvalidParamsError, match="must be an integer"):
+        ModelParams(n=n, N=N, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
+
+
+def test_params_take_integral_site_counts():
+    params = ModelParams(n=2.0, N=np.int64(2), x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
+    assert (params.n, params.N) == (2, 2) and type(params.n) is type(params.N) is int
+
+
 def test_params_zero_hbar():
     with pytest.raises(InvalidParamsError):
         ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=0.0, kappa=0.1)
