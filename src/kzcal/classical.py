@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import mpmath
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .core import (
     RATIONAL,
@@ -397,6 +396,9 @@ def gaudin_joint_spectrum(
 
 
 def _partial_spectrum(mats, params, weight, seed):
+    # ARPACK, loaded only for sectors above the dense limit
+    from scipy.sparse.linalg import ArpackError, eigs
+
     n = params.n
     rng = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
@@ -404,8 +406,8 @@ def _partial_spectrum(mats, params, weight, seed):
     coeffs = rng.standard_normal(n)
     combo = sum(c * m for c, m in zip(coeffs, mats))
     try:
-        _, vecs = scipy.sparse.linalg.eigs(combo.tocsc(), k=PARTIAL_EIGENPAIRS, which="LM")
-    except scipy.sparse.linalg.ArpackError as exc:
+        _, vecs = eigs(combo.tocsc(), k=PARTIAL_EIGENPAIRS, which="LM")
+    except ArpackError as exc:
         raise DegenerateSpectrumError(f"partial eigensolve failed: {exc}") from exc
     items = []
     for k in range(vecs.shape[1]):

@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as dop853
 
 from .core import (
     ModelParams,
@@ -235,9 +234,54 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     return rhs
 
 
-# scipy's DOP853 tableau (a private module, so a test pins its shapes)
-_STAGES = dop853.N_STAGES
-_A, _B, _C = dop853.A[:_STAGES, :_STAGES], dop853.B, dop853.C[:_STAGES]
+# The DOP853 tableau of Hairer, Norsett and Wanner (Solving ODEs I, II.4), as
+# far as the stepper reads it: the nodes C, the stage weights A (row s weighs
+# K[0..s-1]) and the weights B of the 12 stages, and the error weights E5 and
+# E3 (B less the third-order weights) over the 13 slopes.  Each literal is the
+# repr of the double that scipy's ``solve_ivp(method="DOP853")`` uses, so the
+# steps are scipy's; tests/test_kz.py checks all five bitwise against scipy.
+_STAGES = 12
+_C = np.array([
+    0.0, 0.05260015195876773, 0.0789002279381516, 0.1183503419072274,
+    0.2816496580927726, 0.3333333333333333, 0.25, 0.3076923076923077,
+    0.6512820512820513, 0.6, 0.8571428571428571, 1.0,
+])
+_A = np.zeros((_STAGES, _STAGES))
+_A[np.tril_indices(_STAGES, -1)] = [  # the rows below the diagonal, in order
+    0.05260015195876773,
+    0.0197250569845379, 0.0591751709536137,
+    0.02958758547680685, 0.0, 0.08876275643042054,
+    0.2413651341592667, 0.0, -0.8845494793282861, 0.924834003261792,
+    0.037037037037037035, 0.0, 0.0, 0.17082860872947386, 0.12546768756682242,
+    0.037109375, 0.0, 0.0, 0.17025221101954405, 0.06021653898045596, -0.017578125,
+    0.03709200011850479, 0.0, 0.0, 0.17038392571223998, 0.10726203044637328,
+    -0.015319437748624402, 0.008273789163814023,
+    0.6241109587160757, 0.0, 0.0, -3.3608926294469414, -0.868219346841726,
+    27.59209969944671, 20.154067550477894, -43.48988418106996,
+    0.47766253643826434, 0.0, 0.0, -2.4881146199716677, -0.590290826836843,
+    21.230051448181193, 15.279233632882423, -33.28821096898486, -0.020331201708508627,
+    -0.9371424300859873, 0.0, 0.0, 5.186372428844064, 1.0914373489967295,
+    -8.149787010746927, -18.52006565999696, 22.739487099350505, 2.4936055526796523,
+    -3.0467644718982196,
+    2.273310147516538, 0.0, 0.0, -10.53449546673725, -2.0008720582248625,
+    -17.9589318631188, 27.94888452941996, -2.8589982771350235, -8.87285693353063,
+    12.360567175794303, 0.6433927460157636,
+]
+_B = np.array([
+    0.054293734116568765, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, 0.3111643669578199, -0.1521609496625161, 0.20136540080403034,
+    0.04471061572777259,
+])
+_E5 = np.array([
+    0.01312004499419488, 0.0, 0.0, 0.0, 0.0, -1.2251564463762044, -0.4957589496572502,
+    1.6643771824549864, -0.35032884874997366, 0.3341791187130175, 0.08192320648511571,
+    -0.022355307863886294, 0.0,
+])
+_E3 = np.array([
+    -0.18980075407240762, 0.0, 0.0, 0.0, 0.0, 4.450312892752409, 1.8915178993145003,
+    -5.801203960010585, -0.4226823213237919, -0.1521609496625161, 0.20136540080403034,
+    0.02265179219836082, 0.0,
+])
 
 
 @dataclass(frozen=True)
@@ -277,11 +321,12 @@ def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float):
     """kzcal's DOP853 stepper: y(1) for y' = fun(t, y), y(0) = y0, real or complex.
 
     Every step decision is that of scipy's ``solve_ivp(method="DOP853")``
-    (Hairer, Norsett and Wanner, Solving ODEs I, II.4): its tableau, its
-    first step (``select_initial_step``), its step control (safety 0.9,
-    factors 0.2 to 10, exponent -1/8, no growth right after a rejection), its
-    err5/err3 error norm and its TOO_SMALL_STEP failure, which here also ends
-    a NaN step, on which scipy would loop forever.  The stage sums run on the
+    (Hairer, Norsett and Wanner, Solving ODEs I, II.4): its tableau, held
+    here as float64 literals bitwise equal to scipy's arrays, its first step
+    (``select_initial_step``), its step control (safety 0.9, factors 0.2 to
+    10, exponent -1/8, no growth right after a rejection), its err5/err3
+    error norm and its TOO_SMALL_STEP failure, which here also ends a NaN
+    step, on which scipy would loop forever.  The stage sums run on the
     ranges of ``split_rows`` and the norms come from ``_block_norms``, with
     no BLAS call, so the result does not depend on the CPU count or the BLAS
     threads.  The function keeps scipy's name because the traced benchmark
@@ -315,7 +360,7 @@ def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float):
 
     def error_rows(lo, hi):  # the err5 and err3 rows of the step to y_new
         scale = atol + np.maximum(np.abs(y[lo:hi]), np.abs(y_new[lo:hi])) * rtol
-        errors = [_weighted_rows(K, E, lo, hi) for E in (dop853.E5, dop853.E3)]
+        errors = [_weighted_rows(K, E, lo, hi) for E in (_E5, _E3)]
         return np.stack(errors) / scale
 
     t = 0.0

@@ -171,6 +171,34 @@ MUTANTS = [
         ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
     ),
     Mutant(
+        "tableau-coefficient-last-digit",
+        "kz.py",
+        "27.59209969944671,",
+        "27.59209969944672,",
+        ("tests/test_kz.py", "-k", "tableau_is_pinned"),
+    ),
+    Mutant(
+        "stepper-e3-e5-swapped",
+        "kz.py",
+        "for E in (_E5, _E3)]",
+        "for E in (_E3, _E5)]",
+        ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
+    ),
+    Mutant(
+        "arpack-import-deleted",
+        "classical.py",
+        "    from scipy.sparse.linalg import ArpackError, eigs\n",
+        "",
+        ("tests/test_classical.py", "-k", "arpack_failure"),
+    ),
+    Mutant(
+        "arpack-imported-at-start-up",
+        "classical.py",
+        "import scipy.linalg\n",
+        "import scipy.linalg\nimport scipy.sparse.linalg\n",
+        ("tests/test_config_cli.py", "-k", "heavy_scipy_modules"),
+    ),
+    Mutant(
         "block-norms-reverse-order",
         "kz.py",
         "        for block in chunk:\n",

@@ -1,5 +1,8 @@
 import copy
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -514,3 +517,32 @@ def test_verify_help_exits_0_without_jobs(capsys):
     assert exit_info.value.code == 0
     out = capsys.readouterr().out
     assert "--config" in out and "--jobs" not in out
+
+
+LEAN_PROBE = """
+import sys
+from kzcal import cli
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse.linalg")
+print([name for name in heavy if name in sys.modules])
+code = cli.main(["verify", "--config", sys.argv[1]])
+print([name for name in heavy if name in sys.modules], code)
+"""
+
+
+def test_import_and_verify_leave_heavy_scipy_modules_unloaded(tmp_path):
+    # start-up imports only what the checks run: the DOP853 tableau is
+    # kzcal's own, and ARPACK loads only for a sector above the dense limit
+    payload = {
+        "suites": list(SUITE_NAMES),
+        "seed": 7,
+        "instance": {"random": {"n": 4, "N": 2, "count": 2, "dim_cap": 30}},
+        "output": str(tmp_path / "report.json"),
+    }
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", LEAN_PROBE, write_config(tmp_path, payload)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]" and lines[-1] == "[] 0"

@@ -252,13 +252,21 @@ def test_stepper_takes_the_steps_of_scipy_dop853(kind):
 
 
 def test_dop853_tableau_is_pinned():
-    # the stepper reads scipy's private DOP853 module; its layout is pinned here
-    assert kz.dop853 is dop853_coefficients
-    assert dop853_coefficients.N_STAGES == 12
-    assert dop853_coefficients.A.shape == (16, 16)
-    assert dop853_coefficients.B.shape == (12,)
-    assert dop853_coefficients.C.shape == (16,)
-    assert dop853_coefficients.E3.shape == dop853_coefficients.E5.shape == (13,)
+    # the stepper holds its own copy of the part of scipy's tableau that it
+    # reads: every array bitwise scipy's, shapes and dtype included
+    stages = dop853_coefficients.N_STAGES
+    pairs = [
+        (kz._A, dop853_coefficients.A[:stages, :stages]),
+        (kz._B, dop853_coefficients.B),
+        (kz._C, dop853_coefficients.C[:stages]),
+        (kz._E3, dop853_coefficients.E3),
+        (kz._E5, dop853_coefficients.E5),
+    ]
+    assert kz._STAGES == stages == 12
+    for ours, theirs in pairs:
+        assert ours.dtype == theirs.dtype == np.float64
+        assert ours.shape == theirs.shape
+        assert ours.tobytes() == theirs.tobytes()
 
 
 def test_nan_right_hand_side_fails_with_too_small_step(monkeypatch):
