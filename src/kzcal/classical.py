@@ -281,7 +281,7 @@ def _rayleigh_momenta(ctx, basis, g, pairs, Q: np.ndarray, D: np.ndarray) -> np.
     H_i, so mpmath only adds a few doubles per quotient and per norm.
     """
     n, dim, nl = basis.n, basis.dim, len(g)
-    letters = np.stack([basis.letters(i) - 1 for i in range(n)])
+    letters = basis.states.T - 1
     groups = np.tile((letters[:, None, :] == np.arange(nl)[:, None]).reshape(n * nl, dim), 8)
     perms = np.array([basis.swap_table(*ij)[0] for ij in pairs], dtype=np.intp).reshape(-1, dim)
     # H_i's numerator: its letter sums and the sums of its pairs, times the coefficients C[i]
@@ -328,7 +328,7 @@ def _refine_newton(params, weight, Q: np.ndarray, coeffs, lam) -> np.ndarray:
     terms = []
     for i in range(n):
         hi, lo = np.array([_dd(c[i] * ga) for ga in g]).T
-        rows = basis.letters(i) - 1
+        rows = basis.states[:, i] - 1
         terms.append((hi[rows, None], lo[rows, None], None))
     for (i, j), coeff in pairs.items():
         terms.append((*map(np.array, _dd((c[i] - c[j]) * coeff)), basis.swap_table(i, j)[0]))

@@ -177,45 +177,38 @@ def check_instance(params: ModelParams, weight: WeightVector) -> None:
 class WeightBasis:
     """Enumerated basis of one weight subspace with cached index tables.
 
-    states[k] is the k-th multi-index in lexicographic order, stored with
-    1-based letters.  Because the lexicographic order coincides with numeric
-    order of the base-N digit codes, ranking is a binary search.  The swap
-    tables of all sites are built together on first use and kept.
+    states[k] is the k-th multi-index in lexicographic order, with 1-based
+    letters in the smallest signed dtype that holds N.  The swap tables of
+    all sites are built together on first use and kept.
     """
 
-    __slots__ = ("weight", "n", "N", "dim", "states", "codes", "_sites", "_swap_cache", "_signs")
+    __slots__ = ("weight", "n", "N", "dim", "states", "_column", "_step", "_table", "_sites",
+                 "_swap_cache", "_signs")
 
     def __init__(self, weight: WeightVector, dim_cap: int = DEFAULT_DIM_CAP):
-        self.weight = weight
-        self.n = weight.n
-        self.N = weight.N
-        dim = weight.dimension()
-        if dim > dim_cap:
+        self.weight, self.n, self.N, self.dim = weight, weight.n, weight.N, weight.dimension()
+        if self.dim > dim_cap:
             raise DimensionCapError(
-                f"subspace dimension {dim} exceeds cap {dim_cap} for weight {weight.M}"
+                f"subspace dimension {self.dim} exceeds cap {dim_cap} for weight {weight.M}"
             )
-        self.dim = dim
-        self.states = _enumerate_states(weight)
-        self.codes = self.encode(self.states)
+        self.states, (self._column, self._step, self._table) = _enumerate(weight, self.dim)
         self._sites: list[np.ndarray] | None = None
         self._swap_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._signs: dict[int, np.ndarray] = {}  # id(perm) -> sign of the cached tables
 
-    def encode(self, states: np.ndarray) -> np.ndarray:
-        """Base-N digit code of each row; first site is most significant."""
-        powers = self.N ** np.arange(self.n - 1, -1, -1, dtype=np.int64)
-        return (states.astype(np.int64) - 1) @ powers
+    def _offsets(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """Per site, each letter's column of the rank table and its prefix's flat offset."""
+        col = np.take(self._column, states.T, mode="clip")
+        steps = self._step[col]
+        return col, np.cumsum(steps, axis=0) - steps
 
-    def rank(self, codes: np.ndarray) -> np.ndarray:
-        """Row indices of the given codes (codes must belong to the basis)."""
-        pos = np.searchsorted(self.codes, codes)
-        if np.any(pos >= self.dim) or np.any(self.codes[pos] != codes):
+    def rank(self, states) -> np.ndarray:
+        """Lexicographic rank of each row of states; InvalidIndexError unless all are states."""
+        col, offset = self._offsets(np.asarray(states, dtype=np.int64))
+        ranks = np.take(self._table, offset + col, mode="clip").sum(axis=0)
+        if np.shape(states)[1:] != (self.n,) or np.any(ranks >= self.dim):
             raise InvalidIndexError("multi-index does not belong to this weight subspace")
-        return pos
-
-    def index_of(self, J: Sequence[int]) -> int:
-        arr = np.asarray(J, dtype=np.int64).reshape(1, -1)
-        return int(self.rank(self.encode(arr))[0])
+        return ranks
 
     def swap_table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         """(perm, sign) for the site pair, 0-based sites, canonical i < j.
@@ -223,12 +216,12 @@ class WeightBasis:
         perm[k] is the row of states[k] with sites i, j exchanged, a column
         of ``site_table(i)``; sign[k] is sign(letter_i - letter_j) of
         states[k], the amplitude factor picked up under the signed swap of
-        T_ij.  Since codes are lexicographic, sign[k] = sign(k - perm[k]).
+        T_ij.  The basis is in lexicographic order, so sign[k] = sign(k - perm[k]).
         """
         i, j = min(i, j), max(i, j)
         tab = self._swap_cache.get((i, j))
         if tab is None:
-            sign = np.sign(self.states[:, i] - self.states[:, j])
+            sign = np.sign(self.states[:, i] - self.states[:, j]).astype(np.int8, copy=False)
             sign.flags.writeable = False  # is_swap_sign trusts it by identity
             tab = self._swap_cache[(i, j)] = (self.site_table(i)[:, j - 1], sign)
             self._signs[id(tab[0])] = sign
@@ -253,7 +246,7 @@ class WeightBasis:
         return self._sites[i]
 
     def _site_tables(self) -> list[np.ndarray]:
-        """Every S_i, from the adjacent exchanges: one binary search each.
+        """Every S_i, from the adjacent exchanges: four rank-table reads each.
 
         The other pairs are composed, (i k) = (k-1 k)(i k-1)(k-1 k), once
         each; a pair below i is read back from the table of its first site.
@@ -265,16 +258,16 @@ class WeightBasis:
         n, dim = self.n, self.dim
         adjacent = np.empty((max(n - 1, 0), dim), dtype=np.intp)
 
-        def search(lo: int, hi: int) -> None:
-            for m in range(n - 1):
-                # exchanging letter a at site m with letter b at site m + 1
-                # moves the code by (b - a)(N^(n-1-m) - N^(n-2-m))
-                b_minus_a = self.states[lo:hi, m + 1] - self.states[lo:hi, m]
-                shift = self.N ** np.int64(n - 1 - m) - self.N ** np.int64(n - 2 - m)
-                moved = self.codes[lo:hi] + b_minus_a.astype(np.int64) * shift
-                adjacent[m, lo:hi] = self.rank(moved)
+        def exchange(lo: int, hi: int) -> None:
+            col, offset = self._offsets(self.states[lo:hi])
+            for m in range(n - 1):  # only the rank terms of sites m, m + 1 change
+                a, b, here = col[m], col[m + 1], offset[m]
+                adjacent[m, lo:hi] = (
+                    np.arange(lo, hi) - self._table[here + a] - self._table[offset[m + 1] + b]
+                    + self._table[here + b] + self._table[here + self._step[b] + a]
+                )
 
-        split_rows(search, dim)
+        split_rows(exchange, dim)
         scratch = np.empty((max(n - 1, 0), dim), dtype=np.int32)
         tables: list[np.ndarray] = []
         for i in range(n):
@@ -300,26 +293,36 @@ class WeightBasis:
             table.flags.writeable = False
         return tables
 
-    def letters(self, i: int) -> np.ndarray:
-        """1-based letters at 0-based site i, one per basis state."""
-        return self.states[:, i]
 
+def _enumerate(weight: WeightVector, dim: int) -> tuple[np.ndarray, tuple]:
+    """The states in lexicographic order, and (column, step, table) of ``WeightBasis.rank``.
 
-def _enumerate_states(weight: WeightVector) -> np.ndarray:
-    """All multi-indices with the given letter counts, lexicographic order.
-
-    The prefixes grow one site at a time.  ``np.nonzero`` walks the letters
-    still available to each prefix in row-major order, which is parent order,
-    then letter order, so every level stays lexicographic.
+    A prefix's letter counts P <= M are a row in mixed radix M_c + 1 over the
+    K occupied species c (the last fastest) at flat offset sum_c P_c step[c].
+    ``np.nonzero`` walks the species each prefix has room for in parent, then
+    letter order.  Entry (P, c) counts the arrangements of the letters left
+    that start with a species before c, by Mult(R) = sum_c Mult(R - e_c), so
+    it is below dim; column K (other letters) and used-up species hold dim.
     """
-    states = np.empty((1, 0), dtype=np.int8)
-    left = np.array([weight.M], dtype=np.int64)
+    occupied = np.flatnonzero(weight.M)
+    counts, K = np.array(weight.M, dtype=np.int64)[occupied], occupied.size
+    radix = (counts + 1).tolist()
+    weights = np.array([math.prod(radix[c + 1:]) for c in range(K)], dtype=np.int64)
+    room = np.arange(math.prod(radix))[:, None] // weights % radix < counts
+    labels = (occupied + 1).astype(np.min_scalar_type(-weight.N - 1))
+    states, prefix = np.empty((1, 0), dtype=labels.dtype), np.zeros(1, dtype=np.int64)
     for _ in range(weight.n):
-        parent, letter = np.nonzero(left > 0)
-        states = np.column_stack((states[parent], (letter + 1).astype(np.int8)))
-        left = left[parent]
-        left[np.arange(parent.size), letter] -= 1
-    return states
+        parent, species = np.nonzero(room[prefix])
+        states = np.column_stack((states[parent], labels[species]))
+        prefix = prefix[parent] + weights[species]
+    table = np.full((len(room), K + 1), dim, dtype=np.int64)
+    mult = [0] * (len(room) - 1) + [1]  # the full prefix leaves one arrangement
+    for p in range(len(room) - 2, -1, -1):
+        for c in np.flatnonzero(room[p]):
+            table[p, c], mult[p] = mult[p], mult[p] + mult[p + weights[c]]
+    column = np.full(weight.N + 2, K, dtype=np.intp)
+    column[occupied + 1] = np.arange(K)
+    return states, (column, np.append(weights, 0) * (K + 1), table.ravel())
 
 
 @lru_cache(maxsize=256)
@@ -380,7 +383,7 @@ class StateVector:
     def basis_state(cls, weight: WeightVector, J: Sequence[int]) -> "StateVector":
         basis = get_basis(weight)
         amps = np.zeros(basis.dim, dtype=np.complex128)
-        amps[basis.index_of(J)] = 1.0
+        amps[basis.rank([J])[0]] = 1.0
         return cls(weight, amps)
 
     @classmethod

@@ -92,7 +92,7 @@ def verify_twist_sum_identities(params: ModelParams, weight: WeightVector) -> di
     basis = get_basis(weight)
     x = np.asarray(params.x)
     g = np.asarray(params.g)
-    gsite = [g[basis.letters(i0) - 1] for i0 in range(basis.n)]
+    gsite = g[basis.states.T - 1]
     pairs = list(permutations(range(basis.n), 2))
     report = {
         "pair_twist": _sum_residual(
@@ -125,7 +125,7 @@ def verify_omega_weight_identity(params: ModelParams, weight: WeightVector) -> d
     for k in (2, 3):
         per_state = np.zeros(basis.dim)
         for i0 in range(basis.n):
-            per_state += g[basis.letters(i0) - 1] ** k
+            per_state += g[basis.states[:, i0] - 1] ** k
         expected = float(np.dot(M, g**k))
         resid = float(np.max(np.abs(per_state - expected)))
         report[f"letter_power_{k}"] = resid / max(abs(expected), 1.0)
@@ -166,7 +166,7 @@ def verify_trig_identities(params: ModelParams, weight: WeightVector) -> dict[st
     # sum of squared signed swaps: diagonal pair count, exact per basis state
     diag = np.zeros(basis.dim)
     for i0, j0 in permutations(range(n), 2):
-        diag -= (basis.letters(i0) != basis.letters(j0)).astype(float)
+        diag -= (basis.states[:, i0] != basis.states[:, j0]).astype(float)
     expected = -(n * (n - 1) - float(np.dot(M, M - 1.0)))
     report["t_square_sum"] = float(np.max(np.abs(diag - expected))) / max(
         abs(expected), n * (n - 1), 1.0
@@ -238,15 +238,14 @@ def verify_t_case_tables(weight: WeightVector) -> float:
         three letters coincide).
     Each T_ij is read from its CSR matrix as a monomial map, row r ->
     (column, value); products compose the maps.  The expected maps are
-    rebuilt per basis state from the case analysis, their columns by moving
-    letters in the base-N codes.  Returns the max absolute deviation (0.0
+    rebuilt per basis state from the case analysis, their columns by ranking
+    the states with the letters moved.  Returns the max absolute deviation (0.0
     when all tables match exactly); inf when a T_ij stores two entries in one
     row, which no signed swap does.
     """
     basis = get_basis(weight)
     n, dim = basis.n, basis.dim
-    s = basis.states.T.astype(np.int64)
-    power = basis.N ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    s = basis.states.T
     # col[i0, j0], val[i0, j0]: the monomial map of T_ij (i0 = j0 unused)
     col = np.zeros((n, n, dim), dtype=np.int64)
     val = np.zeros((n, n, dim))
@@ -260,28 +259,26 @@ def verify_t_case_tables(weight: WeightVector) -> float:
     worst = [0.0]
     for i0, j0 in permutations(range(n), 2):
         tij = (col[i0, [j0]], val[i0, [j0]])  # shape (1, dim): broadcasts over triples
-        swapped = basis.rank(basis.codes + (s[j0] - s[i0]) * (power[i0] - power[j0]))
+        # the site each site takes its letter from, per row: the exchange of i
+        # and j, then per further site l the cycle i <- l, j <- i, l <- j
+        ls = [l0 for l0 in range(n) if l0 not in (i0, j0)]
+        moves = np.tile(np.arange(n), (1 + len(ls), 1))
+        moves[0, [i0, j0]] = j0, i0
+        moves[1:, i0], moves[1:, j0], moves[np.arange(1, 1 + len(ls)), ls] = ls, i0, j0
+        ranked = basis.rank(basis.states[:, moves].transpose(1, 0, 2).reshape(-1, n))
+        swapped, cycled = ranked[:dim], ranked[dim:].reshape(-1, dim)
         single = (swapped, -np.sign(s[i0] - s[j0]).astype(float))
         square = (np.arange(dim), (s[i0] != s[j0]).astype(float))
         worst.append(_max_abs_entry([tij, single]))
         worst.append(_max_abs_entry([_compose(tij, tij), square]))
 
-        # the n - 2 triples (i, j, l) at once: T_ij T_il + T_lj T_ij + T_il T_jl
-        # against minus the map r -> (r with letters i <- l, j <- i, l <- j)
-        ls = [l0 for l0 in range(n) if l0 not in (i0, j0)]
+        # the n - 2 triples (i, j, l) at once: T_ij T_il + T_lj T_ij + T_il T_jl = -cycle
         if not ls:
             continue
         til = (col[i0, ls], val[i0, ls])
         tlj = (col[ls, j0], val[ls, j0])
         tjl = (col[j0, ls], val[j0, ls])
-        si, sj, sl = s[i0], s[j0], s[ls]
-        cycled = basis.rank(
-            basis.codes
-            + (sl - si) * power[i0]
-            + (si - sj) * power[j0]
-            + (sj - sl) * power[ls][:, None]
-        )
-        cycle = (cycled, (~((si == sj) & (sj == sl))).astype(float))
+        cycle = (cycled, (~((s[i0] == s[j0]) & (s[j0] == s[ls]))).astype(float))
         worst.append(
             _max_abs_entry([_compose(tij, til), _compose(tlj, tij), _compose(til, tjl), cycle])
         )

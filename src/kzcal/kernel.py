@@ -104,4 +104,4 @@ def hamiltonian_terms(diag, table, x, kern: PairKernel) -> list[tuple]:
 def site_terms(basis: WeightBasis, i0: int, kern: PairKernel, g, x) -> list[tuple]:
     """Terms of H_i at 0-based site i0; g is a float array, x the float coordinates."""
     table = pair_table(basis, [(i0, j0, 1) for j0 in range(basis.n) if j0 != i0])
-    return hamiltonian_terms(g[basis.letters(i0) - 1], table, x, kern)
+    return hamiltonian_terms(g[basis.states[:, i0] - 1], table, x, kern)

@@ -215,7 +215,7 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     diag = np.zeros(basis.dim)
     for i0 in range(n):
         if vel[i0] != 0.0:
-            diag = diag + vel[i0] * g[basis.letters(i0) - 1]
+            diag = diag + vel[i0] * g[basis.states[:, i0] - 1]
     weights = [(i0, j0, vel[i0] - vel[j0]) for i0 in range(n) for j0 in range(i0 + 1, n)]
     table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
     kern = PairKernel(params)

@@ -136,8 +136,8 @@ class RowKernel:
     column, or with a swap entry and then a signed swap entry per column
     (`paired`).  s_e(r) = 1 for a swap and sign(r - cols[r, c]) for a
     signed swap: that is sign(l_a - l_b) of row r for the pair a < b that
-    the column exchanges, since codes are lexicographic, so no sign table is
-    read.  The transpose negates the signed coefficients.
+    the column exchanges, since the basis is in lexicographic order, so no
+    sign table is read.  The transpose negates the signed coefficients.
 
     The rows start at 0, and ``_sparsetools.csr_matvec`` (``csr_matvecs``
     for several columns of x) adds diag x into them in one pass of one entry
@@ -384,7 +384,7 @@ def twist_operator(i: int, params: ModelParams, weight: WeightVector) -> TermOpe
     basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
     g = np.asarray(params.g)
-    return TermOperator(weight, [("diag", g[basis.letters(i0) - 1].copy())])
+    return TermOperator(weight, [("diag", g[basis.states[:, i0] - 1].copy())])
 
 
 def weight_operator(a: int, weight: WeightVector) -> TermOperator:

@@ -414,6 +414,84 @@ MUTANTS = [
         "        if False:\n            basis = get_basis(self.weight)",
         ("tests/test_operators.py", "-k", "signed_swap_signs"),
     ),
+    # -- the lexicographic rank of the basis states ---------------------------
+    Mutant(
+        "rank-radix-weights-one-species-off",
+        "core.py",
+        "math.prod(radix[c + 1:])",
+        "math.prod(radix[c:])",
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "rank-recurrence-counts-ones",
+        "core.py",
+        "mult[p] + mult[p + weights[c]]",
+        "mult[p] + 1",
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "rank-offsets-inclusive-cumsum",
+        "core.py",
+        "return col, np.cumsum(steps, axis=0) - steps",
+        "return col, np.cumsum(steps, axis=0)",
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "adjacent-shift-sign-flipped",
+        "core.py",
+        "+ self._table[here + b] + self._table[here + self._step[b] + a]",
+        "- self._table[here + b] + self._table[here + self._step[b] + a]",
+        ("tests/test_core.py", "-k", "search_oracle"),
+    ),
+    Mutant(
+        "adjacent-shift-old-prefix",
+        "core.py",
+        "self._table[here + self._step[b] + a]",
+        "self._table[here + self._step[a] + a]",
+        ("tests/test_core.py", "-k", "search_oracle"),
+    ),
+    Mutant(
+        "rank-membership-accepts-dim",
+        "core.py",
+        "np.any(ranks >= self.dim)",
+        "np.any(ranks > self.dim)",
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "rank-row-length-unchecked",
+        "core.py",
+        "np.shape(states)[1:] != (self.n,) or ",
+        "",
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "rank-sentinel-below-dim",
+        "core.py",
+        "table = np.full((len(room), K + 1), dim, dtype=np.int64)",
+        "table = np.full((len(room), K + 1), dim - 1, dtype=np.int64)",
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "rank-letters-wrapped",
+        "core.py",
+        'col = np.take(self._column, states.T, mode="clip")',
+        'col = np.take(self._column, states.T, mode="wrap")',
+        ("tests/test_core.py", "-k", "roundtrip"),
+    ),
+    Mutant(
+        "letters-stored-as-int8",
+        "core.py",
+        "(occupied + 1).astype(np.min_scalar_type(-weight.N - 1))",
+        "(occupied + 1).astype(np.int8)",
+        ("tests/test_config_cli.py", "-k", "above_127"),
+    ),
+    Mutant(
+        "t-case-cycle-inverted",
+        "identities.py",
+        "moves[np.arange(1, 1 + len(ls)), ls] = ls, i0, j0",
+        "moves[np.arange(1, 1 + len(ls)), ls] = j0, ls, i0",
+        ("tests/test_identities.py", "-k", "t_case"),
+    ),
     Mutant(
         "tswap-sign-by-identity-only",
         "core.py",

@@ -8,12 +8,12 @@ itself pinned by exact examples.  The slow references at the end are the
 computations that the package's fast paths replaced: dense and sparse
 products, the per-column 60-digit Rayleigh quotients, the Lax characteristic
 polynomial by principal minors, the double-double residual that splits every
-permuted block anew, the recursive basis enumeration, the searched swap
-tables, the term-by-term operator action and path right-hand side, the COO
-assembly of a CSR matrix, the CSR row builders (one masks every term), the
-per-pair commutator actions, the covariant rows by full operator
-applications, the identity sums one term at a time, the
-signed-swap triple row one triple at a time and the complex path
+permuted block anew, the recursive basis enumeration, the base-N codes and
+their binary search, the searched swap tables, the term-by-term operator
+action and path right-hand side, the COO assembly of a CSR matrix, the CSR
+row builders (one masks every term), the per-pair commutator actions, the
+covariant rows by full operator applications, the identity sums one term at
+a time, the signed-swap triple row one triple at a time and the complex path
 integration.  The case-table reference checks the package's own
 materialized T_ij.
 """
@@ -88,9 +88,28 @@ def gaudin_full(params, i: int) -> np.ndarray:
     return out
 
 
+def base_n_codes(states: np.ndarray, N: int) -> np.ndarray:
+    """Base-N code of each row, the first site most significant: its full-space row index.
+
+    int64, so valid only while N^n < 2^63, as on every sector these oracles run.
+    """
+    powers = N ** np.arange(states.shape[1] - 1, -1, -1, dtype=np.int64)
+    return (states.astype(np.int64) - 1) @ powers
+
+
+def search_rank(basis, codes: np.ndarray) -> np.ndarray:
+    """Rows of the basis states with the given base-N codes: a binary search,
+    since the lexicographic order is the numeric order of the codes."""
+    own = base_n_codes(basis.states, basis.N)
+    pos = np.searchsorted(own, codes)
+    assert np.all(pos < basis.dim) and np.array_equal(own[pos], codes)
+    return pos
+
+
 def weight_rows(weight) -> np.ndarray:
     """Full-space row indices of the weight-subspace basis states, in order."""
-    return get_basis(weight).codes
+    basis = get_basis(weight)
+    return base_n_codes(basis.states, basis.N)
 
 
 def restrict(mat: np.ndarray, weight) -> np.ndarray:
@@ -159,7 +178,7 @@ def rayleigh_momenta_per_column(ctx, basis, g, pairs, Q, D):
     quotient is an ``fsum`` at the precision of ctx.
     """
     n = basis.n
-    letters = [basis.letters(i) - 1 for i in range(n)]
+    letters = basis.states.T - 1
     perms = {ij: basis.swap_table(*ij)[0] for ij in pairs}
     by_letter = [[np.flatnonzero(row == a) for a in range(len(g))] for row in letters]
     p = np.empty((n, Q.shape[1]), dtype=object)
@@ -292,7 +311,7 @@ def twist_sum_loops(params, weight) -> dict[str, float]:
     """
     basis = get_basis(weight)
     x, g, n = np.asarray(params.x), np.asarray(params.g), basis.n
-    gsite = [g[basis.letters(i0) - 1] for i0 in range(n)]
+    gsite = g[basis.states.T - 1]
     kernels = {"pair_twist": lambda dx: 1.0 / dx}
     if params.kind == TRIGONOMETRIC:
         kernels["pair_twist_coth"] = lambda dx: 1.0 / np.tanh(params.gamma * dx)
@@ -355,7 +374,7 @@ def t_case_tables_sparse(weight) -> float:
         mask = a != b
         swapped = states.copy()
         swapped[:, [i0, j0]] = states[:, [j0, i0]]
-        rows = basis.rank(basis.encode(swapped))
+        rows = search_rank(basis, base_n_codes(swapped, basis.N))
         data = np.where(a < b, 1.0, -1.0)[mask]
         expected = sp.coo_matrix(
             (data, (rows[mask], cols[mask])), shape=(dim, dim)
@@ -377,7 +396,7 @@ def t_case_tables_sparse(weight) -> float:
         mask = ~((a == b) & (b == c))
         cycled = states.copy()
         cycled[:, [l0, i0, j0]] = states[:, [i0, j0, l0]]
-        rows = basis.rank(basis.encode(cycled))
+        rows = search_rank(basis, base_n_codes(cycled, basis.N))
         expected = sp.coo_matrix(
             (np.full(int(mask.sum()), -1.0), (rows[mask], cols[mask])),
             shape=(dim, dim),
@@ -390,11 +409,13 @@ def t_case_tables_sparse(weight) -> float:
 
 
 def enumerate_states_recursive(weight) -> np.ndarray:
-    """The slow reference for ``kzcal.core._enumerate_states``: depth-first fill."""
+    """The slow reference for the states of ``kzcal.core._enumerate``: a
+    depth-first fill, in the smallest signed dtype that holds the letter N."""
     n, N = weight.n, weight.N
-    out = np.empty((weight.dimension(), n), dtype=np.int8)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64) if N <= np.iinfo(t).max)
+    out = np.empty((weight.dimension(), n), dtype=dtype)
     counts = list(weight.M)
-    row = np.empty(n, dtype=np.int8)
+    row = np.empty(n, dtype=dtype)
     pos = 0
 
     def fill(k: int) -> None:
@@ -423,7 +444,8 @@ def swap_table_search(basis, i: int, j: int):
     i, j = min(i, j), max(i, j)
     b_minus_a = basis.states[:, j] - basis.states[:, i]
     shift = basis.N ** np.int64(basis.n - 1 - i) - basis.N ** np.int64(basis.n - 1 - j)
-    perm = basis.rank(basis.codes + b_minus_a.astype(np.int64) * shift)
+    codes = base_n_codes(basis.states, basis.N)
+    perm = search_rank(basis, codes + b_minus_a.astype(np.int64) * shift)
     return perm, np.sign(-b_minus_a)
 
 
@@ -459,7 +481,7 @@ def segment_rhs_terms(conn, a: np.ndarray, b: np.ndarray):
     diag = np.zeros(basis.dim)
     for i0 in range(n):
         if vel[i0] != 0.0:
-            diag = diag + vel[i0] * g[basis.letters(i0) - 1]
+            diag = diag + vel[i0] * g[basis.states[:, i0] - 1]
     weights = [(i0, j0, vel[i0] - vel[j0]) for i0 in range(n) for j0 in range(i0 + 1, n)]
     table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
     kern = PairKernel(params)

@@ -9,6 +9,7 @@ import pytest
 
 from kzcal import cli, kz
 from kzcal.config import DEFAULT_TOLERANCES, SUITE_NAMES, load_config, validate_config
+from kzcal.core import WeightVector, get_basis
 from kzcal.errors import ConfigError, DegenerateSpectrumError
 from kzcal.suites import build_instances, emit_plot_data, run_suites
 
@@ -502,6 +503,37 @@ def test_integral_float_counts_run_as_integers(tmp_path):
             suite.pop("wall_time_s")
     assert json.dumps(floats, sort_keys=True) == json.dumps(ints, sort_keys=True)
     assert floats["overall_pass"]
+
+
+def test_sector_whose_base_n_codes_overflow_exits_0(tmp_path):
+    # (63, 1) has n = 64 and dim 64, and 2 * 2^63 wraps an int64 code
+    instance = {"n": 64, "N": 2, "x": [0.3 * k for k in range(64)], "g": [1, 2],
+                "hbar": 1, "kappa": 0.1, "weight": [63, 1]}
+    payload = {"suites": ["mc-h2", "mc-h3", "momentum", "commutativity", "flatness"],
+               "seed": 1, "instance": {"explicit": instance}}
+    assert cli.main(["verify", "--config", write_config(tmp_path, payload)]) == 0
+
+
+def test_letters_above_127_read_their_own_twists(tmp_path):
+    # M_129 = M_130 = 1 of N = 130 with g_a = a: letters that wrapped at
+    # int8 read the twists of other species and failed mc-h2 and momentum
+    weight = [0] * 128 + [1, 1]
+    instance = {"n": 2, "N": 130, "x": [0, 1], "g": list(range(1, 131)),
+                "hbar": 1, "kappa": 0.1, "weight": weight}
+    payload = {"suites": ["mc-h2", "momentum"], "seed": 1, "instance": {"explicit": instance}}
+    config = load_config(write_config(tmp_path, payload))
+    states = get_basis(WeightVector(tuple(weight))).states
+    np.testing.assert_array_equal(states, [[129, 130], [130, 129]])
+    report = run_suites(config)
+    assert report.passed
+    assert report.suites["mc-h2"].max_residual < 1e-13
+    assert report.suites["momentum"].max_residual < 1e-13
+
+
+def test_random_config_with_a_large_N_exits_0(tmp_path):
+    payload = {"suites": ["mc-h2", "momentum"], "seed": 1,
+               "instance": {"random": {"n": 4, "N": 100_000, "count": 1}}}
+    assert cli.main(["verify", "--config", write_config(tmp_path, payload)]) == 0
 
 
 def test_spectrum_out_makes_missing_directories(tmp_path, capsys):

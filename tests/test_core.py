@@ -11,7 +11,6 @@ from kzcal.core import (
     StateVector,
     WeightBasis,
     WeightVector,
-    _enumerate_states,
     get_basis,
     omega_pairing,
     weight_of,
@@ -177,15 +176,64 @@ def test_state_vector_length_checked():
 def test_basis_rank_roundtrip():
     basis = get_basis(WeightVector((2, 2, 1)))
     for k, row in enumerate(basis.states):
-        assert basis.index_of(tuple(row)) == k
+        assert basis.rank([tuple(row)]).tolist() == [k]
+    np.testing.assert_array_equal(basis.rank(basis.states), np.arange(basis.dim))
     with pytest.raises(InvalidIndexError):
-        basis.index_of((1, 1, 1, 1, 1))  # wrong weight
+        basis.rank([(1, 1, 1, 1, 1)])  # wrong weight
+    # N = 4 with letter 2 unoccupied: a letter of 0 or N + 1, an unoccupied
+    # letter, wrong counts or a wrong length make the whole call raise
+    # InvalidIndexError, at any site; each bad row also follows the valid
+    # states in one call
+    gapped = get_basis(WeightVector((2, 0, 2, 1)))
+    assert tuple(gapped.states[0]) == (1, 1, 3, 3, 4)
+    bad_rows = [
+        (1, 1, 3, 3, 0), (0, 1, 3, 3, 4), (1, 1, 3, 3, 5), (5, 1, 3, 3, 4),
+        (1, 1, 3, 3, 2), (1, 2, 3, 3, 4), (4, 3, 3, 1, 2),
+        (1, 1, 1, 3, 4), (3, 3, 3, 1, 4), (1, 1, 3, 4, 4), (4, 4, 4, 4, 4),
+        (-1, 1, 3, 3, 4), (1, 1, 3, 3, -128), (10**6, 1, 3, 3, 4), (1, 1, 3, 3, 2**40),
+    ]
+    for bad in bad_rows:
+        with pytest.raises(InvalidIndexError):
+            gapped.rank([bad])
+        with pytest.raises(InvalidIndexError):
+            gapped.rank(np.vstack([gapped.states, np.array([bad], dtype=np.int64)]))
+    for rows in ((1, 1, 3, 3, 4), (), [(1, 1, 3, 3)], [(1, 1, 3, 3, 4, 4)], [()]):
+        with pytest.raises(InvalidIndexError):
+            gapped.rank(rows)  # a bare row, or rows of other than 5 letters
+
+
+@pytest.mark.parametrize(
+    "M",
+    [(63, 1), (64, 1), (1, 70), {129: 1, 130: 1}, {1: 2, 128: 1, 100_000: 1}],
+    ids=["63-1", "64-1", "1-70", "N130", "N100000"],
+)
+def test_rank_where_base_n_codes_overflow(M):
+    # letters at or above 128 and N^(n-1) >= 2^63, against the recursive
+    # enumeration and a dictionary of its rows
+    from oracles import enumerate_states_recursive
+
+    if isinstance(M, dict):
+        M = tuple(M.get(a, 0) for a in range(1, max(M) + 1))
+    basis = WeightBasis(WeightVector(M))
+    want = enumerate_states_recursive(basis.weight)
+    assert basis.states.dtype == want.dtype
+    np.testing.assert_array_equal(basis.states, want)
+    np.testing.assert_array_equal(basis.rank(want), np.arange(basis.dim))
+    row_of = {tuple(row): k for k, row in enumerate(want.tolist())}
+    for i in range(basis.n):
+        for j in range(i + 1, basis.n):
+            swapped = want.copy()
+            swapped[:, [i, j]] = want[:, [j, i]]
+            perm, sign = basis.swap_table(i, j)
+            assert perm.tolist() == [row_of[tuple(row)] for row in swapped.tolist()]
+            assert sign.dtype == np.int8
+            np.testing.assert_array_equal(sign, np.sign(want[:, i].astype(int) - want[:, j]))
 
 
 @pytest.mark.parametrize("M", [(3, 3), (2, 1, 2), (2, 3, 1, 2)])
 def test_swap_table_matches_copy_and_encode(M):
-    # the code arithmetic against exchanging the two columns of a copy of
-    # the states and re-encoding, on every site pair
+    # the site tables against exchanging the two columns of a copy of the
+    # states and ranking the copy, on every site pair
     basis = get_basis(WeightVector(M))
     states = basis.states
     for i in range(basis.n):
@@ -193,7 +241,7 @@ def test_swap_table_matches_copy_and_encode(M):
             swapped = states.copy()
             swapped[:, [i, j]] = states[:, [j, i]]
             perm, sign = basis.swap_table(i, j)
-            np.testing.assert_array_equal(perm, basis.rank(basis.encode(swapped)))
+            np.testing.assert_array_equal(perm, basis.rank(swapped))
             np.testing.assert_array_equal(
                 sign, np.sign(states[:, i].astype(int) - states[:, j].astype(int))
             )
@@ -244,7 +292,10 @@ def test_enumerate_basis_large_subspace():
     assert basis.dim == math.comb(18, 9)
     assert tuple(basis.states[0]) == (1,) * 9 + (2,) * 9
     assert tuple(basis.states[-1]) == (2,) * 9 + (1,) * 9
-    assert np.all(np.diff(basis.codes) > 0)  # strictly increasing = lex order
+    # strictly increasing in lexicographic order: the first letter in which
+    # consecutive states differ grows
+    step = np.diff(basis.states.astype(int), axis=0)
+    assert np.all(step[np.arange(len(step)), np.argmax(step != 0, axis=1)] > 0)
 
 
 def _all_weights(max_n, max_N):
@@ -264,7 +315,7 @@ def test_enumeration_matches_recursive_oracle(weights):
     from oracles import enumerate_states_recursive
 
     for weight in weights:
-        got = _enumerate_states(weight)
+        got = WeightBasis(weight).states
         want = enumerate_states_recursive(weight)
         assert got.dtype == want.dtype and got.shape == want.shape, weight.M
         np.testing.assert_array_equal(got, want, err_msg=str(weight.M))
@@ -275,7 +326,7 @@ def test_uniform_and_basis_state_normalization():
     uni = StateVector.uniform(w)
     assert uni.norm() == pytest.approx(1.0)
     one_hot = StateVector.basis_state(w, (1, 2, 1))
-    assert one_hot.amplitudes[get_basis(w).index_of((1, 2, 1))] == 1.0
+    assert one_hot.amplitudes[get_basis(w).rank([(1, 2, 1)])[0]] == 1.0
     assert one_hot.norm() == 1.0
 
 

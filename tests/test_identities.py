@@ -199,6 +199,14 @@ def test_t_case_tables_match_sparse_oracle_n12(M):
     assert verify_t_case_tables(weight) == oracles.t_case_tables_sparse(weight) == 0.0
 
 
+def test_t_case_tables_with_letters_above_127():
+    # letters 1, 129 and 130 of N = 130 at n = 4: the ranks of the swapped
+    # and cycled states, against the sparse oracle's base-N codes
+    weight = WeightVector(tuple({1: 1, 129: 2, 130: 1}.get(a, 0) for a in range(1, 131)))
+    assert get_basis(weight).states.max() == 130
+    assert verify_t_case_tables(weight) == oracles.t_case_tables_sparse(weight) == 0.0
+
+
 def test_t_case_tables_catch_a_flipped_orientation(monkeypatch):
     # T_32 built with the orientation of T_23: the single action, the square
     # and the triples through that pair all go wrong, by the same amount in both
