@@ -14,6 +14,7 @@ spread into an arithmetic string of length M_a and step 2 kappa gamma
 
 from __future__ import annotations
 
+import functools
 import itertools
 import threading
 from dataclasses import dataclass, field
@@ -425,20 +426,34 @@ def _partial_spectrum(mats, params, weight, seed):
     return items
 
 
-def _lax_rows(ctx, p_hp, params: ModelParams) -> list[list]:
-    """The Lax matrix at the refined momenta, as rows of numbers of ctx."""
+@functools.lru_cache(maxsize=64)
+def _lax_offdiagonal(params: ModelParams, dps: int) -> tuple[tuple, ...]:
+    """The Lax matrix without its diagonal, as rows of mpf at dps digits (None on the diagonal).
+
+    The same for every item of a sector, so it is made once per (params,
+    dps).  mpf values are immutable and both signs are stored, so threads
+    share the rows: the charpoly reads them only through ctx.fdot, and
+    ctx.matrix converts them, both exactly.
+    """
+    ctx = _mp_context(dps)
     kern = PairKernel(params, ctx.mpf)
     x = [ctx.mpf(v) for v in params.x]
     A = [[None] * params.n for _ in range(params.n)]
+    for i, j in itertools.combinations(range(params.n), 2):
+        A[i][j] = kern.lax(x[i] - x[j])
+        A[j][i] = -A[i][j]  # the kernel is odd
+    return tuple(map(tuple, A))
+
+
+def _lax_rows(ctx, p_hp, params: ModelParams) -> list[list]:
+    """The Lax matrix at the refined momenta, as rows of numbers of ctx."""
+    A = [list(row) for row in _lax_offdiagonal(params, ctx.dps)]
     for i, p in enumerate(p_hp):
         # exact: an mpf/mpc of another context keeps its digits (mpmath rounds
         # a binary operation at its left operand's precision, so arithmetic on
         # the 60-digit momenta would round there), and numpy scalars convert
         # as the float or complex they subclass
         A[i][i] = ctx.convert(p)
-    for i, j in itertools.combinations(range(params.n), 2):
-        A[i][j] = kern.lax(x[i] - x[j])
-        A[j][i] = -A[i][j]  # the kernel is odd
     return A
 
 
@@ -492,32 +507,58 @@ def _taylor(poly: list, c, m: int) -> list:
     return q
 
 
-def _lax_eigenvalues_hp(p_hp, params: ModelParams, target: np.ndarray, dps: int) -> np.ndarray:
-    """Lax eigenvalues from the characteristic polynomial at dps digits, cluster by cluster.
+@functools.lru_cache(maxsize=64)
+def _sector(params: ModelParams, weight: WeightVector) -> tuple:
+    """What qc_check reads of a sector besides the item, made once per (params, weight).
+
+    (target, dps, clusters, trace targets, trace scales): the sorted string
+    spectrum, read-only; the working precision 15 max(M) + 10 digits, at
+    least 40; per distinct target c, (c, its multiplicity m, the distance to
+    the next target); and for k = 1..n the power sums sum target^k and their
+    scales sum |target|^k.
+    """
+    target = string_spectrum(weight, params)
+    target.flags.writeable = False
+    dps = max(40, 15 * max(weight.M) + 10)
+    centers, counts = np.unique(target, return_counts=True)
+    clusters = tuple(
+        (c, int(m), np.min(np.abs(np.delete(centers, k) - c), initial=np.inf))
+        for k, (c, m) in enumerate(zip(centers, counts))
+    )
+    powers = range(1, params.n + 1)
+    traces = tuple(float(np.sum(target**k)) for k in powers)
+    scales = tuple(float(np.sum(np.abs(target) ** k)) for k in powers)
+    return target, dps, clusters, traces, scales
+
+
+def _lax_eigenvalues_hp(p_hp, params: ModelParams, weight: WeightVector) -> np.ndarray:
+    """Lax eigenvalues from the characteristic polynomial at the sector's dps, cluster by cluster.
 
     The level-set Lax matrix is defective at repeated targets, and a cluster
     of m eigenvalues splits like the m-th root of the momentum error, so the
     polynomial, taken once per item, is expanded at each distinct target c in
-    mu = lambda - c to degree m, at dps digits; the float64 roots of that
-    truncation, scaled to unit size, give the cluster.  Where a root lies
-    farther than 1e-3 of the distance to the next target the truncation is
-    not accurate (only a large violation gets there) and the mpmath
+    mu = lambda - c to degree m, at dps digits.  A simple target (m = 1)
+    takes mu = -q_0/q_1 in the context, Newton's step from c; a cluster takes
+    the float64 roots of its truncation, scaled to unit size.  Where a root
+    lies farther than 1e-3 of the distance to the next target the truncation
+    is not accurate (only a large violation gets there) and the mpmath
     eigensolve answers instead.
     """
+    _, dps, clusters, _, _ = _sector(params, weight)
     ctx = _mp_context(dps)
     poly = _charpoly(ctx, _lax_rows(ctx, p_hp, params))
-    centers, counts = np.unique(target, return_counts=True)
     eigs = []
-    for k, (c, m) in enumerate(zip(centers, counts)):
-        m = int(m)
-        gap = np.min(np.abs(np.delete(centers, k) - c), initial=np.inf)
+    for c, m, gap in clusters:
         q = _taylor(poly, ctx.mpf(c), m)
         if not q[m]:
             return _lax_eigenvalues_eig(p_hp, params, dps)
-        # the Fujiwara bound: every root of the truncation has |mu| < 2 s
-        scale = max(abs(q[j] / q[m]) ** (ctx.one / (m - j)) for j in range(m)) or ctx.one
-        nu = np.roots([complex(q[j] / (q[m] * scale ** (m - j))) for j in range(m, -1, -1)])
-        mu = float(scale) * nu
+        if m == 1:
+            mu = np.array([complex(-q[0] / q[1])])
+        else:
+            # the Fujiwara bound: every root of the truncation has |mu| < 2 s
+            scale = max(abs(q[j] / q[m]) ** (ctx.one / (m - j)) for j in range(m)) or ctx.one
+            nu = np.roots([complex(q[j] / (q[m] * scale ** (m - j))) for j in range(m, -1, -1)])
+            mu = float(scale) * nu
         if not np.all(np.abs(mu) <= 1e-3 * gap):
             return _lax_eigenvalues_eig(p_hp, params, dps)
         eigs.append(c + mu)
@@ -563,21 +604,19 @@ def qc_check(
     distance as the metric); a mismatch above tolerance is reported as a
     finding, not raised.  The Lax eigenvalues come from item.p_hp at
     15 max(M) + 10 digits, at least 40.  The traces tr L^k are compared for
-    k = 1..n, where by Newton's identities they fix det(lambda - L).
+    k = 1..n, where by Newton's identities they fix det(lambda - L).  What
+    does not depend on the item (the mpf Lax off-diagonal, the targets and
+    their clusters, the dps, the trace targets) is made once per sector.
     """
     if tol is None:
         tol = 1e-8 if params.kind == RATIONAL else 1e-7
     L = lax_matrix(params.x, item.p, params)
-    target = string_spectrum(weight, params)
-    dps = max(40, 15 * max(weight.M) + 10)
-    eigs = _lax_eigenvalues_hp(item.p_hp, params, target, dps)
+    target, _, _, trace_targets, scales = _sector(params, weight)
+    eigs = _lax_eigenvalues_hp(item.p_hp, params, weight)
     eigs = eigs[np.argsort(eigs.real, kind="stable")]
     mismatch = float(np.max(np.abs(eigs - target)))
-    powers = range(1, params.n + 1)
     traces = classical_hamiltonians(L, params.n)
-    trace_targets = [string_energy(weight, params, k) for k in powers]
     # relative to sum |target|^k, which a cancelling power sum does not shrink
-    scales = [float(np.sum(np.abs(target) ** k)) for k in powers]
     trace_err = max_or_nan(
         [abs(t - s) / max(a, 1e-30) for t, s, a in zip(traces, trace_targets, scales)]
     )
@@ -587,7 +626,7 @@ def qc_check(
         target_spectrum=target,
         max_mismatch=mismatch,
         traces=traces,
-        trace_targets=trace_targets,
+        trace_targets=list(trace_targets),
         max_trace_rel_error=float(trace_err),
         tolerance=tol,
     )

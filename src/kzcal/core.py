@@ -13,7 +13,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace as _replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -39,6 +39,8 @@ DEFAULT_EPSILON_X = 1e-8
 
 def _integer(v, error: type, name: str) -> int:
     """int(v) for an integral real number v that is not a boolean; raises `error` otherwise."""
+    if type(v) is int:  # the common case, and the whole cost of a weight with many species
+        return v
     # int() would read 2.5 as 2 and True as 1; v == int(v) is exact where float(v) overflows
     try:
         integral = isinstance(v, numbers.Real) and v == int(v)
@@ -156,11 +158,12 @@ class WeightVector:
         return len(self.M)
 
     def dimension(self) -> int:
-        """Multinomial n! / (M_1! ... M_N!)."""
-        dim = math.factorial(self.n)
-        for m in self.M:
-            dim //= math.factorial(m)
-        return dim
+        """Multinomial n! / (M_1! ... M_N!), over the nonzero M_a; computed once per weight."""
+        return self._dimension
+
+    @cached_property
+    def _dimension(self) -> int:
+        return math.factorial(self.n) // math.prod(map(math.factorial, filter(None, self.M)))
 
     def validate_for(self, n: int) -> None:
         if self.n != n:

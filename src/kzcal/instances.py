@@ -53,7 +53,7 @@ def random_weight(
     """
     for _ in range(512):
         M = rng.multinomial(n, np.full(N, 1.0 / N))
-        w = WeightVector(tuple(int(m) for m in M))
+        w = WeightVector(tuple(M.tolist()))
         if not min_dim <= w.dimension() <= dim_cap:
             continue
         if require_multiplicity and max(w.M) < 2:
@@ -82,7 +82,7 @@ def random_instance(
 ) -> tuple[ModelParams, WeightVector]:
     """One random (params, weight) pair of the requested kind."""
     x = random_coordinates(rng, n, min_gap)
-    g = tuple(float(a + 1 + rng.uniform(-0.25, 0.25)) for a in range(N))
+    g = tuple((np.arange(1, N + 1) + rng.uniform(-0.25, 0.25, size=N)).tolist())
     params = ModelParams(
         n=n,
         N=N,

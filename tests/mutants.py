@@ -91,6 +91,40 @@ MUTANTS = [
             "exactly; the negation -p is exact, and ctx.matrix converts"
         ),
     ),
+    # -- the per-sector constants and the simple targets of the Lax check -------
+    Mutant(
+        "simple-target-sign-flipped",
+        "classical.py",
+        "mu = np.array([complex(-q[0] / q[1])])",
+        "mu = np.array([complex(q[0] / q[1])])",
+        ("tests/test_classical.py", "-k", "simple_targets"),
+    ),
+    Mutant(
+        "simple-target-gap-test-dropped",
+        "classical.py",
+        "        if not np.all(np.abs(mu) <= 1e-3 * gap):",
+        "        if m > 1 and not np.all(np.abs(mu) <= 1e-3 * gap):",
+        ("tests/test_classical.py", "-k", "simple_target_falls_back"),
+    ),
+    # a cache whose key leaves out one input of the Lax entries: the first
+    # entries made serve every later call that differs only there
+    Mutant(
+        "lax-cache-key-without-dps",
+        "classical.py",
+        "@functools.lru_cache(maxsize=64)\ndef _lax_offdiagonal(",
+        "@lambda f: lambda params, dps, seen={}: seen.setdefault(params, f(params, dps))\n"
+        "def _lax_offdiagonal(",
+        ("tests/test_classical.py", "-k", "not_shared"),
+    ),
+    Mutant(
+        "lax-cache-key-without-kappa",
+        "classical.py",
+        "@functools.lru_cache(maxsize=64)\ndef _lax_offdiagonal(",
+        "@lambda f: lambda params, dps, seen={}: seen.setdefault(\n"
+        "    (params.kind, params.gamma, params.x, dps), f(params, dps))\n"
+        "def _lax_offdiagonal(",
+        ("tests/test_classical.py", "-k", "not_shared"),
+    ),
     # -- command-line input and output paths -------------------------------------
     Mutant(
         "late-segment-check",

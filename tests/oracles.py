@@ -6,20 +6,20 @@ weight subspace by row/column selection.  They share no code with the
 matrix-free implementation beyond the basis enumeration order, which is
 itself pinned by exact examples.  The slow references at the end are the
 computations that the package's fast paths replaced: dense and sparse
-products, the per-column 60-digit Rayleigh quotients, the Lax characteristic
-polynomial by principal minors, the double-double residual that splits every
-permuted block anew, the recursive basis enumeration, the base-N codes and
-their binary search, the searched swap tables, the term-by-term operator
-action and path right-hand side, the COO assembly of a CSR matrix, the CSR
-row builders (one masks every term), the per-pair commutator actions, the
-covariant rows by full operator applications, the identity sums one term at
-a time, the signed-swap triple row one triple at a time and the complex path
-integration.  The case-table reference checks the package's own
+products, the per-column 60-digit Rayleigh quotients, the Lax rows made anew
+per item, the Lax characteristic polynomial by principal minors, the
+double-double residual that splits every permuted block anew, the recursive
+basis enumeration, the base-N codes and their binary search, the searched
+swap tables, the term-by-term operator action and path right-hand side, the
+COO assembly of a CSR matrix, the CSR row builders (one masks every term),
+the per-pair commutator actions, the covariant rows by full operator
+applications, the identity sums one term at a time, the signed-swap triple
+row one triple at a time and the complex path integration.  The case-table reference checks the package's own
 materialized T_ij.
 """
 
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 
 import mpmath
 import numpy as np
@@ -194,7 +194,24 @@ def rayleigh_momenta_per_column(ctx, basis, g, pairs, Q, D):
     return p
 
 
-# -- Lax characteristic polynomial by principal minors --------------------------
+# -- Lax rows per item and the characteristic polynomial by principal minors ---
+
+
+def lax_rows(ctx, p_hp, params) -> list[list]:
+    """The Lax matrix at the momenta p_hp as rows of numbers of ctx, every entry made anew.
+
+    The slow reference for ``kzcal.classical._lax_rows``, whose off-diagonal
+    entries come from a per-sector cache.
+    """
+    kern = PairKernel(params, ctx.mpf)
+    x = [ctx.mpf(v) for v in params.x]
+    A = [[None] * params.n for _ in range(params.n)]
+    for i, p in enumerate(p_hp):
+        A[i][i] = ctx.convert(p)
+    for i, j in combinations(range(params.n), 2):
+        A[i][j] = kern.lax(x[i] - x[j])
+        A[j][i] = -A[i][j]  # the kernel is odd
+    return A
 
 
 def lax_minors(params, dps: int):

@@ -218,7 +218,7 @@ def test_charpoly_lax_spectrum_matches_eig_oracle(sector, monkeypatch):
     items = gaudin_joint_spectrum(params, weight, seed=11)
     for item in items[:12]:
         assert np.iscomplexobj(item.p_hp) == (params.kind == "trigonometric")
-        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(item.p_hp, params, target, dps), target)
+        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(item.p_hp, params, weight), target)
         ref = _sorted_mismatch(oracle(item.p_hp, params, dps), target)
         assert abs(ours - ref) <= 1e-6 * ref + 1e-15
     assert not fallbacks
@@ -234,7 +234,7 @@ def test_complex_trig_momenta_reach_the_lax_matrix():
     dps = max(40, 15 * max(weight.M) + 10)
     for item in gaudin_joint_spectrum(params, weight, seed=11)[:3]:
         p = item.p_hp + 0.05j
-        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(p, params, target, dps), target)
+        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(p, params, weight), target)
         ref = _sorted_mismatch(classical._lax_eigenvalues_eig(p, params, dps), target)
         assert abs(ours - ref) <= 1e-6 * ref
         assert ours == pytest.approx(0.05, rel=1e-6)
@@ -257,6 +257,108 @@ def test_shifted_momenta_take_the_eig_fallback(monkeypatch):
     dps = max(40, 15 * max(weight.M) + 10)
     assert report.max_mismatch == _sorted_mismatch(oracle(broken.p_hp, params, dps), report.target_spectrum)
     assert report.max_mismatch == pytest.approx(0.05, rel=1e-6)
+
+
+def _bits(v):
+    """The exact binary value of an mpf or an mpc."""
+    return v._mpc_ if hasattr(v, "_mpc_") else v._mpf_
+
+
+def _row_bits(rows):
+    return [[_bits(v) for v in row] for row in rows]
+
+
+@pytest.mark.parametrize("sector", [0, 3], ids=["rational", "trigonometric"])
+def test_cached_lax_rows_match_the_per_item_construction(sector):
+    # the off-diagonal comes from the per-sector cache, at every dps and on
+    # every call; the oracle makes each entry anew
+    from kzcal import classical
+
+    from oracles import lax_rows
+
+    params, weight = _oracle_sectors()[sector]
+    for item in gaudin_joint_spectrum(params, weight, seed=11)[:3]:
+        for dps in (40, 55, 40):
+            ctx = classical._mp_context(dps)
+            ours = classical._lax_rows(ctx, item.p_hp, params)
+            assert _row_bits(ours) == _row_bits(lax_rows(ctx, item.p_hp, params))
+    assert classical._lax_offdiagonal(params, 40) is classical._lax_offdiagonal(params, 40)
+
+
+def test_lax_entries_are_not_shared_across_kappa_x_or_dps():
+    # params first seen here, so the base entries are made first; each
+    # variant must get its own, equal to the per-item construction
+    from kzcal import classical
+
+    from oracles import lax_rows
+
+    base = ModelParams(n=4, N=2, x=(0.0, 1.17, -0.73, 2.21), g=(1.0, 2.0), hbar=1.0, kappa=0.37)
+    variants = [
+        (base, 40),
+        (base.replace(kappa=0.38), 40),
+        (base.replace(x=(0.0, 1.17, -0.73, 2.31)), 40),
+        (base, 55),
+    ]
+    p = (1.0, 2.0, 1.0, 2.0)
+    seen = []
+    for params, dps in variants:
+        ctx = classical._mp_context(dps)
+        rows = _row_bits(classical._lax_rows(ctx, p, params))
+        assert rows == _row_bits(lax_rows(ctx, p, params))
+        assert rows not in seen
+        seen.append(rows)
+
+
+SIMPLE_SECTORS = {
+    "trigonometric (2,2,1)": _oracle_sectors()[3],
+    "rational (1,1,1,1)": (
+        ModelParams(n=4, N=4, x=(0.0, 1.3, -0.7, 2.2), g=(1.0, 1.9, 3.1, 4.2), hbar=1.0, kappa=0.35),
+        WeightVector((1, 1, 1, 1)),
+    ),
+}
+
+
+@pytest.mark.parametrize("sector", SIMPLE_SECTORS)
+def test_simple_targets_match_eig_oracle(sector, monkeypatch):
+    # every target is simple and takes mu = -q_0/q_1; the momenta are shifted
+    # by a few 1e-9, so that mu stands far above the rounding of c + mu and a
+    # wrong sign or step shows, while the truncation error mu^2 / gap does not
+    from kzcal import classical
+
+    params, weight = SIMPLE_SECTORS[sector]
+    target = string_spectrum(weight, params)
+    assert len(np.unique(target)) == params.n
+    oracle = classical._lax_eigenvalues_eig
+    fallbacks = []
+    monkeypatch.setattr(classical, "_lax_eigenvalues_eig", lambda *a: fallbacks.append(a) or oracle(*a))
+    shift = 1e-9 * np.arange(1, params.n + 1)
+    for item in gaudin_joint_spectrum(params, weight, seed=11)[:6]:
+        p = item.p_hp + shift
+        ours = classical._lax_eigenvalues_hp(p, params, weight)
+        ours = ours[np.argsort(ours.real, kind="stable")]
+        ref = oracle(p, params, 40)
+        ref = ref[np.argsort(ref.real, kind="stable")]
+        assert np.max(np.abs(ours - ref)) <= 1e-14
+        assert np.max(np.abs(ours - target)) > 1e-10
+    assert not fallbacks
+
+
+def test_simple_target_falls_back_where_the_newton_step_cannot_hold(monkeypatch):
+    from kzcal import classical
+
+    oracle = classical._lax_eigenvalues_eig
+    fallbacks = []
+    monkeypatch.setattr(classical, "_lax_eigenvalues_eig", lambda *a: fallbacks.append(a) or oracle(*a))
+    # L = [[0.75, -0.25], [0.25, 1.25]]: det(lambda - L) = (lambda - 1)^2
+    # exactly, so q_1 = 0 at the simple target 1
+    params = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.25)
+    p = np.array([0.75, 1.25])
+    assert np.array_equal(classical._lax_eigenvalues_hp(p, params, W11), oracle(p, params, 40))
+    assert len(fallbacks) == 1
+    # every momentum 0.05 off: mu is about 0.05, beyond 1e-3 of the gap 1
+    p = gaudin_joint_spectrum(HAND, W11, seed=1)[0].p_hp + 0.05
+    assert np.array_equal(classical._lax_eigenvalues_hp(p, HAND, W11), oracle(p, HAND, 40))
+    assert len(fallbacks) == 2
 
 
 def test_qc_check_is_thread_and_precision_independent():
@@ -353,7 +455,7 @@ def test_charpoly_matches_eig_oracle_on_defective_level_sets(case, monkeypatch):
     target = string_spectrum(weight, params)
     dps = 15 * max(weight.M) + 10
     for p in p_hp.T:
-        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(p, params, target, dps), target)
+        ours = _sorted_mismatch(classical._lax_eigenvalues_hp(p, params, weight), target)
         ref = _sorted_mismatch(oracle(p, params, dps), target)
         # a split cluster; at (7,2) it exceeds 1e-8, as 60-digit momenta allow
         assert 1e-12 < ref < 1e-7

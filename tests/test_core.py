@@ -88,6 +88,31 @@ def test_weight_takes_integral_numbers():
     assert WeightVector((10**310, Fraction(4, 2))).M == (10**310, 2)
 
 
+def test_dimension_over_many_species_is_computed_once():
+    # a million species, four of them occupied: the multinomial of the
+    # nonzero occupations, kept with the weight
+    M = [0] * 10**6
+    M[3], M[17], M[-1] = 2, 1, 1
+    weight = WeightVector(tuple(M))
+    assert weight.dimension() == math.factorial(4) // 2 == 12
+    assert weight.__dict__["_dimension"] == 12
+    assert weight == WeightVector(tuple(M)) and hash(weight) == hash(WeightVector(tuple(M)))
+
+
+def test_random_twists_are_the_per_twist_draws():
+    # one vector draw gives bitwise the twists (and leaves the stream where)
+    # one uniform per twist did
+    from kzcal.instances import random_coordinates, random_instance, rng_for
+
+    for N in (1, 3, 7):
+        params, weight = random_instance(rng_for(5, "twists", N), 7, N)
+        rng = rng_for(5, "twists", N)
+        assert random_coordinates(rng, 7) == params.x
+        g = tuple(float(a + 1 + rng.uniform(-0.25, 0.25)) for a in range(N))
+        assert params.g == g
+        assert params.hbar == float(rng.uniform(0.6, 1.4))
+
+
 def test_dimension_cap():
     with pytest.raises(DimensionCapError):
         get_basis(WeightVector((5, 5)), dim_cap=100)
