@@ -13,18 +13,13 @@ through the all-ones covector, which also quantifies over every state at once.
 from __future__ import annotations
 
 import math
-from itertools import permutations
+from functools import lru_cache
+from itertools import chain, permutations
 
 import numpy as np
 
-from .core import (
-    TRIGONOMETRIC,
-    ModelParams,
-    WeightVector,
-    get_basis,
-    max_or_nan,
-)
-from .operators import t_operator
+from .core import TRIGONOMETRIC, ModelParams, WeightVector, get_basis, max_or_nan
+from .operators import SWEEP_ROWS, t_operator
 
 __all__ = [
     "verify_rational_scalar_identities",
@@ -38,25 +33,30 @@ __all__ = [
 def _sum_residual(terms, expected=0.0) -> float:
     """|sum - expected| / max(largest |term|, |expected|, 1e-300); 0.0 for no terms.
 
-    terms is an array with one float per summand, or an iterable of per-state
-    arrays (stacked they could take gigabytes).  Either way the sum runs in
-    the given order, so it has the bits of the plain loop.
+    terms holds the summands along its first axis, one column per state if
+    it has a second: an array, or an iterable of arrays, one per block of
+    states (a whole sector's could take gigabytes).  Each column is summed
+    in order, so it has the bits of the plain loop; NaN propagates.
     """
-    if isinstance(terms, np.ndarray):
-        if terms.size == 0:
+    worst = biggest = 0.0
+    for block in [terms] if isinstance(terms, np.ndarray) else terms:
+        if len(block) == 0:
             return 0.0
-        total, biggest = np.cumsum(terms)[-1], np.max(np.abs(terms))
-    else:
-        total, biggest = 0.0, 0.0
-        for term in terms:
-            total = total + term
-            biggest = max(biggest, np.max(np.abs(term)))
-    return float(np.max(np.abs(total - expected))) / max(biggest, abs(expected), 1e-300)
+        total = np.cumsum(block, axis=0)[-1]
+        worst = np.maximum(worst, np.max(np.abs(total - expected)))
+        biggest = np.maximum(biggest, np.max(np.abs(block)))
+    return float(worst) / max(biggest, abs(expected), 1e-300)
 
 
 def _tuples(n: int, k: int) -> np.ndarray:
     """The k-tuples of distinct indices below n, as k index rows in permutations order."""
-    return np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k).T
+    return np.fromiter(chain.from_iterable(permutations(range(n), k)), np.intp).reshape(-1, k).T
+
+
+def _state_blocks(basis):
+    """(lo, letters) per block of SWEEP_ROWS states; letters[site, r] is that of state lo + r."""
+    for lo in range(0, basis.dim, SWEEP_ROWS):
+        yield lo, basis.states[lo : lo + SWEEP_ROWS].T
 
 
 def verify_rational_scalar_identities(x) -> dict[str, float]:
@@ -90,24 +90,19 @@ def verify_twist_sum_identities(params: ModelParams, weight: WeightVector) -> di
                        (g^(i) + g^(j) + g^(k)) / ((x_i - x_j)(x_i - x_k))
     """
     basis = get_basis(weight)
-    x = np.asarray(params.x)
-    g = np.asarray(params.g)
-    gsite = g[basis.states.T - 1]
-    pairs = list(permutations(range(basis.n), 2))
-    report = {
-        "pair_twist": _sum_residual(
-            1.0 / (x[i] - x[j]) * (gsite[i] + gsite[j]) for i, j in pairs
-        )
-    }
+    x, g = np.asarray(params.x), np.asarray(params.g)
+    twists = [g[s - 1] for _, s in _state_blocks(basis)]  # per site and state
+    i, j = _tuples(basis.n, 2)
+    kernels = {"pair_twist": 1.0 / (x[i] - x[j])}
     if params.kind == TRIGONOMETRIC:
-        report["pair_twist_coth"] = _sum_residual(
-            1.0 / np.tanh(params.gamma * (x[i] - x[j])) * (gsite[i] + gsite[j])
-            for i, j in pairs
-        )
-    report["triple_twist"] = _sum_residual(
-        1.0 / ((x[i] - x[j]) * (x[i] - x[k])) * (gsite[i] + gsite[j] + gsite[k])
-        for i, j, k in permutations(range(basis.n), 3)
-    )
+        kernels["pair_twist_coth"] = 1.0 / np.tanh(params.gamma * (x[i] - x[j]))
+    report = {
+        name: _sum_residual(c[:, None] * (gs[i] + gs[j]) for gs in twists)
+        for name, c in kernels.items()
+    }
+    i, j, k = _tuples(basis.n, 3)
+    c = 1.0 / ((x[i] - x[j]) * (x[i] - x[k]))
+    report["triple_twist"] = _sum_residual(c[:, None] * (gs[i] + gs[j] + gs[k]) for gs in twists)
     return report
 
 
@@ -123,9 +118,7 @@ def verify_omega_weight_identity(params: ModelParams, weight: WeightVector) -> d
     M = np.asarray(weight.M, dtype=float)
     report = {}
     for k in (2, 3):
-        per_state = np.zeros(basis.dim)
-        for i0 in range(basis.n):
-            per_state += g[basis.states[:, i0] - 1] ** k
+        per_state = np.cumsum(g[basis.states.T - 1] ** k, axis=0)[-1]  # in site order
         expected = float(np.dot(M, g**k))
         resid = float(np.max(np.abs(per_state - expected)))
         report[f"letter_power_{k}"] = resid / max(abs(expected), 1.0)
@@ -163,14 +156,14 @@ def verify_trig_identities(params: ModelParams, weight: WeightVector) -> dict[st
         ),
     }
 
-    # sum of squared signed swaps: diagonal pair count, exact per basis state
-    diag = np.zeros(basis.dim)
-    for i0, j0 in permutations(range(n), 2):
-        diag -= (basis.states[:, i0] != basis.states[:, j0]).astype(float)
+    # sum of squared signed swaps: minus the count of pairs with distinct letters
+    i, j = _tuples(n, 2)
     expected = -(n * (n - 1) - float(np.dot(M, M - 1.0)))
-    report["t_square_sum"] = float(np.max(np.abs(diag - expected))) / max(
-        abs(expected), n * (n - 1), 1.0
+    deviation = max(
+        float(np.max(np.abs(-np.count_nonzero(s[i] != s[j], axis=0) - expected)))
+        for _, s in _state_blocks(basis)
     )
+    report["t_square_sum"] = deviation / max(abs(expected), n * (n - 1), 1.0)
 
     report["t_triple_sum"] = 0.0
     if n >= 3:
@@ -181,50 +174,52 @@ def verify_trig_identities(params: ModelParams, weight: WeightVector) -> dict[st
     return report
 
 
-def _t_triple_row(weight: WeightVector) -> np.ndarray:
-    """The all-ones covector slid through the sum of T_ij T_il over distinct (i, j, l).
-
-    Summed over j before T_il^T applies, so each T^T applies twice, not n - 1
-    times; the entries are small integers, so the sum is exact in any order.
+@lru_cache(maxsize=1)
+def _t_maps(weight: WeightVector, build) -> tuple[np.ndarray, np.ndarray] | None:
+    """(col, val) of shape (n, n, dim): row r of T_ij = build(i + 1, j + 1, weight)
+    holds val[i, j, r] at column col[i, j, r] only (val 0: an empty row, as
+    at i = j); None when a T_ij has two entries in a row.  Each T_ij is
+    materialized once per sector: the last sector's maps are kept, keyed
+    also by `build`, so a replaced t_operator builds anew.
     """
-    t_ops = {(i, j): t_operator(i + 1, j + 1, weight) for i, j in permutations(range(weight.n), 2)}
-    slid = {pair: op.rmatvec(np.ones(op.dim)) for pair, op in t_ops.items()}
-    total = [sum(slid[i, j] for j in range(weight.n) if j != i) for i in range(weight.n)]
-    return sum(op.rmatvec(total[i] - slid[i, l]) for (i, l), op in t_ops.items())
-
-
-def _monomial_map(mat) -> tuple[np.ndarray, np.ndarray] | None:
-    """(col, val) with mat[r, col[r]] = val[r] the only entry of row r (val 0: empty row).
-
-    None when some row stores two entries.
-    """
-    counts = np.diff(mat.indptr)
-    if np.any(counts > 1):
-        return None
-    filled = counts == 1
-    col = np.zeros(mat.shape[0], dtype=np.int64)
-    val = np.zeros(mat.shape[0])
-    col[filled] = mat.indices
-    val[filled] = mat.data
+    n, dim = weight.n, weight.dimension()
+    col, val = np.zeros((n, n, dim), dtype=np.int32), np.zeros((n, n, dim))
+    for i0, j0 in permutations(range(n), 2):
+        mat = build(i0 + 1, j0 + 1, weight).materialize()
+        counts = np.diff(mat.indptr)
+        if np.any(counts > 1):
+            return None
+        col[i0, j0, counts == 1] = mat.indices
+        val[i0, j0, counts == 1] = mat.data
+    col.flags.writeable = val.flags.writeable = False
     return col, val
 
 
-def _compose(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """Monomial map of the product A B; maps may carry leading batch axes."""
-    col_a, val_a = a
-    col_b, val_b = b
-    return (
-        np.take_along_axis(col_b, col_a, axis=-1),
-        val_a * np.take_along_axis(val_b, col_a, axis=-1),
-    )
+def _t_triple_row(weight: WeightVector) -> np.ndarray:
+    """The all-ones covector slid through the sum of T_ij T_il over distinct (i, j, l).
+
+    T^T x puts val[r] x[r] at column col[r], so one bincount slides a
+    covector through all T_ij of one i; they are summed over j before T_il^T
+    applies.  The entries are small integers, so every sum is exact in any
+    order.
+    """
+    n, dim = weight.n, weight.dimension()
+    col, val = _t_maps(weight, t_operator)
+    offsets = dim * np.arange(n)[:, None]
+    row = np.zeros(dim)
+    for i in range(n):
+        slid = np.bincount((col[i] + offsets).ravel(), val[i].ravel(), n * dim).reshape(n, dim)
+        rest = slid.sum(axis=0) - slid  # rest[l]: the covectors of every j but i and l
+        row += np.bincount(col[i].ravel(), (val[i] * rest).ravel(), dim)
+    return row
 
 
 def _max_abs_entry(maps) -> float:
-    """Largest |entry| of the sum of the monomial maps, row by row."""
+    """Largest |entry| of the sum of the monomial maps (batch axes broadcast); 0.0 for none."""
     worst = [0.0]
     for col, _ in maps:
         total = sum(np.where(other == col, val, 0.0) for other, val in maps)
-        worst.append(float(np.max(np.abs(total))))
+        worst.append(float(np.max(np.abs(total), initial=0.0)))
     return max_or_nan(worst)
 
 
@@ -238,48 +233,47 @@ def verify_t_case_tables(weight: WeightVector) -> float:
         three letters coincide).
     Each T_ij is read from its CSR matrix as a monomial map, row r ->
     (column, value); products compose the maps.  The expected maps are
-    rebuilt per basis state from the case analysis, their columns by ranking
-    the states with the letters moved.  Returns the max absolute deviation (0.0
-    when all tables match exactly); inf when a T_ij stores two entries in one
-    row, which no signed swap does.
+    rebuilt per basis state from the case analysis: an exchange's column by
+    ranking the states with the two letters exchanged, a 3-cycle's as two
+    exchanges in turn.  All pairs and triples are checked at once, per block
+    of SWEEP_ROWS states.  Returns the max absolute deviation (0.0 when all
+    tables match exactly); inf when a T_ij stores two entries in one row.
     """
+    maps = _t_maps(weight, t_operator)
+    if maps is None:
+        return math.inf
     basis = get_basis(weight)
     n, dim = basis.n, basis.dim
-    s = basis.states.T
-    # col[i0, j0], val[i0, j0]: the monomial map of T_ij (i0 = j0 unused)
-    col = np.zeros((n, n, dim), dtype=np.int64)
-    val = np.zeros((n, n, dim))
-    for i0, j0 in permutations(range(n), 2):
-        monomial = _monomial_map(t_operator(i0 + 1, j0 + 1, weight).materialize())
-        if monomial is None:
-            return math.inf
-        col[i0, j0], val[i0, j0] = monomial
+    col, val = (m.reshape(n * n, dim) for m in maps)  # T_ij's map in row i n + j
+    i, j = _tuples(n, 2)
+    ti, tj, tl = _tuples(n, 3)
+    kp, kij, kil, klj, kjl = i * n + j, ti * n + tj, ti * n + tl, tl * n + tj, tj * n + tl
+
+    # swapped[i n + j, r]: the rank of state r with the letters of i and j exchanged
+    moves = np.tile(np.arange(n), (i.size, 1))  # the site each site takes its letter from
+    moves[np.arange(i.size), i], moves[np.arange(i.size), j] = j, i
+    swapped = np.zeros((n * n, dim), dtype=np.intp)
+    for lo, s in _state_blocks(basis):
+        hi = lo + s.shape[1]
+        moved = basis.states[lo:hi][:, moves].transpose(1, 0, 2).reshape(-1, n)
+        swapped[kp, lo:hi] = basis.rank(moved).reshape(i.size, hi - lo)
+
+    def compose(a, k):  # the rows of A B, from A's rows and the map of B in row k
+        return col[k[:, None], a[0]], a[1] * val[k[:, None], a[0]]
 
     # each expected map enters negated, so every sum below is actual - expected
     worst = [0.0]
-    for i0, j0 in permutations(range(n), 2):
-        tij = (col[i0, [j0]], val[i0, [j0]])  # shape (1, dim): broadcasts over triples
-        # the site each site takes its letter from, per row: the exchange of i
-        # and j, then per further site l the cycle i <- l, j <- i, l <- j
-        ls = [l0 for l0 in range(n) if l0 not in (i0, j0)]
-        moves = np.tile(np.arange(n), (1 + len(ls), 1))
-        moves[0, [i0, j0]] = j0, i0
-        moves[1:, i0], moves[1:, j0], moves[np.arange(1, 1 + len(ls)), ls] = ls, i0, j0
-        ranked = basis.rank(basis.states[:, moves].transpose(1, 0, 2).reshape(-1, n))
-        swapped, cycled = ranked[:dim], ranked[dim:].reshape(-1, dim)
-        single = (swapped, -np.sign(s[i0] - s[j0]).astype(float))
-        square = (np.arange(dim), (s[i0] != s[j0]).astype(float))
-        worst.append(_max_abs_entry([tij, single]))
-        worst.append(_max_abs_entry([_compose(tij, tij), square]))
-
-        # the n - 2 triples (i, j, l) at once: T_ij T_il + T_lj T_ij + T_il T_jl = -cycle
-        if not ls:
-            continue
-        til = (col[i0, ls], val[i0, ls])
-        tlj = (col[ls, j0], val[ls, j0])
-        tjl = (col[j0, ls], val[j0, ls])
-        cycle = (cycled, (~((s[i0] == s[j0]) & (s[j0] == s[ls]))).astype(float))
-        worst.append(
-            _max_abs_entry([_compose(tij, til), _compose(tlj, tij), _compose(til, tjl), cycle])
-        )
+    for lo, s in _state_blocks(basis):
+        hi = lo + s.shape[1]
+        tp, tij, til, tlj = ((col[k, lo:hi], val[k, lo:hi]) for k in (kp, kij, kil, klj))
+        single = (swapped[kp, lo:hi], -np.sign(s[i] - s[j]).astype(float))
+        square = (np.arange(lo, hi), (s[i] != s[j]).astype(float))
+        worst.append(_max_abs_entry([tp, single]))
+        worst.append(_max_abs_entry([compose(tp, kp), square]))
+        # T_ij T_il + T_lj T_ij + T_il T_jl = -(the cycle i <- l, j <- i, l <- j),
+        # which exchanges i and j, then i and l
+        cycled = swapped[kil[:, None], swapped[kij, lo:hi]]
+        cycle = (cycled, (~((s[ti] == s[tj]) & (s[tj] == s[tl]))).astype(float))
+        products = [compose(tij, kil), compose(tlj, kij), compose(til, kjl)]
+        worst.append(_max_abs_entry([*products, cycle]))
     return max_or_nan(worst)

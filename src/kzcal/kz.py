@@ -439,15 +439,22 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
     """d^k Psi / dx_i^k for k = 1..max_order, treating `state` as a solution value.
 
     Returns an array of shape (max_order, n); entry [k-1, i-1] is the k-th
-    derivative along x_i, computed as omega^T A_k Phi / hbar^k.
+    derivative along x_i, computed as omega^T A_k Phi / hbar^k.  Every H_i
+    and derivative is real, so a state whose imaginary part is exactly zero
+    (an ``integrate_path`` result) runs its powers in float64: their values
+    are the real parts of the complex ones, bitwise.  The pairings sum the
+    complex cast, as a real sum need not have the bits of the complex one.
     """
     if not 1 <= max_order <= 3:
         raise UnsupportedOrderError(f"max_order must be 1..3, got {max_order}")
     n = conn.params.n
     hbar = conn.params.hbar
+    v = state.amplitudes
+    if not np.any(v.imag):
+        v = np.ascontiguousarray(v.real)
     out = np.empty((max_order, n), dtype=np.complex128)
     for i in range(1, n + 1):
-        for k, uk in enumerate(_covariant_powers(i, max_order, state.amplitudes, conn), 1):
+        for k, uk in enumerate(_covariant_powers(i, max_order, v, conn), 1):
             out[k - 1, i - 1] = omega_pairing(StateVector(state.weight, uk)) / hbar**k
     return out
 
@@ -455,21 +462,30 @@ def mc_derivatives(state: StateVector, conn: KzConnection, max_order: int = 3) -
 def _commutator_rows(conn: KzConnection, v: np.ndarray):
     """rows(lo, hi) -> C; C[p] is rows lo:hi of [H_i, H_j] v for the p-th pair i < j.
 
-    U = [H_1 v ... H_n v] is formed here, once.  Each call then runs rows
-    lo:hi of every H_a through its row kernel on the 2n columns of U's real
-    view; those rows are the rows of ``TermOperator.matvec``, so C[p] equals
-    rows lo:hi of H_i (H_j v) - H_j (H_i v) bitwise.  The H_i and their
-    kernels are built here as well, so calls may run on any thread.  A block
-    holds the n products and the rows of every pair's commutator: about
-    15 MB at n = 14.
+    U = [H_1 v ... H_n v] is formed here, once, by the ranges of
+    ``split_rows``: each runs every H_a's row kernel on the real and the
+    imaginary part of v as single contiguous columns and writes its own rows
+    of U.  Each call then runs rows lo:hi of every H_a on the 2n columns of
+    U's real view.  Those are the rows of ``TermOperator.matvec``, column by
+    column, so C[p] equals rows lo:hi of H_i (H_j v) - H_j (H_i v) bitwise.
+    The H_i and their kernels are built here as well, so calls may run on
+    any thread.  A block holds the n products and the rows of every pair's
+    commutator: about 15 MB at n = 14.
     """
     n, dim = conn.params.n, conn.basis.dim
-    hams = [conn.hamiltonian(a) for a in range(1, n + 1)]
+    kernels = [conn.hamiltonian(a).row_kernel() for a in range(1, n + 1)]
+    parts = [np.ascontiguousarray(part)[:, None] for part in (v.real, v.imag)]
     U = np.empty((dim, n), dtype=np.complex128)
-    for a, H in enumerate(hams):
-        U[:, a] = H.matvec(v)
-    Ur = U.view(np.float64)
-    kernels = [H.row_kernel() for H in hams]
+    Ur = U.view(np.float64)  # column 2a + p: part p of H_a v
+
+    def form(lo: int, hi: int) -> None:
+        column = np.empty((hi - lo, 1))
+        for a, kernel in enumerate(kernels):
+            for p, part in enumerate(parts):
+                kernel.rows(part, lo, hi, column)
+                Ur[lo:hi, 2 * a + p] = column[:, 0]
+
+    split_rows(form, dim)
     I, J = np.triu_indices(n, 1)
 
     def rows(lo: int, hi: int) -> np.ndarray:

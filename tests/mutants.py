@@ -239,6 +239,49 @@ MUTANTS = [
         "        for block in chunk[::-1]:\n",
         ("tests/test_row_split.py", "-k", "block_norms"),
     ),
+    # -- whole-sector identity passes, the float64 Psi derivatives, U by ranges --
+    Mutant(
+        "twist-sums-reversed-pair-order",
+        "identities.py",
+        "    i, j = _tuples(basis.n, 2)\n    kernels",
+        "    i, j = _tuples(basis.n, 2)[:, ::-1]\n    kernels",
+        ("tests/test_identities.py", "-k", "match_the_oracles or match_the_loops"),
+    ),
+    Mutant(
+        "twist-sums-reversed-triple-order",
+        "identities.py",
+        "    i, j, k = _tuples(basis.n, 3)\n",
+        "    i, j, k = _tuples(basis.n, 3)[:, ::-1]\n",
+        ("tests/test_identities.py", "-k", "match_the_oracles or match_the_loops"),
+    ),
+    Mutant(
+        "state-block-end-one-short",
+        "identities.py",
+        "basis.states[lo : lo + SWEEP_ROWS].T",
+        "basis.states[lo : lo + SWEEP_ROWS - 1].T",
+        ("tests/test_identities.py", "-k", "split_state_blocks"),
+    ),
+    Mutant(
+        "real-path-on-a-partly-complex-state",
+        "kz.py",
+        "if not np.any(v.imag):",
+        "if not np.all(v.imag):",
+        ("tests/test_quantum.py", "-k", "imaginary_part"),
+    ),
+    Mutant(
+        "pairing-sums-the-real-power",
+        "kz.py",
+        "omega_pairing(StateVector(state.weight, uk))",
+        "complex(np.sum(uk))",
+        ("tests/test_quantum.py", "-k", "real_state"),
+    ),
+    Mutant(
+        "commutator-u-parts-swapped",
+        "kz.py",
+        "Ur[lo:hi, 2 * a + p] = column[:, 0]",
+        "Ur[lo:hi, 2 * a + 1 - p] = column[:, 0]",
+        ("tests/test_row_split.py", "-k", "commutator_rows"),
+    ),
     # -- the identity sums -------------------------------------------------------
     Mutant(
         "sum-residual-drops-expected",
@@ -257,8 +300,8 @@ MUTANTS = [
     Mutant(
         "sum-residual-reversed",
         "identities.py",
-        "np.cumsum(terms)[-1]",
-        "np.cumsum(terms[::-1])[-1]",
+        "np.cumsum(block, axis=0)[-1]",
+        "np.cumsum(block[::-1], axis=0)[-1]",
         ("tests/test_identities.py", "-k", "match_the_loops"),
     ),
     Mutant(
@@ -287,8 +330,8 @@ MUTANTS = [
     Mutant(
         "t-triple-keeps-l",
         "identities.py",
-        "op.rmatvec(total[i] - slid[i, l])",
-        "op.rmatvec(total[i])",
+        "rest = slid.sum(axis=0) - slid",
+        "rest = slid.sum(axis=0) + 0 * slid",
         ("tests/test_identities.py", "-k", "t_triple_row"),
     ),
     Mutant(
@@ -522,8 +565,8 @@ MUTANTS = [
     Mutant(
         "t-case-cycle-inverted",
         "identities.py",
-        "moves[np.arange(1, 1 + len(ls)), ls] = ls, i0, j0",
-        "moves[np.arange(1, 1 + len(ls)), ls] = j0, ls, i0",
+        "cycled = swapped[kil[:, None], swapped[kij, lo:hi]]",
+        "cycled = swapped[kij[:, None], swapped[kil, lo:hi]]",
         ("tests/test_identities.py", "-k", "t_case"),
     ),
     Mutant(

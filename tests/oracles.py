@@ -14,7 +14,8 @@ swap tables, the term-by-term operator action and path right-hand side, the
 COO assembly of a CSR matrix, the CSR row builders (one masks every term),
 the per-pair commutator actions, the covariant rows by full operator
 applications, the identity sums one term at a time, the signed-swap triple
-row one triple at a time and the complex path integration.  The case-table reference checks the package's own
+row one triple at a time, the Psi derivatives and the path integration in
+complex arithmetic.  The case-table reference checks the package's own
 materialized T_ij.
 """
 
@@ -27,10 +28,10 @@ import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
 from kzcal.classical import _exact_product
-from kzcal.core import TRIGONOMETRIC, StateVector, get_basis
+from kzcal.core import TRIGONOMETRIC, StateVector, get_basis, omega_pairing
 from kzcal.errors import IntegrationFailureError
 from kzcal.kernel import PairKernel, hamiltonian_terms, pair_table
-from kzcal.kz import _check_segment, _segment_rhs
+from kzcal.kz import _check_segment, _covariant_powers, _segment_rhs
 from kzcal.operators import t_operator
 
 
@@ -651,6 +652,17 @@ def commutator_actions(conn, v):
         Hi = conn.hamiltonian(i)
         for j in range(i + 1, n + 1):
             yield i, j, Hi.matvec(u[j - 1]) - conn.hamiltonian(j).matvec(u[i - 1])
+
+
+def mc_derivatives_complex(state, conn, max_order: int = 3) -> np.ndarray:
+    """The slow reference for ``kzcal.kz.mc_derivatives``: every covariant
+    power in complex arithmetic, whatever the state's imaginary part."""
+    hbar = conn.params.hbar
+    out = np.empty((max_order, conn.params.n), dtype=np.complex128)
+    for i in range(1, conn.params.n + 1):
+        for k, uk in enumerate(_covariant_powers(i, max_order, state.amplitudes, conn), 1):
+            out[k - 1, i - 1] = omega_pairing(StateVector(state.weight, uk)) / hbar**k
+    return out
 
 
 def integrate_path_complex(initial, path, conn):

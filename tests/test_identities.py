@@ -239,3 +239,78 @@ def test_t_case_tables_reject_two_entries_in_a_row(monkeypatch):
     weight = WeightVector((2, 1))
     assert verify_t_case_tables(weight) == math.inf
     assert oracles.t_case_tables_sparse(weight) > 0.0
+
+
+def _params_for(weight, kind, seed):
+    """Random coordinates, twists and couplings for the weight's n and N."""
+    rng = rng_for(seed, "oracle-params", kind, weight.M)
+    params, _ = random_instance(rng, weight.n, weight.N, kind=kind)
+    return params
+
+
+def _assert_identities_match_the_oracles(weight, seed):
+    # every pair and triple sum against its one-term-at-a-time oracle, bit
+    # for bit, in both kinds
+    for kind in ("rational", "trigonometric"):
+        params = _params_for(weight, kind, seed)
+        assert verify_twist_sum_identities(params, weight) == oracles.twist_sum_loops(
+            params, weight
+        )
+        trig = verify_trig_identities(params.replace(kind="trigonometric"), weight)
+        got = {**verify_rational_scalar_identities(params.x), **trig}
+        for name, value in oracles.scalar_identity_loops(params.x, params.gamma).items():
+            assert got[name].hex() == value.hex(), name
+    got = identities._t_triple_row(weight)
+    np.testing.assert_array_equal(got, oracles.t_triple_row_per_triple(weight))
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_identities_match_the_oracles_on_every_weight(n):
+    for weight in _weights(n, 1) + _weights(n, 2) + _weights(n, 3):
+        _assert_identities_match_the_oracles(weight, 47)
+        if n == 7 or weight.N == 1:  # the others: test_t_case_tables_match_sparse_oracle
+            assert verify_t_case_tables(weight) == oracles.t_case_tables_sparse(weight) == 0.0
+
+
+@pytest.mark.parametrize("M", [(1, 11), (2, 10)])
+def test_identities_match_the_oracles_n12(M):
+    _assert_identities_match_the_oracles(WeightVector(M), 48)
+
+
+def test_identities_match_the_oracles_with_letters_above_127():
+    weight = WeightVector(tuple({1: 1, 129: 2, 130: 1}.get(a, 0) for a in range(1, 131)))
+    _assert_identities_match_the_oracles(weight, 49)
+
+
+def test_identities_match_the_oracles_over_split_state_blocks(monkeypatch):
+    # 7-state blocks end inside the sectors (dims 30, 210 and 60); the
+    # squared signed swaps have no oracle, so they match the one-block value
+    trig = _params_for(WeightVector((3, 2, 2)), "trigonometric", 56)
+    whole = verify_trig_identities(trig, WeightVector((3, 2, 2)))
+    monkeypatch.setattr(identities, "SWEEP_ROWS", 7)
+    assert verify_trig_identities(trig, WeightVector((3, 2, 2))) == whole
+    for M in [(2, 2, 1), (3, 2, 2), (1, 2, 3)]:
+        weight = WeightVector(M)
+        basis = get_basis(weight)
+        blocks = list(identities._state_blocks(basis))
+        assert [lo for lo, _ in blocks] == list(range(0, basis.dim, 7))
+        np.testing.assert_array_equal(np.hstack([s for _, s in blocks]), basis.states.T)
+        for seed in range(50, 55):
+            _assert_identities_match_the_oracles(weight, seed)
+        assert verify_t_case_tables(weight) == oracles.t_case_tables_sparse(weight) == 0.0
+
+
+def test_each_t_operator_is_built_once_per_sector(monkeypatch):
+    # the triple row and the case tables read the same materialized T_ij
+    built = []
+
+    def counting(i, j, weight):
+        built.append((i, j))
+        return t_operator(i, j, weight)
+
+    monkeypatch.setattr(identities, "t_operator", counting)
+    weight = WeightVector((2, 2, 1))
+    params = _params_for(weight, "trigonometric", 57)
+    assert verify_trig_identities(params, weight)["t_triple_sum"] < 1e-13
+    assert verify_t_case_tables(weight) == 0.0
+    assert sorted(built) == [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]

@@ -1,10 +1,12 @@
 import numpy as np
+import oracles
 import pytest
 
+from kzcal import quantum
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis
 from kzcal.errors import DegenerateProjectionWarning, UnsupportedRelationError
 from kzcal.instances import random_instance, rng_for
-from kzcal.kz import KzConnection, PathSpec, integrate_path
+from kzcal.kz import KzConnection, PathSpec, integrate_path, mc_derivatives
 from kzcal.quantum import (
     calogero_energy,
     h2_covector_residual,
@@ -172,3 +174,48 @@ def test_pde_residual_degenerate_projection():
     with pytest.warns(DegenerateProjectionWarning):
         res = pde_residual_on_solution(state, conn, "h2")
     assert res >= 0.0
+
+
+# -- the float64 path of a real state --------------------------------------------
+
+W332 = WeightVector((3, 3, 2))  # dim 560: a real sum there is not the complex sum's bits
+
+
+def _sector(kind):
+    x = tuple(1.1 * k - 4.0 + 0.05 * np.sin(k) for k in range(8))
+    params = ModelParams(
+        n=8, N=3, x=x, g=(1.1, 2.05, 2.9), hbar=0.9, kappa=0.35, kind=kind, gamma=0.6
+    )
+    return KzConnection(params, W332)
+
+
+def _assert_bitwise(got, want):
+    assert got.dtype == want.dtype == np.complex128
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_real_state_derivatives_match_the_complex_path(kind, monkeypatch):
+    # a state with zero imaginary part runs its covariant powers in float64;
+    # the derivatives and the residuals keep the bits of complex arithmetic
+    conn = _sector(kind)
+    state = StateVector(W332, np.random.default_rng(31).standard_normal(W332.dimension()))
+    for max_order in (1, 2, 3):
+        want = oracles.mc_derivatives_complex(state, conn, max_order)
+        _assert_bitwise(mc_derivatives(state, conn, max_order), want)
+    relations = ["momentum", "h2"] + (["h3"] if kind == "rational" else [])
+    got = [pde_residual_on_solution(state, conn, rel) for rel in relations]
+    monkeypatch.setattr(quantum, "mc_derivatives", oracles.mc_derivatives_complex)
+    want = [pde_residual_on_solution(state, conn, rel) for rel in relations]
+    assert [r.hex() for r in got] == [r.hex() for r in want]
+
+
+def test_state_with_an_imaginary_part_takes_complex_arithmetic():
+    # one nonzero imaginary amplitude is enough to keep the complex path
+    conn = _sector("rational")
+    amps = np.random.default_rng(32).standard_normal(W332.dimension()).astype(complex)
+    amps[100] += 0.25j
+    state = StateVector(W332, amps)
+    got = mc_derivatives(state, conn, 3)
+    assert np.all(got.imag != 0.0)
+    _assert_bitwise(got, oracles.mc_derivatives_complex(state, conn, 3))

@@ -176,6 +176,22 @@ def test_kernels_do_not_depend_on_worker_count(rows_on, workers, params, weight)
     assert (pool.submitted > 0) == (params.n > 1)
 
 
+@pytest.mark.parametrize("workers", [0, 1, 3])
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_commutator_rows_match_the_oracle_over_split_ranges(rows_on, monkeypatch, workers, kind):
+    # U = [H_1 v ... H_n v] is formed over the row ranges, 7-row kernel
+    # blocks end inside them; every pair's rows, bitwise the full matvecs
+    monkeypatch.setattr(operators, "SWEEP_ROWS", 7)
+    pool = rows_on(workers)
+    conn = KzConnection(PAIRS.replace(kind=kind), W221)
+    v = StateVector.random(W221, np.random.default_rng(23)).amplitudes
+    rows = kz._commutator_rows(conn, v)
+    assert (pool is not None and pool.submitted > 0) == (workers > 0)
+    C = np.hstack([rows(lo, min(lo + 3, 30)) for lo in range(0, 30, 3)])
+    for p, (_, _, want) in enumerate(oracles.commutator_actions(conn, v)):
+        np.testing.assert_array_equal(C[p].view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])
 def test_row_kernel_matches_the_term_sums_bitwise(rows_on, monkeypatch, workers, kind):
