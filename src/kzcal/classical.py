@@ -284,7 +284,7 @@ def _rayleigh_momenta(ctx, basis, g, pairs, Q: np.ndarray, D: np.ndarray) -> np.
     n, dim, nl = basis.n, basis.dim, len(g)
     letters = basis.states.T - 1
     groups = np.tile((letters[:, None, :] == np.arange(nl)[:, None]).reshape(n * nl, dim), 8)
-    perms = np.array([basis.swap_table(*ij)[0] for ij in pairs], dtype=np.intp).reshape(-1, dim)
+    perms = np.array([basis.swap_table(*ij) for ij in pairs], dtype=np.intp).reshape(-1, dim)
     # H_i's numerator: its letter sums and the sums of its pairs, times the coefficients C[i]
     where, C = [], []
     for i in range(n):
@@ -332,7 +332,7 @@ def _refine_newton(params, weight, Q: np.ndarray, coeffs, lam) -> np.ndarray:
         rows = basis.states[:, i] - 1
         terms.append((hi[rows, None], lo[rows, None], None))
     for (i, j), coeff in pairs.items():
-        terms.append((*map(np.array, _dd((c[i] - c[j]) * coeff)), basis.swap_table(i, j)[0]))
+        terms.append((*map(np.array, _dd((c[i] - c[j]) * coeff)), basis.swap_table(i, j)))
     gaps = lam[:, None] - lam[None, :]
     np.fill_diagonal(gaps, np.inf)
     D = Q @ ((Q.T @ _dd_residual(terms, Q, lam)) / gaps)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
+import weakref
 from dataclasses import dataclass, field, replace as _replace
 from functools import cached_property, lru_cache
 from typing import Sequence
@@ -181,8 +182,10 @@ class WeightBasis:
     """Enumerated basis of one weight subspace with cached index tables.
 
     states[k] is the k-th multi-index in lexicographic order, with 1-based
-    letters in the smallest signed dtype that holds N.  The swap tables of
-    all sites are built together on first use and kept.
+    letters in the smallest signed dtype that holds N, stored column by
+    column (states[:, i] is contiguous).  The swap tables of
+    all sites are built together on first use and kept; a signed swap's sign
+    array is kept only while some operator holds it.
     """
 
     __slots__ = ("weight", "n", "N", "dim", "states", "_column", "_step", "_table", "_sites",
@@ -196,8 +199,9 @@ class WeightBasis:
             )
         self.states, (self._column, self._step, self._table) = _enumerate(weight, self.dim)
         self._sites: list[np.ndarray] | None = None
-        self._swap_cache: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        self._signs: dict[int, np.ndarray] = {}  # id(perm) -> sign of the cached tables
+        self._swap_cache: dict[tuple[int, int], np.ndarray] = {}
+        # id(perm) -> the sign of that cached table, while an operator holds it
+        self._signs: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
     def _offsets(self, states) -> tuple[np.ndarray, np.ndarray]:
         """Per site, each letter's column of the rank table and its prefix's flat offset."""
@@ -213,26 +217,39 @@ class WeightBasis:
             raise InvalidIndexError("multi-index does not belong to this weight subspace")
         return ranks
 
-    def swap_table(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """(perm, sign) for the site pair, 0-based sites, canonical i < j.
+    def swap_table(self, i: int, j: int) -> np.ndarray:
+        """perm for the site pair, 0-based sites, in either order.
 
         perm[k] is the row of states[k] with sites i, j exchanged, a column
-        of ``site_table(i)``; sign[k] is sign(letter_i - letter_j) of
-        states[k], the amplitude factor picked up under the signed swap of
-        T_ij.  The basis is in lexicographic order, so sign[k] = sign(k - perm[k]).
+        of ``site_table(min(i, j))``.  A plain swap needs nothing else; the
+        signed swap of T_ij takes its sign from ``swap_sign``.
         """
         i, j = min(i, j), max(i, j)
-        tab = self._swap_cache.get((i, j))
-        if tab is None:
+        perm = self._swap_cache.get((i, j))
+        if perm is None:
+            perm = self._swap_cache[(i, j)] = self.site_table(i)[:, j - 1]
+        return perm
+
+    def swap_sign(self, i: int, j: int) -> np.ndarray:
+        """sign(letter_i - letter_j) of every state as int8, canonical i < j.
+
+        The amplitude factor picked up under the signed swap of T_ij; the
+        basis is in lexicographic order, so sign[k] = sign(k - perm[k]).  One
+        array per pair is built and shared while some operator holds it, and
+        freed with the last of them.
+        """
+        perm = self.swap_table(i, j)
+        sign = self._signs.get(id(perm))
+        if sign is None:
+            i, j = min(i, j), max(i, j)
             sign = np.sign(self.states[:, i] - self.states[:, j]).astype(np.int8, copy=False)
             sign.flags.writeable = False  # is_swap_sign trusts it by identity
-            tab = self._swap_cache[(i, j)] = (self.site_table(i)[:, j - 1], sign)
-            self._signs[id(tab[0])] = sign
-        return tab
+            self._signs[id(perm)] = sign
+        return sign
 
     def is_swap_sign(self, perm: np.ndarray, sign: np.ndarray) -> bool:
         """Whether sign[k] = sign(k - perm[k]) for every row k, as it is for
-        the tables of ``swap_table``; those are recognized without a pass."""
+        the arrays of ``swap_sign``; those are recognized without a pass."""
         if self._signs.get(id(perm)) is sign:  # the basis keeps its tables alive
             return True
         return np.array_equal(sign, np.sign(np.arange(self.dim) - perm))
@@ -298,7 +315,8 @@ class WeightBasis:
 
 
 def _enumerate(weight: WeightVector, dim: int) -> tuple[np.ndarray, tuple]:
-    """The states in lexicographic order, and (column, step, table) of ``WeightBasis.rank``.
+    """The states in lexicographic order, Fortran-ordered, and (column, step,
+    table) of ``WeightBasis.rank``.
 
     A prefix's letter counts P <= M are a row in mixed radix M_c + 1 over the
     K occupied species c (the last fastest) at flat offset sum_c P_c step[c].
@@ -325,7 +343,8 @@ def _enumerate(weight: WeightVector, dim: int) -> tuple[np.ndarray, tuple]:
             table[p, c], mult[p] = mult[p], mult[p] + mult[p + weights[c]]
     column = np.full(weight.N + 2, K, dtype=np.intp)
     column[occupied + 1] = np.arange(K)
-    return states, (column, np.append(weights, 0) * (K + 1), table.ravel())
+    # stored site by site, so that the letters of one site are contiguous
+    return np.asfortranarray(states), (column, np.append(weights, 0) * (K + 1), table.ravel())
 
 
 @lru_cache(maxsize=256)
@@ -336,6 +355,11 @@ def _cached_basis(weight: WeightVector, dim_cap: int) -> WeightBasis:
 def get_basis(weight: WeightVector, dim_cap: int = DEFAULT_DIM_CAP) -> WeightBasis:
     """Memoized basis for the weight subspace (bases are immutable)."""
     return _cached_basis(weight, dim_cap)
+
+
+def release_bases() -> None:
+    """Forget every memoized basis; its tables go with the last operator that holds them."""
+    _cached_basis.cache_clear()
 
 
 def weight_of(J: Sequence[int], N: int) -> WeightVector:

@@ -53,10 +53,17 @@ def _tuples(n: int, k: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(permutations(range(n), k)), np.intp).reshape(-1, k).T
 
 
-def _state_blocks(basis):
-    """(lo, letters) per block of SWEEP_ROWS states; letters[site, r] is that of state lo + r."""
-    for lo in range(0, basis.dim, SWEEP_ROWS):
-        yield lo, basis.states[lo : lo + SWEEP_ROWS].T
+#: bytes of one float64 entry per (triple, state) of a case-table block; the
+#: block's arrays together take about 16 times this
+CASE_TABLE_BLOCK_BYTES = 1 << 19
+
+
+def _state_blocks(basis, rows: int | None = None):
+    """(lo, letters) per block of `rows` states (SWEEP_ROWS by default);
+    letters[site, r] is that of state lo + r."""
+    rows = rows or SWEEP_ROWS
+    for lo in range(0, basis.dim, rows):
+        yield lo, basis.states[lo : lo + rows].T
 
 
 def verify_rational_scalar_identities(x) -> dict[str, float]:
@@ -236,8 +243,10 @@ def verify_t_case_tables(weight: WeightVector) -> float:
     rebuilt per basis state from the case analysis: an exchange's column by
     ranking the states with the two letters exchanged, a 3-cycle's as two
     exchanges in turn.  All pairs and triples are checked at once, per block
-    of SWEEP_ROWS states.  Returns the max absolute deviation (0.0 when all
-    tables match exactly); inf when a T_ij stores two entries in one row.
+    of states sized so that one float64 per triple and state takes at most
+    CASE_TABLE_BLOCK_BYTES (and at most SWEEP_ROWS states).  Returns the max
+    absolute deviation (0.0 when all tables match exactly); inf when a T_ij
+    stores two entries in one row.
     """
     maps = _t_maps(weight, t_operator)
     if maps is None:
@@ -247,13 +256,14 @@ def verify_t_case_tables(weight: WeightVector) -> float:
     col, val = (m.reshape(n * n, dim) for m in maps)  # T_ij's map in row i n + j
     i, j = _tuples(n, 2)
     ti, tj, tl = _tuples(n, 3)
+    rows = min(SWEEP_ROWS, max(1, CASE_TABLE_BLOCK_BYTES // (8 * max(ti.size, 1))))
     kp, kij, kil, klj, kjl = i * n + j, ti * n + tj, ti * n + tl, tl * n + tj, tj * n + tl
 
     # swapped[i n + j, r]: the rank of state r with the letters of i and j exchanged
     moves = np.tile(np.arange(n), (i.size, 1))  # the site each site takes its letter from
     moves[np.arange(i.size), i], moves[np.arange(i.size), j] = j, i
     swapped = np.zeros((n * n, dim), dtype=np.intp)
-    for lo, s in _state_blocks(basis):
+    for lo, s in _state_blocks(basis, rows):
         hi = lo + s.shape[1]
         moved = basis.states[lo:hi][:, moves].transpose(1, 0, 2).reshape(-1, n)
         swapped[kp, lo:hi] = basis.rank(moved).reshape(i.size, hi - lo)
@@ -263,7 +273,7 @@ def verify_t_case_tables(weight: WeightVector) -> float:
 
     # each expected map enters negated, so every sum below is actual - expected
     worst = [0.0]
-    for lo, s in _state_blocks(basis):
+    for lo, s in _state_blocks(basis, rows):
         hi = lo + s.shape[1]
         tp, tij, til, tlj = ((col[k, lo:hi], val[k, lo:hi]) for k in (kp, kij, kil, klj))
         single = (swapped[kp, lo:hi], -np.sign(s[i] - s[j]).astype(float))

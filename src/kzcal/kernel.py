@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import TRIGONOMETRIC, ModelParams, WeightBasis
 
-__all__ = ["PairKernel", "pair_table", "t_term", "hamiltonian_terms", "site_terms"]
+__all__ = ["PairKernel", "pair_table", "t_term", "diag_term", "hamiltonian_terms", "site_terms"]
 
 
 class PairKernel:
@@ -73,9 +73,13 @@ class PairKernel:
         return self.kappa / dx
 
 
-def pair_table(basis: WeightBasis, pairs) -> list[tuple]:
-    """(i0, j0, w, perm, sign) for each (i0, j0, w), with the pair's swap table."""
-    return [(i0, j0, w, *basis.swap_table(i0, j0)) for i0, j0, w in pairs]
+def pair_table(basis: WeightBasis, pairs, signed: bool) -> list[tuple]:
+    """(i0, j0, w, perm, sign) for each (i0, j0, w): the pair's swap table and,
+    when `signed`, its sign (None otherwise)."""
+    return [
+        (i0, j0, w, basis.swap_table(i0, j0), basis.swap_sign(i0, j0) if signed else None)
+        for i0, j0, w in pairs
+    ]
 
 
 def t_term(perm: np.ndarray, sign: np.ndarray, i0: int, j0: int, coeff) -> tuple:
@@ -87,13 +91,28 @@ def t_term(perm: np.ndarray, sign: np.ndarray, i0: int, j0: int, coeff) -> tuple
     return ("tswap", perm, sign, coeff if i0 < j0 else -coeff)
 
 
+def diag_term(values, sites) -> tuple:
+    """The diagonal sum_k values[k, a_k - 1] as a term, a_k the letter at 0-based site sites[k].
+
+    values has one row of N per site.  The term is ("diag", tables, sites):
+    tables[k] is values[k] + 0.0 (no -0) behind one slot that no letter
+    reads (NaN), so that a 1-based letter indexes it, and sites is a tuple.
+    Per state the sum starts at +0 and adds the rows in order, so no
+    operator stores a number per state.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    tables = np.full((len(sites), values.shape[-1] + 1), np.nan)
+    tables[:, 1:] = values + 0.0
+    return ("diag", tables, tuple(int(s) for s in sites))
+
+
 def hamiltonian_terms(diag, table, x, kern: PairKernel) -> list[tuple]:
     """Terms of diag + sum over the table of w (p(x_i - x_j) P_ij + t T_ij).
 
-    The diagonal comes first and each pair contributes its swap, then its
-    signed swap; TermOperator applies terms in this order.
+    The diagonal term comes first and each pair contributes its swap, then
+    its signed swap; TermOperator applies terms in this order.
     """
-    terms: list[tuple] = [("diag", diag)]
+    terms: list[tuple] = [diag]
     for i0, j0, w, perm, sign in table:
         terms.append(("swap", perm, kern.p(x[i0] - x[j0], w)))
         if kern.trig:
@@ -103,5 +122,5 @@ def hamiltonian_terms(diag, table, x, kern: PairKernel) -> list[tuple]:
 
 def site_terms(basis: WeightBasis, i0: int, kern: PairKernel, g, x) -> list[tuple]:
     """Terms of H_i at 0-based site i0; g is a float array, x the float coordinates."""
-    table = pair_table(basis, [(i0, j0, 1) for j0 in range(basis.n) if j0 != i0])
-    return hamiltonian_terms(g[basis.states[:, i0] - 1], table, x, kern)
+    table = pair_table(basis, [(i0, j0, 1) for j0 in range(basis.n) if j0 != i0], kern.trig)
+    return hamiltonian_terms(diag_term([g], (i0,)), table, x, kern)

@@ -36,7 +36,7 @@ from .errors import (
     SingularPathError,
     UnsupportedOrderError,
 )
-from .kernel import PairKernel, hamiltonian_terms, pair_table
+from .kernel import PairKernel, diag_term, hamiltonian_terms, pair_table
 from .operators import (
     SWEEP_ROWS,
     RowKernel,
@@ -122,18 +122,18 @@ def _constant_rmatvec(op: TermOperator, c) -> np.ndarray:
     """op^T (c, ..., c) from the term coefficients alone.
 
     A swap table is a permutation, so a transposed swap maps a constant
-    covector to itself.  Each term adds what its entry adds in
-    ``RowKernel.rows``, in term order, so the result equals
+    covector to itself.  The diagonal, then each other term, adds what its
+    entry adds in ``RowKernel.rows``, in term order, so the result equals
     op.rmatvec(np.full(op.dim, c)) bitwise.
     """
-    out = np.zeros(op.dim)
+    kernel, out = op.row_kernel(), np.zeros(op.dim)
+    if kernel.diags:
+        out += kernel.diagonal(0, op.dim) * c
     for term in op.terms:
         tag = term[0]
-        if tag == "diag":
-            out += term[1] * c
-        elif tag == "swap":
+        if tag == "swap":
             out += term[2] * c
-        else:
+        elif tag == "tswap":
             _, _, sign, coeff = term
             out -= coeff * (sign * c)
     return out
@@ -201,6 +201,13 @@ def _check_segment(a: np.ndarray, b: np.ndarray, eps: float) -> None:
                 )
 
 
+def _path_diagonal(g, vel: np.ndarray) -> tuple:
+    """The diag term of sum_i vel_i g^(i): vel_i g at the letter of each
+    moving site i, summed in site order."""
+    moving = np.flatnonzero(vel)
+    return diag_term(vel[moving, None] * np.asarray(g), moving)
+
+
 def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     """ODE right-hand side along x(t) = (1-t) a + t b, t in [0, 1].
 
@@ -211,20 +218,17 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     basis = conn.basis
     n = basis.n
     vel = b - a
-    g = np.asarray(params.g)
-    diag = np.zeros(basis.dim)
-    for i0 in range(n):
-        if vel[i0] != 0.0:
-            diag = diag + vel[i0] * g[basis.states[:, i0] - 1]
     weights = [(i0, j0, vel[i0] - vel[j0]) for i0 in range(n) for j0 in range(i0 + 1, n)]
-    table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
     kern = PairKernel(params)
+    table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0], kern.trig)
     hbar = params.hbar
     # when site s alone moves, the pairs are (k, s) for k in ascending order:
     # the columns of s's site table; otherwise the pair columns are stacked
     moving = np.flatnonzero(vel)
     cols = basis.site_table(moving[0]) if moving.size == 1 else None
-    rows = RowKernel.from_terms(basis.dim, hamiltonian_terms(diag, table, a, kern), cols)
+    diag = _path_diagonal(params.g, vel)
+    terms = hamiltonian_terms(diag, table, a, kern)
+    rows = RowKernel.from_terms(basis.dim, terms, cols, basis.states)
 
     def rhs(t, y):
         terms = hamiltonian_terms(diag, table, a + t * vel, kern)

@@ -3,7 +3,8 @@
 Every operator here is an endomorphism of one weight subspace built from three
 primitives, each realized by index tables over the enumerated basis:
 
-* ``diag``: multiply amplitudes by a per-state vector (twist, letter counts);
+* ``diag``: multiply amplitudes by a sum of per-letter values of some sites
+  (twist, letter counts);
 * plain site swap: P_ij, amplitude transport along the swap table;
 * signed site swap: T_ij, the swap weighted by sign(letter_i - letter_j),
   which annihilates states with equal letters at the two sites.
@@ -29,7 +30,7 @@ from scipy.sparse import _sparsetools
 
 from .core import ModelParams, StateVector, WeightVector, check_instance, get_basis
 from .errors import InvalidSitesError, InvalidWeightError, UnsupportedOrderError
-from .kernel import PairKernel, site_terms, t_term
+from .kernel import PairKernel, diag_term, site_terms, t_term
 
 __all__ = [
     "TermOperator",
@@ -49,7 +50,9 @@ class TermOperator:
     """Linear map of one weight subspace stored as a flat list of primitive terms.
 
     Terms:
-      ("diag", d)                  amplitude-wise multiply by d;
+      ("diag", tables, sites)      amplitude-wise multiply by, per state, the
+                                   sum over k of tables[k][letter at sites[k]]
+                                   (``kernel.diag_term``);
       ("swap", perm, coeff)        coeff * P, transport along perm;
       ("tswap", perm, sign, coeff) coeff * T, signed transport.
 
@@ -90,7 +93,9 @@ class TermOperator:
 
     def row_kernel(self) -> "RowKernel":
         if self._kernel is None:
-            self._kernel = RowKernel.from_terms(self.dim, self._terms, self._cols)
+            diag = any(term[0] == "diag" for term in self._terms)
+            letters = get_basis(self.weight).states if diag else None
+            self._kernel = RowKernel.from_terms(self.dim, self._terms, self._cols, letters)
         return self._kernel
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -139,6 +144,9 @@ class RowKernel:
     the column exchanges, since the basis is in lexicographic order, so no
     sign table is read.  The transpose negates the signed coefficients.
 
+    diag[r] is formed for each range from the letters of its states (see
+    ``diagonal``): the kernel reads the basis's letters and swap tables and
+    stores no array per state of its own.
     The rows start at 0, and ``_sparsetools.csr_matvec`` (``csr_matvecs``
     for several columns of x) adds diag x into them in one pass of one entry
     per row, then the entries of each block of SWEEP_ROWS rows in order;
@@ -149,8 +157,14 @@ class RowKernel:
     nothing.
     """
 
-    def __init__(self, dim: int, diag, cols: np.ndarray, signed, paired: bool = False):
-        self.dim, self.diag, self.cols, self.paired = dim, diag, cols, paired
+    def __init__(self, dim: int, cols: np.ndarray, signed, paired: bool = False,
+                 diags=(), letters: np.ndarray | None = None):
+        self.dim, self.cols, self.paired = dim, cols, paired
+        self.diags, self.letters = list(diags), letters  # (tables, sites) per diag term
+        # one diag term of one site: its table, and the site whose letters index it
+        self.lookup = None
+        if len(self.diags) == 1 and len(self.diags[0][1]) == 1:
+            self.lookup = self.diags[0][0][0], self.diags[0][1][0]
         self.width = len(signed)
         # with signed entries: the transpose's factor per entry, and the
         # unsigned entries of a layout that is neither paired nor all signed
@@ -164,15 +178,17 @@ class RowKernel:
         self.data = np.empty((block, self.width))  # the coefficient row, once per row
 
     @classmethod
-    def from_terms(cls, dim: int, terms: list[tuple], cols: np.ndarray | None = None):
+    def from_terms(cls, dim: int, terms: list[tuple], cols: np.ndarray | None = None,
+                   letters: np.ndarray | None = None):
         """The kernel of the terms, several diag terms summed; `cols` may give
         the tables of the entries, a signed swap after a swap of the same
         table sharing its column.  A signed swap's own sign array is not
-        read: ``TermOperator`` checks that it is sign(r - perm[r])."""
-        diag, tables, signed = None, [], []
+        read: ``TermOperator`` checks that it is sign(r - perm[r]).  Diag
+        terms read `letters`, the basis states."""
+        diags, tables, signed = [], [], []
         for term in terms:
             if term[0] == "diag":
-                diag = term[1] if diag is None else diag + term[1]
+                diags.append(term[1:])
             else:
                 tables.append(term[1])
                 signed.append(term[0] == "tswap")
@@ -188,7 +204,7 @@ class RowKernel:
             cols = np.stack(tables, axis=1).astype(np.int32)
         elif cols is None:
             cols = np.empty((dim, 0), dtype=np.int32)
-        kernel = cls(dim, diag, cols, signed, paired)
+        kernel = cls(dim, cols, signed, paired, diags, letters)
         kernel.set_coefficients([term[-1] for term in terms if term[0] != "diag"])
         return kernel
 
@@ -196,6 +212,22 @@ class RowKernel:
         """The entries' coefficients, in entry order (signed ones before their sign)."""
         self.coeffs = np.asarray(coeffs, dtype=np.float64)
         self.data[:] = self.coeffs
+
+    def diagonal(self, lo: int, hi: int) -> np.ndarray | None:
+        """Rows lo:hi of the diagonal; None without a diag term.
+
+        Each term's value starts at +0 and adds tables[k][letter at
+        sites[k]] in order; several terms are summed in term order.
+        """
+        total = None
+        for tables, sites in self.diags:
+            letters = self.letters[lo:hi]
+            # no table holds -0, so +0 plus the first value is that value
+            value = np.zeros(hi - lo) if not sites else tables[0].take(letters[:, sites[0]])
+            for table, site in zip(tables[1:], sites[1:]):
+                value += table.take(letters[:, site])
+            total = value if total is None else total + value
+        return total
 
     def signs(self, lo: int, hi: int) -> np.ndarray:
         """s_e(r) of rows lo:hi, one column per column of the table: the
@@ -231,13 +263,8 @@ class RowKernel:
             else:
                 data = slot = np.empty((rows, self.width))
         out[...] = 0.0
-        if self.diag is not None:  # one entry per row: 0 + diag x, never -0
-            unit = _unit_rows(self.dim)
-            args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diag[lo:hi])
-            if m == 1:
-                _sparsetools.csr_matvec(*args, x, out)
-            else:
-                _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)
+        if self.diags:  # one entry per row: 0 + diag x, never -0
+            self._diagonal_rows(x, lo, hi, out)
         if not self.width:
             return
         for c in range(lo, hi, block):
@@ -257,6 +284,28 @@ class RowKernel:
             else:
                 _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)
 
+    def _diagonal_rows(self, x: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+        """out += rows lo:hi of diag x, as ``rows`` takes x and out.
+
+        With one column and one table, x[r] table[letter of row r] is one
+        pass that reads the table as the vector and x as the entries; the
+        product is the same double either way round.
+        """
+        unit = _unit_rows(self.dim)
+        m = x.shape[1]
+        if m == 1 and self.lookup is not None:
+            table, site = self.lookup
+            letters = self.letters[lo:hi, site].astype(np.int32)
+            _sparsetools.csr_matvec(
+                hi - lo, table.size, unit[: hi - lo + 1], letters, x[lo:hi], table, out
+            )
+            return
+        args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diagonal(lo, hi))
+        if m == 1:
+            _sparsetools.csr_matvec(*args, x, out)
+        else:
+            _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)
+
     def csr(self) -> sp.csr_matrix:
         """The operator as a CSR matrix with int32 indices.
 
@@ -273,10 +322,11 @@ class RowKernel:
             val[:, signed] *= sign
             keep = np.ones(cols.shape, dtype=bool)
             keep[:, signed] = sign != 0
-        if self.diag is not None:
+        diag = self.diagonal(0, dim)
+        if diag is not None:
             rows = _unit_rows(dim)[:dim, None]
             cols = np.hstack([rows, cols])
-            val = np.hstack([self.diag[:, None], val])
+            val = np.hstack([diag[:, None], val])
             if keep is not None:
                 keep = np.hstack([np.ones(rows.shape, dtype=bool), keep])
         if keep is None:  # every row is full: no mask
@@ -369,22 +419,20 @@ def _check_site(i: int, n: int) -> int:
 def permutation_operator(i: int, j: int, weight: WeightVector) -> TermOperator:
     basis = get_basis(weight)
     i0, j0 = _check_sites(i, j, basis.n)
-    perm, _ = basis.swap_table(i0, j0)
-    return TermOperator(weight, [("swap", perm, 1.0)])
+    return TermOperator(weight, [("swap", basis.swap_table(i0, j0), 1.0)])
 
 
 def t_operator(i: int, j: int, weight: WeightVector) -> TermOperator:
     basis = get_basis(weight)
     i0, j0 = _check_sites(i, j, basis.n)
-    perm, sign = basis.swap_table(i0, j0)
+    perm, sign = basis.swap_table(i0, j0), basis.swap_sign(i0, j0)
     return TermOperator(weight, [t_term(perm, sign, i0, j0, 1.0)])
 
 
 def twist_operator(i: int, params: ModelParams, weight: WeightVector) -> TermOperator:
     basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
-    g = np.asarray(params.g)
-    return TermOperator(weight, [("diag", g[basis.states[:, i0] - 1].copy())])
+    return TermOperator(weight, [diag_term([params.g], (i0,))])
 
 
 def weight_operator(a: int, weight: WeightVector) -> TermOperator:
@@ -392,8 +440,9 @@ def weight_operator(a: int, weight: WeightVector) -> TermOperator:
     basis = get_basis(weight)
     if not 1 <= a <= basis.N:
         raise InvalidSitesError(f"letter must lie in 1..{basis.N}, got {a}")
-    counts = np.count_nonzero(basis.states == a, axis=1).astype(float)
-    return TermOperator(weight, [("diag", counts)])
+    is_a = np.zeros((basis.n, basis.N))
+    is_a[:, a - 1] = 1.0
+    return TermOperator(weight, [diag_term(is_a, range(basis.n))])
 
 
 def gaudin_hamiltonian(i: int, params: ModelParams, weight: WeightVector) -> TermOperator:
@@ -425,10 +474,9 @@ def gaudin_derivative(
     pair_sites = [m for m in range(basis.n) if m != i0] if i0 == j0 else [j0]
     terms: list[tuple] = []
     for m in pair_sites:
-        perm, _ = basis.swap_table(i0, m)
         coeff = chain * kern.dp(params.x[i0] - params.x[m], order)
-        terms.append(("swap", perm, float(coeff)))
+        terms.append(("swap", basis.swap_table(i0, m), float(coeff)))
     if not terms:
-        terms = [("diag", np.zeros(basis.dim))]
+        terms = [diag_term(np.empty((0, basis.N)), ())]
     # d_i H_i swaps site i with every other site: the columns of its site table
     return TermOperator(weight, terms, basis.site_table(i0) if i0 == j0 else None)

@@ -30,9 +30,11 @@ from .core import (
     WeightVector,
     max_or_nan,
     min_pairwise_gap,
+    release_bases,
 )
 from .errors import KzcalError
 from .identities import (
+    _t_maps,
     verify_omega_weight_identity,
     verify_rational_scalar_identities,
     verify_t_case_tables,
@@ -307,6 +309,9 @@ def run_suites(config: RunConfig, jobs: int = 1, tolerance_scale: float = 1.0) -
     ConfigError before any suite runs.
     Instances run one after another on the calling thread.  `jobs` stays for
     callers that pass jobs=1; any other value raises ConfigError.
+    The run owns the bases it builds: when it returns or raises, the basis
+    cache and the T maps of the identities are released, so the sectors'
+    tables are freed with the last operator that holds them.
     """
     if jobs != 1:
         raise ConfigError(f"jobs={jobs!r}: instances run on one thread; only jobs=1 is accepted")
@@ -316,12 +321,16 @@ def run_suites(config: RunConfig, jobs: int = 1, tolerance_scale: float = 1.0) -
         check_writable(config.output)
     instances = build_instances(config)
     suites: dict[str, SuiteResult] = {}
-    for name in config.suites:
-        tol = config.tolerances[name] * tolerance_scale
-        suites[name] = _run_one_suite(name, instances, tol, config.seed, config.sweep)
-    report = RunReport(seed=config.seed, config_echo=config.echo(), suites=suites)
-    if config.output:
-        write_report(report, config.output, config.format)
+    try:
+        for name in config.suites:
+            tol = config.tolerances[name] * tolerance_scale
+            suites[name] = _run_one_suite(name, instances, tol, config.seed, config.sweep)
+        report = RunReport(seed=config.seed, config_echo=config.echo(), suites=suites)
+        if config.output:
+            write_report(report, config.output, config.format)
+    finally:
+        release_bases()
+        _t_maps.cache_clear()
     return report
 
 

@@ -257,8 +257,8 @@ MUTANTS = [
     Mutant(
         "state-block-end-one-short",
         "identities.py",
-        "basis.states[lo : lo + SWEEP_ROWS].T",
-        "basis.states[lo : lo + SWEEP_ROWS - 1].T",
+        "basis.states[lo : lo + rows].T",
+        "basis.states[lo : lo + rows - 1].T",
         ("tests/test_identities.py", "-k", "split_state_blocks"),
     ),
     Mutant(
@@ -405,13 +405,8 @@ MUTANTS = [
     Mutant(
         "row-kernel-diag-after-swaps",
         "operators.py",
-        "        if self.diag is not None:  # one entry per row: 0 + diag x, never -0\n"
-        "            unit = _unit_rows(self.dim)\n"
-        "            args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diag[lo:hi])\n"
-        "            if m == 1:\n"
-        "                _sparsetools.csr_matvec(*args, x, out)\n"
-        "            else:\n"
-        "                _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)\n"
+        "        if self.diags:  # one entry per row: 0 + diag x, never -0\n"
+        "            self._diagonal_rows(x, lo, hi, out)\n"
         "        if not self.width:\n"
         "            return\n"
         "        for c in range(lo, hi, block):\n"
@@ -446,13 +441,8 @@ MUTANTS = [
         "                _sparsetools.csr_matvec(e - c, self.dim, self.indptr, ind, data, x, y)\n"
         "            else:\n"
         "                _sparsetools.csr_matvecs(e - c, self.dim, m, self.indptr, ind, data, x, y)\n"
-        "        if self.diag is not None:  # after the swaps\n"
-        "            unit = _unit_rows(self.dim)\n"
-        "            args = (hi - lo, self.dim, unit[: hi - lo + 1], unit[lo:hi], self.diag[lo:hi])\n"
-        "            if m == 1:\n"
-        "                _sparsetools.csr_matvec(*args, x, out)\n"
-        "            else:\n"
-        "                _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)\n",
+        "        if self.diags:  # after the swaps\n"
+        "            self._diagonal_rows(x, lo, hi, out)\n",
         ("tests/test_row_split.py", "-k", "term_sums"),
     ),
     Mutant(
@@ -587,11 +577,11 @@ MUTANTS = [
         "materialize-diag-after-entries",
         "operators.py",
         "            cols = np.hstack([rows, cols])\n"
-        "            val = np.hstack([self.diag[:, None], val])\n"
+        "            val = np.hstack([diag[:, None], val])\n"
         "            if keep is not None:\n"
         "                keep = np.hstack([np.ones(rows.shape, dtype=bool), keep])\n",
         "            cols = np.hstack([cols, rows])\n"
-        "            val = np.hstack([val, self.diag[:, None]])\n"
+        "            val = np.hstack([val, diag[:, None]])\n"
         "            if keep is not None:\n"
         "                keep = np.hstack([keep, np.ones(rows.shape, dtype=bool)])\n",
         ("tests/test_operators.py", "-k", "materialize or csr_rows"),
@@ -616,6 +606,69 @@ MUTANTS = [
         "tuple(h[perm] for h in halves)",
         "tuple(h[perm] for h in halves[::-1])",
         ("tests/test_classical.py", "-k", "dd_residual"),
+    ),
+    # -- per-state data only in the basis, and only for the run --------------
+    Mutant(
+        "twist-table-read-at-next-site",
+        "kernel.py",
+        "diag_term([g], (i0,))",
+        "diag_term([g], ((i0 + 1) % basis.n,))",
+        ("tests/test_sector_memory.py", "-k", "letter_diagonals"),
+    ),
+    Mutant(
+        "diag-sites-summed-in-reverse-order",
+        "operators.py",
+        "        for tables, sites in self.diags:\n",
+        "        for tables, sites in ((t[::-1], s[::-1]) for t, s in self.diags):\n",
+        ("tests/test_sector_memory.py", "-k", "letter_diagonals"),
+    ),
+    Mutant(
+        "weight-operator-sites-reversed",
+        "operators.py",
+        "diag_term(is_a, range(basis.n))",
+        "diag_term(is_a, range(basis.n)[::-1])",
+        ("tests/test_sector_memory.py", "-k", "letter_diagonals"),
+        equivalent=(
+            "every site of M_a reads the same 0/1 table, so its sums are small "
+            "integers, exact in any order; reversing the shared sum is the entry above"
+        ),
+    ),
+    Mutant(
+        "one-table-diagonal-reads-site-0",
+        "operators.py",
+        "            table, site = self.lookup\n            letters",
+        "            table, site = self.lookup[0], 0\n            letters",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "signed-swap-sign-reversed",
+        "core.py",
+        "np.sign(self.states[:, i] - self.states[:, j])",
+        "np.sign(self.states[:, j] - self.states[:, i])",
+        ("tests/test_kz.py", "tests/test_quantum.py"),
+    ),
+    Mutant(
+        "bases-released-before-the-report",
+        "suites.py",
+        "        if config.output:\n"
+        "            write_report(report, config.output, config.format)\n"
+        "    finally:\n"
+        "        release_bases()\n"
+        "        _t_maps.cache_clear()\n",
+        "        release_bases()\n"
+        "        _t_maps.cache_clear()\n"
+        "        if config.output:\n"
+        "            write_report(report, config.output, config.format)\n"
+        "    finally:\n"
+        "        pass\n",
+        ("tests/test_sector_memory.py", "-k", "owns_its_bases or failing_run"),
+    ),
+    Mutant(
+        "bases-never-released",
+        "suites.py",
+        "    finally:\n        release_bases()\n        _t_maps.cache_clear()\n",
+        "    finally:\n        pass\n",
+        ("tests/test_sector_memory.py", "-k", "owns_its_bases"),
     ),
 ]
 

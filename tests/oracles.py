@@ -10,13 +10,14 @@ products, the per-column 60-digit Rayleigh quotients, the Lax rows made anew
 per item, the Lax characteristic polynomial by principal minors, the
 double-double residual that splits every permuted block anew, the recursive
 basis enumeration, the base-N codes and their binary search, the searched
-swap tables, the term-by-term operator action and path right-hand side, the
-COO assembly of a CSR matrix, the CSR row builders (one masks every term),
-the per-pair commutator actions, the covariant rows by full operator
-applications, the identity sums one term at a time, the signed-swap triple
-row one triple at a time, the Psi derivatives and the path integration in
-complex arithmetic.  The case-table reference checks the package's own
-materialized T_ij.
+swap tables, the per-state diagonals (the twists, the letter counts and the
+path right-hand side's), the term-by-term operator action and path
+right-hand side, the COO assembly of a CSR matrix, the CSR row builders (one
+masks every term), the per-pair commutator actions, the covariant rows by
+full operator applications, the identity sums one term at a time, the
+signed-swap triple row one triple at a time, the Psi derivatives and the
+path integration in complex arithmetic.  The case-table reference checks the
+package's own materialized T_ij.
 """
 
 from functools import reduce
@@ -180,7 +181,7 @@ def rayleigh_momenta_per_column(ctx, basis, g, pairs, Q, D):
     """
     n = basis.n
     letters = basis.states.T - 1
-    perms = {ij: basis.swap_table(*ij)[0] for ij in pairs}
+    perms = {ij: basis.swap_table(*ij) for ij in pairs}
     by_letter = [[np.flatnonzero(row == a) for a in range(len(g))] for row in letters]
     p = np.empty((n, Q.shape[1]), dtype=object)
     for col in range(Q.shape[1]):
@@ -467,17 +468,52 @@ def swap_table_search(basis, i: int, j: int):
     return perm, np.sign(-b_minus_a)
 
 
-def apply_terms(terms: list[tuple], v: np.ndarray, transpose: bool = False) -> np.ndarray:
+def diag_values(term, states) -> np.ndarray:
+    """A diag term's value per state.  ("diag", d) holds it as d; a letter-form
+    ("diag", tables, sites) is summed from +0, one whole-sector gather of the
+    letters of `states` per site, in site order."""
+    if len(term) == 2:
+        return np.asarray(term[1])
+    _, tables, sites = term
+    out = np.zeros(len(states))
+    for table, site in zip(tables, sites):
+        out = out + table[states[:, site]]
+    return out
+
+
+def twist_per_state(basis, g, i0: int) -> np.ndarray:
+    """g at the letter of site i0 of every state: the per-state twist of H_i."""
+    return np.asarray(g, dtype=float)[basis.states[:, i0] - 1]
+
+
+def letter_count_per_state(basis, a: int) -> np.ndarray:
+    """How often letter a occurs in every state: the diagonal of M_a."""
+    return np.count_nonzero(basis.states == a, axis=1).astype(float)
+
+
+def segment_diag_per_state(basis, g, vel) -> np.ndarray:
+    """The path right-hand side's diagonal per state: vel_i g at the letter of
+    each moving site i, added to a zero array in site order."""
+    g = np.asarray(g, dtype=float)
+    diag = np.zeros(basis.dim)
+    for i0 in range(basis.n):
+        if vel[i0] != 0.0:
+            diag = diag + vel[i0] * g[basis.states[:, i0] - 1]
+    return diag
+
+
+def apply_terms(terms: list[tuple], v: np.ndarray, transpose=False, states=None) -> np.ndarray:
     """The slow reference for ``kzcal.operators.RowKernel``: one numpy gather per term.
 
     The sum of the terms applied to v, in term order (transpose=True: the
-    transpose, which negates the signed swaps).
+    transpose, which negates the signed swaps); letter-form diag terms read
+    the letters of `states`.
     """
     out = np.zeros_like(v, dtype=np.result_type(v.dtype, np.float64))
     for term in terms:
         tag = term[0]
         if tag == "diag":
-            out += term[1] * v
+            out += diag_values(term, states) * v
         elif tag == "swap":
             _, perm, coeff = term
             out += coeff * v[perm]
@@ -495,14 +531,10 @@ def segment_rhs_terms(conn, a: np.ndarray, b: np.ndarray):
     at x(t) = a + t (b - a), made anew on every call and applied one by one."""
     params, basis = conn.params, conn.basis
     n, vel = basis.n, b - a
-    g = np.asarray(params.g)
-    diag = np.zeros(basis.dim)
-    for i0 in range(n):
-        if vel[i0] != 0.0:
-            diag = diag + vel[i0] * g[basis.states[:, i0] - 1]
+    diag = ("diag", segment_diag_per_state(basis, params.g, vel))
     weights = [(i0, j0, vel[i0] - vel[j0]) for i0 in range(n) for j0 in range(i0 + 1, n)]
-    table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0])
     kern = PairKernel(params)
+    table = pair_table(basis, [pair for pair in weights if pair[2] != 0.0], kern.trig)
 
     def rhs(t, y):
         return apply_terms(hamiltonian_terms(diag, table, a + t * vel, kern), y) / params.hbar
@@ -520,7 +552,7 @@ def materialize_coo(op) -> sp.csr_matrix:
         if tag == "diag":
             rows.append(arange)
             cols.append(arange)
-            data.append(np.asarray(term[1]))
+            data.append(diag_values(term, get_basis(op.weight).states))
         elif tag == "swap":
             _, perm, coeff = term
             rows.append(arange)
@@ -563,7 +595,7 @@ def csr_rows(ops, lo: int, hi: int) -> sp.csr_matrix:
             tag = term[0]
             if tag == "diag":
                 col[o, :, k] = np.arange(lo, hi)
-                val[o, :, k] = term[1][lo:hi]
+                val[o, :, k] = diag_values(term, get_basis(op.weight).states)[lo:hi]
             elif tag == "swap":
                 col[o, :, k] = term[1][lo:hi]
             else:
@@ -596,7 +628,7 @@ def csr_rows_masked(ops, lo: int, hi: int) -> sp.csr_matrix:
             keep[o, :, k] = True
             if tag == "diag":
                 col[o, :, k] = np.arange(lo, hi)
-                val[o, :, k] = term[1][lo:hi]
+                val[o, :, k] = diag_values(term, get_basis(op.weight).states)[lo:hi]
             elif tag == "swap":
                 col[o, :, k] = term[1][lo:hi]
                 val[o, :, k] = term[2]

@@ -249,7 +249,7 @@ def test_rank_where_base_n_codes_overflow(M):
         for j in range(i + 1, basis.n):
             swapped = want.copy()
             swapped[:, [i, j]] = want[:, [j, i]]
-            perm, sign = basis.swap_table(i, j)
+            perm, sign = basis.swap_table(i, j), basis.swap_sign(i, j)
             assert perm.tolist() == [row_of[tuple(row)] for row in swapped.tolist()]
             assert sign.dtype == np.int8
             np.testing.assert_array_equal(sign, np.sign(want[:, i].astype(int) - want[:, j]))
@@ -265,13 +265,13 @@ def test_swap_table_matches_copy_and_encode(M):
         for j in range(i + 1, basis.n):
             swapped = states.copy()
             swapped[:, [i, j]] = states[:, [j, i]]
-            perm, sign = basis.swap_table(i, j)
+            perm, sign = basis.swap_table(i, j), basis.swap_sign(i, j)
             np.testing.assert_array_equal(perm, basis.rank(swapped))
             np.testing.assert_array_equal(
                 sign, np.sign(states[:, i].astype(int) - states[:, j].astype(int))
             )
             assert sign.dtype == np.int8
-            assert basis.swap_table(j, i)[0] is perm
+            assert basis.swap_table(j, i) is perm and basis.swap_sign(j, i) is sign
 
 
 @pytest.mark.parametrize("M", [(1,), (1, 1), (3, 3), (2, 1, 2), (2, 3, 1, 2)])
@@ -286,7 +286,7 @@ def test_site_tables_hold_each_pair_in_both_sites(M):
         assert table.shape == (basis.dim, basis.n - 1)
         others = [k for k in range(basis.n) if k != i]
         for c, k in enumerate(others):
-            perm, sign = basis.swap_table(i, k)
+            perm, sign = basis.swap_table(i, k), basis.swap_sign(i, k)
             np.testing.assert_array_equal(table[:, c], perm)
             np.testing.assert_array_equal(np.sign(rows - perm), sign)
             assert np.shares_memory(perm, basis.site_table(min(i, k)))
@@ -303,7 +303,7 @@ def test_swap_table_matches_search_oracle(M, order):
     if order == "far-first":
         pairs = [(j, i) for i, j in reversed(pairs)]
     for i, j in pairs:
-        perm, sign = basis.swap_table(i, j)
+        perm, sign = basis.swap_table(i, j), basis.swap_sign(i, j)
         want_perm, want_sign = swap_table_search(basis, i, j)
         assert perm.dtype == np.int32 and sign.dtype == want_sign.dtype
         np.testing.assert_array_equal(perm, want_perm)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,7 @@ from kzcal.identities import (
     verify_twist_sum_identities,
 )
 from kzcal.instances import random_coordinates, random_instance, rng_for
+from kzcal.kernel import diag_term
 from kzcal.operators import t_operator
 
 
@@ -231,7 +233,7 @@ def test_t_case_tables_reject_two_entries_in_a_row(monkeypatch):
     def plus_identity(i, j, weight):
         op = t_operator(i, j, weight)
         if (i, j) == (1, 2):
-            op.terms = op.terms + [("diag", np.ones(op.dim))]
+            op.terms = op.terms + [diag_term(np.ones((1, weight.N)), (0,))]
         return op
 
     monkeypatch.setattr(identities, "t_operator", plus_identity)
@@ -314,3 +316,19 @@ def test_each_t_operator_is_built_once_per_sector(monkeypatch):
     assert verify_trig_identities(params, weight)["t_triple_sum"] < 1e-13
     assert verify_t_case_tables(weight) == 0.0
     assert sorted(built) == [(i, j) for i in range(1, 6) for j in range(1, 6) if i != j]
+
+
+def test_t_case_tables_hold_their_blocks_in_bounded_memory():
+    # (6, 6), dim 924: the blocks are sized by bytes, so the traced peak of
+    # the whole check (the T maps included) stays at or below 16 MB, with the
+    # exact result; all pairs and triples of a 924-state block took 140 MB
+    weight = WeightVector((6, 6))
+    get_basis(weight).site_table(0)
+    identities._t_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        assert verify_t_case_tables(weight) == 0.0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6

@@ -341,7 +341,7 @@ def test_signed_swap_signs_must_be_read_from_the_table():
     # so a term with another sign is refused; the basis's own tables pass
     # by identity, an equal copy by value
     w = WeightVector((2, 2, 1))
-    perm, sign = get_basis(w).swap_table(1, 3)
+    perm, sign = get_basis(w).swap_table(1, 3), get_basis(w).swap_sign(1, 3)
     coeff = 0.7
     copied = TermOperator(w, [("tswap", perm.copy(), sign.copy(), coeff)])
     full = coeff * restrict(t_full(w.N, w.n, 2, 4), w)

@@ -212,8 +212,10 @@ def test_row_kernel_matches_the_term_sums_bitwise(rows_on, monkeypatch, workers,
     ops += [permutation_operator(1, 4, W221), twist_operator(2, params, W221)]
     ops.append(weight_operator(3, W221))
     # a layout the builders never make: swaps and signed swaps of other tables
-    (p13, s13), (p25, s25) = conn.basis.swap_table(0, 2), conn.basis.swap_table(1, 4)
-    mixed = [("diag", ops[-1].terms[0][1]), ("tswap", p13, s13, 0.7), ("swap", p25, -1.3)]
+    basis = conn.basis
+    p13, s13 = basis.swap_table(0, 2), basis.swap_sign(0, 2)
+    p25, s25 = basis.swap_table(1, 4), basis.swap_sign(1, 4)
+    mixed = [ops[-1].terms[0], ("tswap", p13, s13, 0.7), ("swap", p25, -1.3)]
     ops.append(TermOperator(W221, mixed + [("tswap", p25, s25, 0.4), ("swap", p13, 2.1)]))
     rng = np.random.default_rng(31)
     x = np.asarray(params.x)
@@ -222,7 +224,7 @@ def test_row_kernel_matches_the_term_sums_bitwise(rows_on, monkeypatch, workers,
         for op in ops:
             for transpose in (False, True):
                 got = op.rmatvec(v) if transpose else op.matvec(v)
-                want = oracles.apply_terms(op.terms, v, transpose)
+                want = oracles.apply_terms(op.terms, v, transpose, basis.states)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
         for end in (one_site, x + 0.05 * np.arange(n)):
             got = _segment_rhs(conn, x, end)(0.3, v)

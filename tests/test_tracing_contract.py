@@ -53,6 +53,17 @@ def test_stepper_result_has_what_the_tracer_reads():
     assert failed.success is False
 
 
+def _term_cost(op):
+    # tracing._term_cost reads term[1].nbytes of every term and term[2].nbytes
+    # of a signed swap, so both slots hold arrays
+    v = np.ones(op.dim, dtype=np.complex128)
+    counts = defaultdict(float)
+    tracing._term_cost(counts, (op, v), op.matvec(v))
+    assert counts["operators.term_apps"] == len(op.terms)
+    assert counts["operators.bytes_computed"] > 3 * len(op.terms) * v.nbytes
+    return counts
+
+
 def test_term_cost_reads_trigonometric_terms():
     params = ModelParams(
         n=4, N=2, x=(0.0, 1.1, 2.3, 3.2), g=(1.0, 2.0), hbar=1.0, kappa=0.3,
@@ -60,11 +71,18 @@ def test_term_cost_reads_trigonometric_terms():
     )
     op = operators.gaudin_hamiltonian(2, params, WeightVector((2, 2)))
     assert {term[0] for term in op.terms} == {"diag", "swap", "tswap"}
-    v = np.ones(op.dim, dtype=np.complex128)
-    counts = defaultdict(float)
-    tracing._term_cost(counts, (op, v), op.matvec(v))
-    assert counts["operators.term_apps"] == len(op.terms) == 1 + 2 * 3
-    assert counts["operators.bytes_computed"] > 3 * len(op.terms) * v.nbytes
+    assert _term_cost(op)["operators.term_apps"] == 1 + 2 * 3
+
+
+def test_term_cost_reads_rational_and_diagonal_terms():
+    params = ModelParams(n=4, N=2, x=(0.0, 1.1, 2.3, 3.2), g=(1.0, 2.0), hbar=1.0, kappa=0.3)
+    weight = WeightVector((2, 2))
+    op = operators.gaudin_hamiltonian(2, params, weight)
+    assert [term[0] for term in op.terms] == ["diag"] + ["swap"] * 3
+    assert _term_cost(op)["operators.term_apps"] == 1 + 3
+    for op in (operators.twist_operator(3, params, weight), operators.weight_operator(1, weight)):
+        assert [term[0] for term in op.terms] == ["diag"]
+        _term_cost(op)
 
 
 def test_benchmark_call_of_run_suites():
