@@ -119,6 +119,16 @@ class ModelParams:
     def replace(self, **changes) -> "ModelParams":
         return _replace(self, **changes)
 
+    @cached_property
+    def twist_table(self) -> np.ndarray:
+        """The table of g that the twist term of every H_i reads
+        (``kernel.diag_term``): made once per instance, read-only and shared."""
+        from .kernel import diag_term  # kernel imports this module
+
+        table = diag_term([self.g], (0,))[1]
+        table.flags.writeable = False
+        return table
+
 
 def max_or_nan(values) -> float:
     """Largest of the values, NaN when any of them is NaN.

@@ -48,9 +48,13 @@ def _sum_residual(terms, expected=0.0) -> float:
     return float(worst) / max(biggest, abs(expected), 1e-300)
 
 
+@lru_cache(maxsize=64)
 def _tuples(n: int, k: int) -> np.ndarray:
-    """The k-tuples of distinct indices below n, as k index rows in permutations order."""
-    return np.fromiter(chain.from_iterable(permutations(range(n), k)), np.intp).reshape(-1, k).T
+    """The k-tuples of distinct indices below n, as k index rows in permutations
+    order; read-only, since every caller shares them."""
+    rows = np.fromiter(chain.from_iterable(permutations(range(n), k)), np.intp).reshape(-1, k).T
+    rows.flags.writeable = False
+    return rows
 
 
 #: bytes of one float64 entry per (triple, state) of a case-table block; the
@@ -185,19 +189,21 @@ def verify_trig_identities(params: ModelParams, weight: WeightVector) -> dict[st
 def _t_maps(weight: WeightVector, build) -> tuple[np.ndarray, np.ndarray] | None:
     """(col, val) of shape (n, n, dim): row r of T_ij = build(i + 1, j + 1, weight)
     holds val[i, j, r] at column col[i, j, r] only (val 0: an empty row, as
-    at i = j); None when a T_ij has two entries in a row.  Each T_ij is
-    materialized once per sector: the last sector's maps are kept, keyed
-    also by `build`, so a replaced t_operator builds anew.
+    at i = j); None when a T_ij has a diag term or not one entry per row.
+    Each T_ij's column and value are read from its row kernel, once per
+    sector: the column from its table, the value as the coefficient times
+    the entry's sign.  The last sector's maps are kept, keyed also by
+    `build`, so a replaced t_operator builds anew.
     """
     n, dim = weight.n, weight.dimension()
     col, val = np.zeros((n, n, dim), dtype=np.int32), np.zeros((n, n, dim))
     for i0, j0 in permutations(range(n), 2):
-        mat = build(i0 + 1, j0 + 1, weight).materialize()
-        counts = np.diff(mat.indptr)
-        if np.any(counts > 1):
+        kernel = build(i0 + 1, j0 + 1, weight).row_kernel()
+        if kernel.diags or kernel.width != 1:
             return None
-        col[i0, j0, counts == 1] = mat.indices
-        val[i0, j0, counts == 1] = mat.data
+        col[i0, j0] = kernel.cols[:, 0]
+        sign = kernel.signs(0, dim)[:, 0] if kernel.flip is not None else 1.0
+        val[i0, j0] = kernel.coeffs[0] * sign
     col.flags.writeable = val.flags.writeable = False
     return col, val
 
@@ -233,12 +239,12 @@ def _max_abs_entry(maps) -> float:
 def verify_t_case_tables(weight: WeightVector) -> float:
     """Exact case-table check of the signed swap on every basis state.
 
-    Verifies, in exact arithmetic on the materialized operators:
+    Verifies, in exact arithmetic on the operators' row kernels:
       * the single action (signed transposition, annihilation on equal letters),
       * the square (diagonal -1 on distinct letters, 0 otherwise),
       * the symmetrized triple product (minus a letter 3-cycle, 0 when all
         three letters coincide).
-    Each T_ij is read from its CSR matrix as a monomial map, row r ->
+    Each T_ij is read from its row kernel as a monomial map, row r ->
     (column, value); products compose the maps.  The expected maps are
     rebuilt per basis state from the case analysis: an exchange's column by
     ranking the states with the two letters exchanged, a 3-cycle's as two
@@ -246,7 +252,7 @@ def verify_t_case_tables(weight: WeightVector) -> float:
     of states sized so that one float64 per triple and state takes at most
     CASE_TABLE_BLOCK_BYTES (and at most SWEEP_ROWS states).  Returns the max
     absolute deviation (0.0 when all tables match exactly); inf when a T_ij
-    stores two entries in one row.
+    has a diag term or two entries in one row.
     """
     maps = _t_maps(weight, t_operator)
     if maps is None:

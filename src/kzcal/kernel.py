@@ -24,7 +24,10 @@ import numpy as np
 
 from .core import TRIGONOMETRIC, ModelParams, WeightBasis
 
-__all__ = ["PairKernel", "pair_table", "t_term", "diag_term", "hamiltonian_terms", "site_terms"]
+__all__ = [
+    "PairKernel", "pair_table", "t_term", "diag_term", "twist_term", "hamiltonian_terms",
+    "site_terms",
+]
 
 
 class PairKernel:
@@ -120,7 +123,12 @@ def hamiltonian_terms(diag, table, x, kern: PairKernel) -> list[tuple]:
     return terms
 
 
-def site_terms(basis: WeightBasis, i0: int, kern: PairKernel, g, x) -> list[tuple]:
-    """Terms of H_i at 0-based site i0; g is a float array, x the float coordinates."""
+def twist_term(params: ModelParams, i0: int) -> tuple:
+    """The diag term g^(i) at 0-based site i0, over the shared ``params.twist_table``."""
+    return ("diag", params.twist_table, (i0,))
+
+
+def site_terms(basis: WeightBasis, i0: int, kern: PairKernel, params: ModelParams) -> list[tuple]:
+    """Terms of H_i at 0-based site i0."""
     table = pair_table(basis, [(i0, j0, 1) for j0 in range(basis.n) if j0 != i0], kern.trig)
-    return hamiltonian_terms(diag_term([g], (i0,)), table, x, kern)
+    return hamiltonian_terms(twist_term(params, i0), table, params.x, kern)

@@ -124,18 +124,42 @@ def _constant_rmatvec(op: TermOperator, c) -> np.ndarray:
     A swap table is a permutation, so a transposed swap maps a constant
     covector to itself.  The diagonal, then each other term, adds what its
     entry adds in ``RowKernel.rows``, in term order, so the result equals
-    op.rmatvec(np.full(op.dim, c)) bitwise.
+    op.rmatvec(np.full(op.dim, c)) bitwise.  With no signed swap and no
+    diagonal, every row is one value.  With no signed swap and a diagonal of
+    one table at one site, a row depends only on the letter there: when the
+    sector has more states than letters, the sums are formed once per
+    letter, from +0, and gathered with the basis letters.  Otherwise each
+    range of the row pool sums its rows term by term.
     """
-    kernel, out = op.row_kernel(), np.zeros(op.dim)
-    if kernel.diags:
-        out += kernel.diagonal(0, op.dim) * c
-    for term in op.terms:
-        tag = term[0]
-        if tag == "swap":
-            out += term[2] * c
-        elif tag == "tswap":
-            _, _, sign, coeff = term
-            out -= coeff * (sign * c)
+    kernel = op.row_kernel()
+    lookup = kernel.lookup if op.weight.N < op.dim else None  # a table no longer than a pass
+    if kernel.flip is None and (lookup is not None or not kernel.diags):
+        # per letter at the diag's site (slot 0 is read by no state), or one value
+        row = np.zeros(1 if lookup is None else op.weight.N + 1)
+        if lookup is not None:
+            row += lookup[0] * c
+        for term in op.terms:
+            if term[0] == "swap":
+                row += term[2] * c
+        if lookup is None:
+            return np.full(op.dim, row[0])
+        return row.take(kernel.letters[:, lookup[1]])
+    out = np.empty(op.dim)
+
+    def rows(lo: int, hi: int) -> None:
+        part = out[lo:hi]
+        part[:] = 0.0
+        if kernel.diags:
+            part += kernel.diagonal(lo, hi) * c
+        for term in op.terms:
+            tag = term[0]
+            if tag == "swap":
+                part += term[2] * c
+            elif tag == "tswap":
+                _, _, sign, coeff = term
+                part -= coeff * (sign[lo:hi] * c)
+
+    split_rows(rows, op.dim)
     return out
 
 
@@ -233,7 +257,7 @@ def _segment_rhs(conn: KzConnection, a: np.ndarray, b: np.ndarray):
     def rhs(t, y):
         terms = hamiltonian_terms(diag, table, a + t * vel, kern)
         rows.set_coefficients([term[-1] for term in terms[1:]])
-        return rows.apply(y) / hbar
+        return rows.apply(y, divisor=hbar)
 
     return rhs
 
@@ -298,24 +322,26 @@ class Transport:
     message: str
 
 
-def _weighted_rows(K: list, coeffs, lo: int, hi: int) -> np.ndarray:
-    """Rows lo:hi of sum_j coeffs[j] K[j], in stage order; zero coefficients add nothing."""
-    acc = None
-    for j, c in enumerate(coeffs):
-        if c != 0.0:
-            if acc is None:
-                acc = K[j][lo:hi] * c
-            else:
-                acc += K[j][lo:hi] * c
-    return acc
+def _weighted_rows(K: list, coeffs, lo: int, hi: int, out: np.ndarray, product: np.ndarray):
+    """out = rows lo:hi of sum_j coeffs[j] K[j], in stage order; zero
+    coefficients add nothing.  `product` (the shape of out) takes each
+    weighted term before it is added."""
+    (k0, c0), *rest = [(K[j], c) for j, c in enumerate(coeffs) if c != 0.0]
+    np.multiply(k0[lo:hi], c0, out=out)
+    for k, c in rest:
+        np.multiply(k[lo:hi], c, out=product)
+        out += product
 
 
 def _stage_state(K: list, coeffs, h: float, y: np.ndarray) -> np.ndarray:
-    """y + (sum_j coeffs[j] K[j]) h, each range of the row pool in one pass."""
+    """y + (sum_j coeffs[j] K[j]) h, formed in place by each range of the row pool."""
     out = np.empty_like(y)
 
     def rows(lo: int, hi: int) -> None:
-        out[lo:hi] = y[lo:hi] + _weighted_rows(K, coeffs, lo, hi) * h
+        part = out[lo:hi]
+        _weighted_rows(K, coeffs, lo, hi, part, np.empty_like(part))
+        part *= h
+        part += y[lo:hi]
 
     split_rows(rows, y.size)
     return out
@@ -364,8 +390,12 @@ def solve_ivp(fun, y0: np.ndarray, rtol: float, atol: float):
 
     def error_rows(lo, hi):  # the err5 and err3 rows of the step to y_new
         scale = atol + np.maximum(np.abs(y[lo:hi]), np.abs(y_new[lo:hi])) * rtol
-        errors = [_weighted_rows(K, E, lo, hi) for E in (_E5, _E3)]
-        return np.stack(errors) / scale
+        errors = np.empty((2, hi - lo), dtype=y.dtype)
+        product = np.empty(hi - lo, dtype=y.dtype)
+        for row, E in zip(errors, (_E5, _E3)):
+            _weighted_rows(K, E, lo, hi, row, product)
+        errors /= scale
+        return errors
 
     t = 0.0
     while t < 1.0:

@@ -30,7 +30,7 @@ from scipy.sparse import _sparsetools
 
 from .core import ModelParams, StateVector, WeightVector, check_instance, get_basis
 from .errors import InvalidSitesError, InvalidWeightError, UnsupportedOrderError
-from .kernel import PairKernel, diag_term, site_terms, t_term
+from .kernel import PairKernel, diag_term, site_terms, t_term, twist_term
 
 __all__ = [
     "TermOperator",
@@ -229,20 +229,31 @@ class RowKernel:
             total = value if total is None else total + value
         return total
 
-    def signs(self, lo: int, hi: int) -> np.ndarray:
+    def signs(self, lo: int, hi: int, out: np.ndarray | None = None) -> np.ndarray:
         """s_e(r) of rows lo:hi, one column per column of the table: the
-        sign of the signed swap that reads it, 1 where only swaps do."""
-        sign = np.sign(np.arange(lo, hi, dtype=np.int32)[:, None] - self.cols[lo:hi])
+        sign of the signed swap that reads it, 1 where only swaps do.
+
+        Written into `out` (int32, of shape (hi - lo, columns)) when given.
+        """
+        sign = np.subtract(_unit_rows(self.dim)[lo:hi, None], self.cols[lo:hi], out=out)
+        np.sign(sign, out=sign)
         if self.plain is not None:
             sign[:, self.plain] = 1
         return sign
 
-    def apply(self, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-        """The operator (its transpose) times v, real or complex, on the row pool."""
+    def apply(self, v: np.ndarray, transpose: bool = False, divisor=None) -> np.ndarray:
+        """The operator (its transpose) times v, real or complex, on the row pool;
+        each range divided by `divisor` when given, as out / divisor divides."""
         out = np.empty(v.shape, dtype=np.result_type(v.dtype, np.float64))
         x = np.ascontiguousarray(v, dtype=out.dtype).view(np.float64).reshape(self.dim, -1)
         y = out.view(np.float64).reshape(self.dim, -1)
-        split_rows(lambda lo, hi: self.rows(x, lo, hi, y[lo:hi], transpose), self.dim)
+
+        def rows(lo: int, hi: int) -> None:
+            self.rows(x, lo, hi, y[lo:hi], transpose)
+            if divisor is not None:  # in out's own dtype: complex division for a complex v
+                np.divide(out[lo:hi], divisor, out=out[lo:hi])
+
+        split_rows(rows, self.dim)
         return out
 
     def rows(self, x: np.ndarray, lo: int, hi: int, out: np.ndarray, transpose: bool = False):
@@ -262,6 +273,7 @@ class RowKernel:
                 slot, scale = data[:, 1::2], scale[1::2]
             else:
                 data = slot = np.empty((rows, self.width))
+            sign = np.empty((rows, self.cols.shape[1]), dtype=np.int32)
         out[...] = 0.0
         if self.diags:  # one entry per row: 0 + diag x, never -0
             self._diagonal_rows(x, lo, hi, out)
@@ -271,7 +283,7 @@ class RowKernel:
             e = min(c + block, hi)
             ind = cols = self.cols[c:e]
             if self.flip is not None:
-                np.multiply(self.signs(c, e), scale, out=slot[: e - c])
+                np.multiply(self.signs(c, e, sign[: e - c]), scale, out=slot[: e - c])
                 if self.paired:
                     ind = idx[: e - c]
                     ind[:, 0::2] = cols
@@ -432,7 +444,7 @@ def t_operator(i: int, j: int, weight: WeightVector) -> TermOperator:
 def twist_operator(i: int, params: ModelParams, weight: WeightVector) -> TermOperator:
     basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
-    return TermOperator(weight, [diag_term([params.g], (i0,))])
+    return TermOperator(weight, [twist_term(params, i0)])
 
 
 def weight_operator(a: int, weight: WeightVector) -> TermOperator:
@@ -450,7 +462,7 @@ def gaudin_hamiltonian(i: int, params: ModelParams, weight: WeightVector) -> Ter
     check_instance(params, weight)
     basis = get_basis(weight)
     i0 = _check_site(i, basis.n)
-    terms = site_terms(basis, i0, PairKernel(params), np.asarray(params.g), params.x)
+    terms = site_terms(basis, i0, PairKernel(params), params)
     return TermOperator(weight, terms, basis.site_table(i0))
 
 

@@ -214,8 +214,8 @@ MUTANTS = [
     Mutant(
         "stepper-e3-e5-swapped",
         "kz.py",
-        "for E in (_E5, _E3)]",
-        "for E in (_E3, _E5)]",
+        "zip(errors, (_E5, _E3))",
+        "zip(errors, (_E3, _E5))",
         ("tests/test_kz.py", "-k", "stepper_takes_the_steps"),
     ),
     Mutant(
@@ -337,9 +337,9 @@ MUTANTS = [
     Mutant(
         "constant-rmatvec-signed-swap-sign",
         "kz.py",
-        "out -= coeff * (sign * c)",
-        "out += coeff * (sign * c)",
-        ("tests/test_kz.py", "-k", "constant_rmatvec"),
+        "part -= coeff * (sign[lo:hi] * c)",
+        "part += coeff * (sign[lo:hi] * c)",
+        ("tests/test_kz.py", "-k", "constant_rmatvec or constant_rows"),
     ),
     Mutant(
         "covariant-row-h-on-omega",
@@ -398,8 +398,8 @@ MUTANTS = [
     Mutant(
         "row-kernel-sign-reversed",
         "operators.py",
-        "np.sign(np.arange(lo, hi, dtype=np.int32)[:, None] - self.cols[lo:hi])",
-        "np.sign(self.cols[lo:hi] - np.arange(lo, hi, dtype=np.int32)[:, None])",
+        "np.subtract(_unit_rows(self.dim)[lo:hi, None], self.cols[lo:hi], out=out)",
+        "np.subtract(self.cols[lo:hi], _unit_rows(self.dim)[lo:hi, None], out=out)",
         ("tests/test_row_split.py", "-k", "term_sums"),
     ),
     Mutant(
@@ -413,7 +413,7 @@ MUTANTS = [
         "            e = min(c + block, hi)\n"
         "            ind = cols = self.cols[c:e]\n"
         "            if self.flip is not None:\n"
-        "                np.multiply(self.signs(c, e), scale, out=slot[: e - c])\n"
+        "                np.multiply(self.signs(c, e, sign[: e - c]), scale, out=slot[: e - c])\n"
         "                if self.paired:\n"
         "                    ind = idx[: e - c]\n"
         "                    ind[:, 0::2] = cols\n"
@@ -429,7 +429,7 @@ MUTANTS = [
         "            e = min(c + block, hi)\n"
         "            ind = cols = self.cols[c:e]\n"
         "            if self.flip is not None:\n"
-        "                np.multiply(self.signs(c, e), scale, out=slot[: e - c])\n"
+        "                np.multiply(self.signs(c, e, sign[: e - c]), scale, out=slot[: e - c])\n"
         "                if self.paired:\n"
         "                    ind = idx[: e - c]\n"
         "                    ind[:, 0::2] = cols\n"
@@ -611,8 +611,8 @@ MUTANTS = [
     Mutant(
         "twist-table-read-at-next-site",
         "kernel.py",
-        "diag_term([g], (i0,))",
-        "diag_term([g], ((i0 + 1) % basis.n,))",
+        "twist_term(params, i0)",
+        "twist_term(params, (i0 + 1) % basis.n)",
         ("tests/test_sector_memory.py", "-k", "letter_diagonals"),
     ),
     Mutant(
@@ -646,6 +646,52 @@ MUTANTS = [
         "np.sign(self.states[:, i] - self.states[:, j])",
         "np.sign(self.states[:, j] - self.states[:, i])",
         ("tests/test_kz.py", "tests/test_quantum.py"),
+    ),
+    # -- per-letter covector rows, T maps from the row kernels, the stepper ----
+    Mutant(
+        "constant-row-gathered-at-next-site",
+        "kz.py",
+        "row.take(kernel.letters[:, lookup[1]])",
+        "row.take(kernel.letters[:, (lookup[1] + 1) % op.weight.n])",
+        ("tests/test_kz.py", "-k", "constant_rows"),
+    ),
+    Mutant(
+        "constant-row-starts-at-the-table-product",
+        "kz.py",
+        "            row += lookup[0] * c\n",
+        "            row = lookup[0] * c\n",
+        ("tests/test_kz.py", "-k", "plus_zero_start"),
+    ),
+    Mutant(
+        "t-map-value-without-sign",
+        "identities.py",
+        "val[i0, j0] = kernel.coeffs[0] * sign",
+        "val[i0, j0] = kernel.coeffs[0]",
+        ("tests/test_identities.py", "-k", "t_maps or t_case"),
+    ),
+    Mutant(
+        "t-map-ignores-a-diag-term",
+        "identities.py",
+        "if kernel.diags or kernel.width != 1:",
+        "if kernel.width != 1:",
+        ("tests/test_identities.py", "-k", "two_entries_in_a_row"),
+    ),
+    Mutant(
+        "rhs-divides-the-float-view",
+        "operators.py",
+        "np.divide(out[lo:hi], divisor, out=out[lo:hi])",
+        "np.divide(y[lo:hi], divisor, out=y[lo:hi])",
+        ("tests/test_row_split.py", "-k", "term_sums"),
+    ),
+    Mutant(
+        "stage-state-scaled-before-the-last-term",
+        "kz.py",
+        "        _weighted_rows(K, coeffs, lo, hi, part, np.empty_like(part))\n"
+        "        part *= h\n",
+        "        _weighted_rows(K, coeffs[:-1], lo, hi, part, np.empty_like(part))\n"
+        "        part *= h\n"
+        "        part += K[len(coeffs) - 1][lo:hi] * coeffs[-1]\n",
+        ("tests/test_row_split.py", "-k", "stage_states"),
     ),
     Mutant(
         "bases-released-before-the-report",

@@ -14,10 +14,11 @@ swap tables, the per-state diagonals (the twists, the letter counts and the
 path right-hand side's), the term-by-term operator action and path
 right-hand side, the COO assembly of a CSR matrix, the CSR row builders (one
 masks every term), the per-pair commutator actions, the covariant rows by
-full operator applications, the identity sums one term at a time, the
-signed-swap triple row one triple at a time, the Psi derivatives and the
-path integration in complex arithmetic.  The case-table reference checks the
-package's own materialized T_ij.
+full operator applications, the constant covector rows one sector pass per
+term, the identity sums one term at a time, the signed-swap triple row one
+triple at a time, the T maps read back from CSR matrices, the Psi
+derivatives and the path integration in complex arithmetic.  The case-table
+reference checks the package's own materialized T_ij.
 """
 
 from functools import reduce
@@ -364,6 +365,23 @@ def t_triple_row_per_triple(weight) -> np.ndarray:
     return row
 
 
+def t_maps_csr(weight, build):
+    """The slow reference for ``kzcal.identities._t_maps``: each T_ij
+    materialized as a CSR matrix, its one entry per row read back; an empty
+    row keeps column 0 and value 0."""
+    n, dim = weight.n, weight.dimension()
+    col, val = np.zeros((n, n, dim), dtype=np.int32), np.zeros((n, n, dim))
+    for i0, j0 in permutations(range(n), 2):
+        mat = build(i0 + 1, j0 + 1, weight).materialize()
+        counts = np.diff(mat.indptr)
+        if np.any(counts > 1):
+            return None
+        col[i0, j0, counts == 1] = mat.indices
+        val[i0, j0, counts == 1] = mat.data
+    col.flags.writeable = val.flags.writeable = False
+    return col, val
+
+
 def _sparse_max_abs_diff(a, b) -> float:
     diff = (a - b).tocoo()
     return float(np.max(np.abs(diff.data))) if diff.nnz else 0.0
@@ -670,6 +688,22 @@ def covariant_row_rmatvec(i: int, k: int, conn) -> np.ndarray:
         + hbar * dH.rmatvec(r1)
         + H.rmatvec(H.rmatvec(r1))
     )
+
+
+def constant_rmatvec_terms(op, c) -> np.ndarray:
+    """The slow reference for ``kzcal.kz._constant_rmatvec``: one pass over
+    the sector per term, the diagonal first, then the terms in order."""
+    kernel, out = op.row_kernel(), np.zeros(op.dim)
+    if kernel.diags:
+        out += kernel.diagonal(0, op.dim) * c
+    for term in op.terms:
+        tag = term[0]
+        if tag == "swap":
+            out += term[2] * c
+        elif tag == "tswap":
+            _, _, sign, coeff = term
+            out -= coeff * (sign * c)
+    return out
 
 
 def commutator_actions(conn, v):

@@ -1,12 +1,13 @@
 import math
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import oracles
 import pytest
 
 from kzcal import identities
+from kzcal.config import validate_config
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis, omega_pairing
 from kzcal.identities import (
     verify_omega_weight_identity,
@@ -17,7 +18,8 @@ from kzcal.identities import (
 )
 from kzcal.instances import random_coordinates, random_instance, rng_for
 from kzcal.kernel import diag_term
-from kzcal.operators import t_operator
+from kzcal.operators import RowKernel, t_operator
+from kzcal.suites import run_suites
 
 
 def T(i, j, state):
@@ -332,3 +334,58 @@ def test_t_case_tables_hold_their_blocks_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+def test_t_maps_match_the_csr_oracle():
+    # each T_ij's column and signed value from its row kernel, against the
+    # maps read back from its CSR matrix; an empty row (equal letters) has
+    # value 0 both ways, at its own row here and at column 0 there
+    weights = _weights(5, 2) + _weights(4, 3) + [WeightVector((1, 11)), WeightVector((2, 2, 2))]
+    for weight in weights:
+        identities._t_maps.cache_clear()
+        col, val = identities._t_maps(weight, t_operator)
+        want_col, want_val = oracles.t_maps_csr(weight, t_operator)
+        assert not (col.flags.writeable or val.flags.writeable)
+        np.testing.assert_array_equal(val, want_val)
+        full = val != 0.0
+        np.testing.assert_array_equal(col[full], want_col[full])
+    identities._t_maps.cache_clear()
+
+
+def test_identities_assemble_no_csr_matrix(monkeypatch, tmp_path):
+    # an identities run with every CSR assembly raising gives the residuals
+    # of the run that reads the T maps back from CSR matrices, bit for bit
+    config = validate_config({
+        "suites": ["identities"],
+        "seed": 11,
+        "instance": {"random": {"n": 6, "N": 3, "count": 3}},
+    })
+    explicit = validate_config({
+        "suites": ["identities"],
+        "seed": 12,
+        "instance": {"explicit": {
+            "n": 12, "N": 2, "x": [float(1.1 * k + 0.05 * k * k) for k in range(12)],
+            "g": [1.2, 2.1], "hbar": 1.0, "kappa": 0.4, "weight": [2, 10],
+        }},
+    })
+
+    def bits(report):
+        return [r.hex() for suite in report.suites.values() for r in suite.residuals]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(identities, "_t_maps", oracles.t_maps_csr)
+        want = [bits(run_suites(c)) for c in (config, explicit)]
+
+    def no_csr(self):
+        raise AssertionError("a CSR matrix was assembled")
+
+    monkeypatch.setattr(RowKernel, "csr", no_csr)
+    assert [bits(run_suites(c)) for c in (config, explicit)] == want
+
+
+def test_index_tuples_are_made_once_and_read_only():
+    for n, k in ((1, 2), (5, 2), (6, 3), (12, 4)):
+        rows = identities._tuples(n, k)
+        assert rows is identities._tuples(n, k) and not rows.flags.writeable
+        want = np.array(list(permutations(range(n), k)), dtype=np.intp).reshape(-1, k)
+        np.testing.assert_array_equal(rows.T, want)

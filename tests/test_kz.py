@@ -1,4 +1,6 @@
 import tracemalloc
+import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from kzcal import kz
 from kzcal.core import ModelParams, StateVector, WeightVector, max_or_nan, omega_pairing
 from kzcal.errors import (
     IntegrationFailureError,
+    ModelAssumptionWarning,
     InvalidWeightError,
     SingularPathError,
     UnsupportedOrderError,
@@ -144,6 +147,79 @@ def test_constant_rmatvec_matches_rmatvec_of_a_constant(kind):
     for op in ops:
         for c in (1.0, slid[0], -0.37):
             assert_bitwise(kz._constant_rmatvec(op, c), op.rmatvec(np.full(op.dim, c)))
+
+
+def _sector_params(weight, kind, seed, g=None, kappa=None):
+    """Coordinates at least 1 apart, and twists and couplings, for the weight's n and N."""
+    rng = np.random.default_rng(seed)
+    n, N = weight.n, weight.N
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)  # n < N, a zero twist
+        return ModelParams(
+            n=n, N=N, x=tuple(1.2 * np.arange(n) + rng.uniform(0.0, 0.2, n)),
+            g=tuple(np.arange(1, N + 1) + rng.uniform(-0.3, 0.3, N)) if g is None else g,
+            hbar=rng.uniform(0.8, 1.2), kappa=rng.uniform(0.2, 0.6) if kappa is None else kappa,
+            gamma=0.7, kind=kind, strict=g is None,
+        )
+
+
+def _assert_constant_rows_match_the_oracle(params, weight):
+    # every H_i, dH_i and d2H_i against the pass-per-term oracle and the
+    # gathering transpose action, bitwise, at c = 1, the slid value of a
+    # derivative row and a negative c
+    conn = KzConnection(params, weight)
+    ops = []
+    for i in range(1, params.n + 1):
+        ops += [conn.hamiltonian(i), conn.derivative(i), conn.derivative(i, order=2)]
+    slid = kz._constant_rmatvec(conn.derivative(1), 1.0)[0]
+    for op in ops:
+        for c in (1.0, slid, -0.37):
+            got = kz._constant_rmatvec(op, c)
+            assert_bitwise(got, oracles.constant_rmatvec_terms(op, c))
+            assert_bitwise(got, op.rmatvec(np.full(op.dim, c)))
+
+
+def _small_weights():
+    return [
+        WeightVector(M)
+        for N in (1, 2, 3)
+        for M in product(range(6), repeat=N)
+        if 1 <= sum(M) <= 5
+    ]
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_constant_rows_match_the_oracle_on_every_small_weight(kind):
+    # every weight with n <= 5 and N <= 3: single letters and dim < N take
+    # the term loop, the others the per-letter rows
+    for seed, weight in enumerate(_small_weights()):
+        _assert_constant_rows_match_the_oracle(_sector_params(weight, kind, seed), weight)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_constant_rows_match_the_oracle_on_large_sectors(kind):
+    # (4, 4, 4), dim 34650, over the row pool's ranges, and an N = 130 sector
+    # of letters above 127 with more states (210) than letters
+    big = WeightVector(tuple({1: 3, 129: 2, 130: 2}.get(a, 0) for a in range(1, 131)))
+    for weight in (WeightVector((4, 4, 4)), big):
+        _assert_constant_rows_match_the_oracle(_sector_params(weight, kind, 7), weight)
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_constant_rows_keep_the_plus_zero_start_at_a_zero_twist(kind):
+    # a zero twist makes the table product -0 at c < 0; with kappa = 0 every
+    # swap product of the last site is -0 too, so only the +0 start of the
+    # sum makes the row +0, as the transpose action's row is
+    for weight in _small_weights():
+        g = (0.0, 1.5, 2.5)[: weight.N]
+        for kappa in (0.0, 0.35):
+            _assert_constant_rows_match_the_oracle(
+                _sector_params(weight, kind, 3, g=g, kappa=kappa), weight
+            )
+    conn = KzConnection(_sector_params(W21, "rational", 3, g=(0.0, 1.5), kappa=0.0), W21)
+    row = kz._constant_rmatvec(conn.hamiltonian(3), -0.37)
+    zero = row == 0.0  # the states with letter 1 at site 3
+    assert zero.any() and not np.any(np.signbit(row[zero]))
 
 
 @pytest.mark.parametrize("kind", ["rational", "trigonometric"])

@@ -314,3 +314,25 @@ def test_residuals_do_not_depend_on_blas_threads():
         )
         outputs.append(proc.stdout)
     assert outputs[0].startswith("[[") and outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("workers", [0, 1, 3])
+def test_stage_states_are_the_plain_weighted_sums(rows_on, workers):
+    # y + (sum_j c_j K_j) h, formed in place on each range, is bitwise the
+    # expression with a temporary per product, real and complex, for every
+    # stage row of the tableau and for the weights B
+    rows_on(workers)
+    rng = np.random.default_rng(5)
+    dim, h = 30, 0.137
+    for imag in (0.0, 1.0):
+        K = [rng.standard_normal(dim) + imag * 1j * rng.standard_normal(dim) for _ in range(13)]
+        y = K.pop() if imag else K.pop().real
+        K = [k if imag else k.real for k in K]
+        for coeffs in [kz._A[s, :s] for s in range(1, kz._STAGES)] + [kz._B]:
+            acc = None
+            for j, c in enumerate(coeffs):
+                if c != 0.0:
+                    acc = K[j] * c if acc is None else acc + K[j] * c
+            want = y + acc * h
+            got = kz._stage_state(K, coeffs, h, y)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

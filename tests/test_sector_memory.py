@@ -18,6 +18,7 @@ from kzcal import suites
 from kzcal.config import validate_config
 from kzcal.core import ModelParams, WeightBasis, WeightVector, get_basis
 from kzcal.errors import IntegrationFailureError, ModelAssumptionWarning
+from kzcal.kernel import diag_term
 from kzcal.kz import KzConnection, _path_diagonal
 from kzcal.operators import (
     RowKernel,
@@ -189,3 +190,17 @@ def test_letter_diagonals_match_the_per_state_oracle(weights):
         _assert_diagonals_match_the_oracles(weight, k)
     if weights[0].N == 130:
         assert get_basis(weights[0]).states.max() == 130
+
+
+def test_one_twist_table_per_instance():
+    # every H_i and twist operator of an instance reads one read-only table
+    # of g, with the values and the unread NaN slot of diag_term's table
+    weight = WeightVector((2, 2, 1))
+    for kind in ("rational", "trigonometric"):
+        params = _params(weight, kind)
+        conn = KzConnection(params, weight)
+        table = conn.hamiltonian(1).terms[0][1]
+        assert table is conn.hamiltonian(2).terms[0][1]
+        assert table is twist_operator(3, params, weight).terms[0][1] is params.twist_table
+        assert not table.flags.writeable
+        np.testing.assert_array_equal(table, diag_term([params.g], (0,))[1])
