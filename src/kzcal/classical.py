@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import mpmath
 import numpy as np
-import scipy.linalg
 
 from .core import (
     RATIONAL,
@@ -128,21 +127,26 @@ def string_energy(weight: WeightVector, params: ModelParams, k: int) -> float:
     return float(np.sum(string_spectrum(weight, params) ** k))
 
 
-def _attempt_joint_diagonalization(mats, dim, n, rng, symmetric):
+def _attempt_joint_diagonalization(kernels, entries, dim, n, rng, symmetric):
     """Diagonalize one random combination sum_i c_i H_i; the refinement reuses (c, eigenvalues).
 
-    Returns (eigenvectors, residuals, worst residual, (c, eigenvalues), p),
-    p[i, k] the Rayleigh quotient of H_i at the k-th eigenvector.
+    kernels are the H_i's row kernels and entries their ``coo()``.  Each
+    entry is scaled once and added to zeros in turn, so the combination is
+    bitwise the scipy.sparse sum's ``toarray()``.  Returns (eigenvectors,
+    residuals, worst residual, (c, eigenvalues), p), p[i, k] the Rayleigh
+    quotient of H_i at the k-th eigenvector.
     """
     coeffs = rng.standard_normal(n)
-    combo = sum(c * m for c, m in zip(coeffs, mats)).toarray()
-    lam, vecs = (np.linalg.eigh if symmetric else scipy.linalg.eig)(combo)
+    combo = np.zeros((dim, dim))
+    for c, (rows, cols, values) in zip(coeffs, entries):
+        combo[rows, cols] += c * values
+    lam, vecs = (np.linalg.eigh if symmetric else np.linalg.eig)(combo)
     vecs = np.asarray(vecs, dtype=np.complex128)
     vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
     p = np.empty((n, dim), dtype=np.complex128)
     residuals = np.empty((n, dim))
-    for i, mat in enumerate(mats):
-        mv = mat @ vecs
+    for i, kernel in enumerate(kernels):
+        mv = kernel.apply(vecs)
         p[i] = np.einsum("ij,ij->j", vecs.conj(), mv)
         residuals[i] = np.linalg.norm(mv - vecs * p[i], axis=0)
     worst = float(residuals.max()) if dim else 0.0
@@ -354,11 +358,13 @@ def gaudin_joint_spectrum(
     """
     basis = get_basis(weight)
     n, dim = params.n, basis.dim
-    mats = [gaudin_hamiltonian(i, params, weight).materialize() for i in range(1, n + 1)]
+    ops = [gaudin_hamiltonian(i, params, weight) for i in range(1, n + 1)]
     symmetric = params.kind == RATIONAL
 
     if dim > DENSE_DIM_LIMIT:
-        return _partial_spectrum(mats, params, weight, seed)
+        return _partial_spectrum([op.materialize() for op in ops], params, weight, seed)
+    kernels = [op.row_kernel() for op in ops]
+    entries = [kernel.coo() for kernel in kernels]
 
     # retry toward a quality target well below the contract tolerance: a
     # clean random combination typically lands near 1e-13
@@ -368,7 +374,7 @@ def gaudin_joint_spectrum(
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         )
-        trial = _attempt_joint_diagonalization(mats, dim, n, rng, symmetric)
+        trial = _attempt_joint_diagonalization(kernels, entries, dim, n, rng, symmetric)
         if best is None or trial[2] < best[2]:
             best = trial
         if trial[2] < quality:

@@ -20,17 +20,46 @@ differences are used only as a test oracle.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .core import ModelParams, StateVector, WeightVector, check_instance, get_basis
 from .errors import InvalidSitesError, InvalidWeightError, UnsupportedOrderError
 from .kernel import PairKernel, diag_term, site_terms, t_term, twist_term
+
+
+def _load_sparsetools():
+    """scipy's compiled CSR routines, loaded from the installed scipy's sparse/.
+
+    Only the extension module is loaded; scipy's package import, and
+    scipy.sparse's with it, is left to the code that builds sparse matrices.
+    The extension registers itself under its own name, so a later
+    ``import scipy.sparse`` finds this module and uses it.
+    """
+    spec = importlib.util.find_spec("scipy")
+    roots = (spec.submodule_search_locations or []) if spec else []
+    paths = [
+        os.path.join(root, "sparse", "_sparsetools" + suffix)
+        for root in roots
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((path for path in paths if os.path.isfile(path)), None)
+    if path is None:
+        raise ImportError("kzcal needs scipy's compiled extension sparse/_sparsetools")
+    loader = importlib.machinery.ExtensionFileLoader("scipy.sparse._sparsetools", path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(loader.name, path, loader=loader)
+    )
+    loader.exec_module(module)
+    return module
+
+
+_sparsetools = _load_sparsetools()
 
 __all__ = [
     "TermOperator",
@@ -110,8 +139,8 @@ class TermOperator:
             raise InvalidWeightError("state weight does not match operator subspace")
         return StateVector(self.weight, self.matvec(state.amplitudes))
 
-    def materialize(self) -> sp.csr_matrix:
-        """The operator as a CSR matrix, from its row kernel's entries."""
+    def materialize(self):
+        """The operator as a scipy.sparse CSR matrix, from its row kernel's entries."""
         return self.row_kernel().csr()
 
 
@@ -318,22 +347,59 @@ class RowKernel:
         else:
             _sparsetools.csr_matvecs(*args[:2], m, *args[2:], x, out)
 
-    def csr(self) -> sp.csr_matrix:
-        """The operator as a CSR matrix with int32 indices.
-
-        Each row holds the diagonal, then the entries in order, with the zero
-        entries of the signed swaps left out and duplicate columns summed.
-        """
-        dim = self.dim
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Every row's entries in order: their columns, their values (a signed
+        entry's coefficient times its sign) and which of them are not zero
+        signed entries (None: all of them)."""
         cols = np.repeat(self.cols, 2, axis=1) if self.paired else self.cols
         val, keep = np.empty(cols.shape), None
         val[:] = self.coeffs
         if self.flip is not None:
             signed = slice(1, None, 2) if self.paired else slice(None)
-            sign = self.signs(0, dim)
+            sign = self.signs(0, self.dim)
             val[:, signed] *= sign
             keep = np.ones(cols.shape, dtype=bool)
             keep[:, signed] = sign != 0
+        return cols, val, keep
+
+    def coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The operator as (rows, cols, values), one entry per row and column it touches.
+
+        An entry sums, from its first term on, the terms of its row that
+        fall on its column: the diagonal first, then the entries in order,
+        as ``csr`` sums them (its sort keeps that order in rows of up to 16
+        terms).  Entries run by row, then column; zero entries are kept.
+        """
+        dim = self.dim
+        cols, val, _ = self._entries()
+        diag = self.diagonal(0, dim)
+        if diag is not None:
+            cols = np.hstack([_unit_rows(dim)[:dim, None], cols])
+            val = np.hstack([diag[:, None], val])
+        order = np.argsort(cols, axis=1, kind="stable")
+        cols = np.take_along_axis(cols, order, axis=1)
+        val = np.take_along_axis(val, order, axis=1)
+        for c in range(1, cols.shape[1]):  # each term adds to the sum of its run so far
+            run = cols[:, c] == cols[:, c - 1]
+            val[run, c] += val[run, c - 1]
+        last = np.ones(cols.shape, dtype=bool)
+        last[:, :-1] = cols[:, 1:] != cols[:, :-1]
+        rows = np.broadcast_to(_unit_rows(dim)[:dim, None], cols.shape)
+        return rows[last], cols[last], val[last]
+
+    def csr(self):
+        """The operator as a scipy.sparse CSR matrix with int32 indices.
+
+        Each row holds the diagonal, then the entries in order, with the zero
+        entries of the signed swaps left out and duplicate columns summed.
+        scipy.sparse is imported here, on first use: only the tests, the
+        partial spectrum above the dense limit and the benchmark's tracer
+        build CSR matrices.
+        """
+        import scipy.sparse as sp
+
+        dim = self.dim
+        cols, val, keep = self._entries()
         diag = self.diagonal(0, dim)
         if diag is not None:
             rows = _unit_rows(dim)[:dim, None]

@@ -19,6 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# numpy loads these two on first use; loading them with kzcal keeps that out
+# of a process's first run: its streams come from numpy.random (rng_for), and
+# np.median (SuiteResult.median_residual) reads numpy.ma
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from . import __version__
 from .classical import gaudin_joint_spectrum, qc_check, string_energy
 from .config import ConfigError, ExplicitSpec, RandomSpec, RunConfig

@@ -228,9 +228,32 @@ MUTANTS = [
     Mutant(
         "arpack-imported-at-start-up",
         "classical.py",
-        "import scipy.linalg\n",
-        "import scipy.linalg\nimport scipy.sparse.linalg\n",
+        "import numpy as np\n",
+        "import numpy as np\nimport scipy.sparse.linalg\n",
         ("tests/test_config_cli.py", "-k", "heavy_scipy_modules"),
+    ),
+    Mutant(
+        "scipy-sparse-package-at-start-up",
+        "operators.py",
+        "_sparsetools = _load_sparsetools()\n",
+        "from scipy.sparse import _sparsetools\n",
+        ("tests/test_config_cli.py", "-k", "heavy_scipy_modules"),
+    ),
+    Mutant(
+        "numpy-random-loaded-in-the-run",
+        "suites.py",
+        "import numpy.random  # noqa: F401\n",
+        "",
+        ("tests/test_config_cli.py", "-k", "heavy_scipy_modules"),
+    ),
+    Mutant(
+        "dense-combination-diag-last",
+        "operators.py",
+        "            cols = np.hstack([_unit_rows(dim)[:dim, None], cols])\n"
+        "            val = np.hstack([diag[:, None], val])\n",
+        "            cols = np.hstack([cols, _unit_rows(dim)[:dim, None]])\n"
+        "            val = np.hstack([val, diag[:, None]])\n",
+        ("tests/test_classical.py", "-k", "csr_sum"),
     ),
     Mutant(
         "block-norms-reverse-order",

@@ -16,9 +16,11 @@ right-hand side, the COO assembly of a CSR matrix, the CSR row builders (one
 masks every term), the per-pair commutator actions, the covariant rows by
 full operator applications, the constant covector rows one sector pass per
 term, the identity sums one term at a time, the signed-swap triple row one
-triple at a time, the T maps read back from CSR matrices, the Psi
-derivatives and the path integration in complex arithmetic.  The case-table
-reference checks the package's own materialized T_ij.
+triple at a time, the T maps read back from CSR matrices, the dense joint
+spectrum's combination and products through CSR matrices with scipy's
+eigensolver, the Psi derivatives and the path integration in complex
+arithmetic.  The case-table reference checks the package's own materialized
+T_ij.
 """
 
 from functools import reduce
@@ -26,6 +28,7 @@ from itertools import combinations, permutations
 
 import mpmath
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
@@ -171,6 +174,34 @@ def refine_momenta_invit(params, weight, vecs, columns, dps: int = 60):
             lam = _rayleigh(combo, v)
         out.append([_rayleigh(ham, v) for ham in hams])
     return out
+
+
+def csr_combination(mats, coeffs) -> np.ndarray:
+    """sum_i c_i H_i as scipy.sparse adds the CSR matrices H_i, densified."""
+    return sum(c * m for c, m in zip(coeffs, mats)).toarray()
+
+
+def joint_attempt_csr(kernels, entries, dim, n, rng, symmetric):
+    """``kzcal.classical._attempt_joint_diagonalization`` through CSR matrices.
+
+    The combination is the CSR sum densified, H_i V the CSR product (each
+    row summed in column order, duplicate columns summed first), and the
+    non-symmetric eigensolve scipy.linalg.eig.
+    """
+    mats = [kernel.csr() for kernel in kernels]
+    coeffs = rng.standard_normal(n)
+    combo = csr_combination(mats, coeffs)
+    lam, vecs = (np.linalg.eigh if symmetric else scipy.linalg.eig)(combo)
+    vecs = np.asarray(vecs, dtype=np.complex128)
+    vecs /= np.linalg.norm(vecs, axis=0, keepdims=True)
+    p = np.empty((n, dim), dtype=np.complex128)
+    residuals = np.empty((n, dim))
+    for i, mat in enumerate(mats):
+        mv = mat @ vecs
+        p[i] = np.einsum("ij,ij->j", vecs.conj(), mv)
+        residuals[i] = np.linalg.norm(mv - vecs * p[i], axis=0)
+    worst = float(residuals.max()) if dim else 0.0
+    return vecs, residuals, worst, (coeffs, lam), p
 
 
 def rayleigh_momenta_per_column(ctx, basis, g, pairs, Q, D):

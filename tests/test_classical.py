@@ -1,5 +1,9 @@
+import warnings
+from itertools import product
+
 import mpmath
 import numpy as np
+import oracles
 import pytest
 
 from kzcal.classical import (
@@ -12,8 +16,9 @@ from kzcal.classical import (
     string_spectrum,
 )
 from kzcal.core import ModelParams, StateVector, WeightVector, get_basis
-from kzcal.errors import SingularConfigurationError
+from kzcal.errors import ModelAssumptionWarning, SingularConfigurationError
 from kzcal.instances import random_instance, rng_for
+from kzcal.operators import gaudin_hamiltonian
 from kzcal.quantum import calogero_energy
 
 HAND = ModelParams(n=2, N=2, x=(0.0, 1.0), g=(1.0, 2.0), hbar=1.0, kappa=0.1)
@@ -671,6 +676,77 @@ def test_dd_residual_matches_per_term_split_oracle(sector, monkeypatch):
     got, want = residual(terms, Q, lam), dd_residual_per_term_split(terms, Q, lam)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert np.max(np.abs(got)) > 0.0
+
+
+#: the qc-multiplicity benchmark's shapes
+QC_MULTIPLICITY_SHAPES = [(4, 1, 1), (2, 4), (3, 3), (2, 2, 2)]
+
+
+def _small_weights():
+    """Every weight with n <= 5 and N <= 3."""
+    return [
+        WeightVector(M)
+        for N in (1, 2, 3)
+        for M in product(range(6), repeat=N)
+        if 1 <= sum(M) <= 5
+    ]
+
+
+def _spectrum_params(weight, kind, seed):
+    rng = np.random.default_rng(seed)
+    n, N = weight.n, weight.N
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ModelAssumptionWarning)  # n < N
+        return ModelParams(
+            n=n, N=N, x=tuple(1.2 * np.arange(n) + rng.uniform(0.0, 0.2, n)),
+            g=tuple(np.arange(1, N + 1) + rng.uniform(-0.3, 0.3, N)),
+            hbar=1.0, kappa=rng.uniform(0.2, 0.6), gamma=0.7, kind=kind,
+        )
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_dense_combination_is_the_csr_sum_bitwise(kind):
+    # each H_i kernel's entries, summed per entry diagonal first and then in
+    # term order, scaled and added in turn: bitwise the scipy.sparse sum
+    # densified, so the eigensolvers see the matrix of the CSR route
+    shapes = [WeightVector(M) for M in [(3, 3, 3), *QC_MULTIPLICITY_SHAPES]]
+    for seed, weight in enumerate(_small_weights() + shapes):
+        params = _spectrum_params(weight, kind, seed)
+        ops = [gaudin_hamiltonian(i, params, weight) for i in range(1, params.n + 1)]
+        coeffs = np.random.default_rng(seed).standard_normal(params.n)
+        combo = np.zeros((weight.dimension(),) * 2)
+        for c, op in zip(coeffs, ops):
+            rows, cols, values = op.row_kernel().coo()
+            combo[rows, cols] += c * values
+        want = oracles.csr_combination([op.materialize() for op in ops], coeffs)
+        assert combo.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["rational", "trigonometric"])
+def test_joint_spectrum_matches_the_csr_oracle(kind, monkeypatch):
+    # the same matrix gives eigh the same eigenpairs, so the rational
+    # 60-digit momenta are bitwise those of the CSR route; the trigonometric
+    # Rayleigh quotients move with numpy's eig and the kernel's term-order
+    # row sums, at the rounding level
+    from kzcal import classical
+
+    shapes = [WeightVector(M) for M in QC_MULTIPLICITY_SHAPES]
+    for seed, weight in enumerate(_small_weights() + shapes):
+        params = _spectrum_params(weight, kind, seed)
+        items = gaudin_joint_spectrum(params, weight, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(classical, "_attempt_joint_diagonalization", oracles.joint_attempt_csr)
+            reference = gaudin_joint_spectrum(params, weight, seed=seed)
+        assert len(items) == len(reference) == weight.dimension()
+        if kind == "rational":
+            for ours, theirs in zip(items, reference):
+                assert all(a == b for a, b in zip(ours.p_hp, theirs.p_hp, strict=True))
+            continue
+        theirs = np.array([item.p for item in reference])
+        match = [int(np.argmin(np.max(np.abs(theirs - item.p), axis=1))) for item in items]
+        assert sorted(match) == list(range(len(items)))
+        for item, k in zip(items, match):
+            assert np.max(np.abs(item.p - theirs[k])) <= 1e-13 * np.max(np.abs(theirs[k]))
 
 
 def _exact_column_sums(t, W):

@@ -554,16 +554,24 @@ def test_verify_help_exits_0_without_jobs(capsys):
 LEAN_PROBE = """
 import sys
 from kzcal import cli
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse.linalg")
+heavy = (
+    "scipy.integrate", "scipy.optimize", "scipy.special", "scipy.sparse.linalg",
+    "scipy.sparse", "scipy.linalg",
+)
 print([name for name in heavy if name in sys.modules])
+cli.build_parser()  # argparse's messages load the locale module on the first parser
+before = set(sys.modules)
 code = cli.main(["verify", "--config", sys.argv[1]])
-print([name for name in heavy if name in sys.modules], code)
+print(sorted(set(sys.modules) - before), code)
 """
 
 
 def test_import_and_verify_leave_heavy_scipy_modules_unloaded(tmp_path):
     # start-up imports only what the checks run: the DOP853 tableau is
-    # kzcal's own, and ARPACK loads only for a sector above the dense limit
+    # kzcal's own, the row kernel loads scipy's compiled CSR module alone,
+    # the dense joint spectrum needs no scipy.linalg, and ARPACK loads only
+    # for a sector above the dense limit.  A run of every suite then loads
+    # no module at all, so nothing is imported inside the timed work.
     payload = {
         "suites": list(SUITE_NAMES),
         "seed": 7,
@@ -578,3 +586,70 @@ def test_import_and_verify_leave_heavy_scipy_modules_unloaded(tmp_path):
     )
     lines = proc.stdout.splitlines()
     assert lines[0] == "[]" and lines[-1] == "[] 0"
+
+
+def test_the_csr_module_is_the_installed_scipys_extension():
+    # kzcal loads scipy's compiled CSR module from the installed scipy's
+    # sparse/ directory and nowhere else
+    import scipy
+
+    from kzcal import operators
+
+    sparse_dir = os.path.join(os.path.dirname(scipy.__file__), "sparse")
+    path = operators._sparsetools.__file__
+    assert os.path.samefile(os.path.dirname(path), sparse_dir)
+    assert os.path.basename(path).startswith("_sparsetools.")
+
+
+SCIPY_AFTER_PROBE = """
+import sys
+import numpy as np
+from kzcal import operators
+from kzcal.core import ModelParams, WeightVector
+from kzcal.operators import gaudin_hamiltonian
+
+weight = WeightVector((2, 2, 1))
+x = (-1.1, -0.2, 0.6, 1.5, 2.3)
+ops = [
+    gaudin_hamiltonian(i, ModelParams(
+        n=5, N=3, x=x, g=(1.1, 2.05, 2.9), hbar=1.0, kappa=0.35, gamma=0.6, kind=kind), weight)
+    for kind in ("rational", "trigonometric") for i in (1, 4)
+]
+v = np.random.default_rng(3).standard_normal((30, 3))
+indptr = np.array([0, 2, 3], dtype=np.int32)
+indices = np.array([1, 0, 1], dtype=np.int32)
+data = np.array([0.1, 0.3, 0.7])
+
+
+def results():
+    out = []
+    for op in ops:
+        kernel = op.row_kernel()
+        out += [kernel.apply(v), kernel.apply(v[:, 0], transpose=True), kernel.apply(v + 1j * v)]
+        out += kernel.coo()
+    y = np.zeros(2)
+    operators._sparsetools.csr_matvec(2, 2, indptr, indices, data, v[:2, 0], y)
+    return b"".join(a.tobytes() for a in out + [y])
+
+
+first = results()
+print("scipy.sparse" in sys.modules)
+import scipy.sparse
+from scipy.sparse import _sparsetools
+
+print(_sparsetools is operators._sparsetools, results() == first)
+mat = scipy.sparse.csr_matrix((data, indices, indptr), shape=(2, 2))
+print((mat @ v[:2, 0]).tobytes() == first[-16:])
+"""
+
+
+def test_importing_scipy_sparse_later_changes_no_result():
+    # the tests' oracles import scipy.sparse after kzcal; it then runs on the
+    # CSR module kzcal loaded, and kernel and CSR results keep their bits
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_AFTER_PROBE],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=300, check=True,
+    )
+    assert proc.stdout.splitlines() == ["False", "True True", "True"]

@@ -16,7 +16,7 @@ import pytest
 
 from kzcal import suites
 from kzcal.config import validate_config
-from kzcal.core import ModelParams, WeightBasis, WeightVector, get_basis
+from kzcal.core import ModelParams, WeightBasis, WeightVector, get_basis, release_bases
 from kzcal.errors import IntegrationFailureError, ModelAssumptionWarning
 from kzcal.kernel import diag_term
 from kzcal.kz import KzConnection, _path_diagonal
@@ -62,7 +62,9 @@ def _bits(report):
 
 def test_a_run_owns_its_bases_until_it_returns(site_tables, monkeypatch, tmp_path):
     # the tables live while the report is written, are dead once run_suites
-    # returns, and a second run rebuilds them with the same residual bits
+    # returns, and a second run rebuilds them with the same residual bits;
+    # no basis of an earlier test may stand in for the ones the run builds
+    release_bases()
     alive_at_write = []
     write = suites.write_report
 
